@@ -66,9 +66,14 @@ def _coefficient_arrays(cfg, phis, gamma_r, gamma_l):
     if not np.all(np.isfinite(phis)):
         raise ValueError("phase shifts must be finite")
 
+    ra, la = _point_rates(cfg.atom_a, gamma_r, gamma_l)
+    rb, lb = _point_rates(cfg.atom_b, gamma_r, gamma_l)
+    # every pair weight sqrt(r_n r_m) is finite iff every r_n * r_n is
+    if not all(math.isfinite(r * r) for r in ra + la + rb + lb):
+        raise ValueError("coupling rates too large: the pair weights sqrt(r_n r_m) overflow")
+
     within = []
-    for atom in (cfg.atom_a, cfg.atom_b):
-        right, left = _point_rates(atom, gamma_r, gamma_l)
+    for (right, left), atom in (((ra, la), cfg.atom_a), ((rb, lb), cfg.atom_b)):
         pos = atom.positions
         delta = np.zeros_like(phis)
         decay = np.zeros_like(phis)
@@ -80,8 +85,6 @@ def _coefficient_arrays(cfg, phis, gamma_r, gamma_l):
                 decay = decay + w * np.cos(arg)
         within.append((delta, decay))
 
-    ra, la = _point_rates(cfg.atom_a, gamma_r, gamma_l)
-    rb, lb = _point_rates(cfg.atom_b, gamma_r, gamma_l)
     pa, pb = cfg.atom_a.positions, cfg.atom_b.positions
     gamma_coll = np.zeros(phis.shape, dtype=complex)
     g = np.zeros(phis.shape, dtype=complex)
@@ -157,20 +160,29 @@ def coefficients_nonchiral(cfg: LayoutConfiguration, phi: float, gamma: float) -
     return CoefficientSet(delta_a, delta_b, dec_a, dec_b, complex(gamma_coll), complex(g))
 
 
-def check_dissipator_psd(c: CoefficientSet, tol: float = 1e-12) -> bool:
-    """True iff the collective decay matrix [[G_a, G*_coll], [G_coll, G_b]] is PSD.
+def psd_mask(da, db, ga, gb, gc, g, tol: float = 1e-12):
+    """True where the collective decay matrix [[G_a, G*_coll], [G_coll, G_b]] is PSD.
 
-    Compared in magnitude space with an absolute slack tied to the overall
-    coefficient scale: near exact-decoupling phases the decays are sums of
-    O(gamma) terms cancelling to ~0, and in the perfectly directional case
+    Takes the six coefficients (Lamb shifts, decays, collective decay,
+    exchange coupling) as scalars or arrays of one shape.  Compared in
+    magnitude space with an absolute slack tied to the overall coefficient
+    scale: near exact-decoupling phases the decays are sums of O(gamma)
+    terms cancelling to ~0, and in the perfectly directional case
     |G_coll| = sqrt(G_a G_b) holds identically, so roundoff sits on either
     side of the exact inequality.
     """
-    scale = max(1.0, abs(c.gamma_a), abs(c.gamma_b), abs(c.gamma_coll),
-                2.0 * abs(c.g), abs(c.delta_omega_a), abs(c.delta_omega_b))
+    scale = np.maximum.reduce([
+        np.full(np.shape(ga), 1.0), np.abs(ga), np.abs(gb), np.abs(gc),
+        2.0 * np.abs(g), np.abs(da), np.abs(db),
+    ])
     slack = tol * scale
-    if c.gamma_a < -slack or c.gamma_b < -slack:
-        return False
-    ga = max(c.gamma_a, 0.0)
-    gb = max(c.gamma_b, 0.0)
-    return abs(c.gamma_coll) <= math.sqrt(ga * gb) * (1.0 + tol) + slack
+    return (
+        (ga >= -slack)
+        & (gb >= -slack)
+        & (np.abs(gc) <= np.sqrt(np.maximum(ga, 0.0) * np.maximum(gb, 0.0)) * (1 + tol) + slack)
+    )
+
+
+def check_dissipator_psd(c: CoefficientSet, tol: float = 1e-12) -> bool:
+    """``psd_mask`` for one coefficient set."""
+    return bool(psd_mask(c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g, tol))

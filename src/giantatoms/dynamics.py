@@ -54,17 +54,34 @@ class EffectiveHamiltonian:
         return float(np.max(np.abs(self.matrix)))
 
 
+def heff_entries(da, db, ga, gb, gc, g):
+    """Entries (m11, m12, m21, m22) of the effective matrix from the six
+    coefficients, as scalars or arrays of one shape (layout in the module
+    docstring)."""
+    return da - 0.5j * ga, np.conj(g) - 0.5j * np.conj(gc), g - 0.5j * gc, db - 0.5j * gb
+
+
 def build_heff(c: CoefficientSet) -> EffectiveHamiltonian:
     if not check_dissipator_psd(c):
         raise PhysicalityError(f"collective decay matrix not PSD for {c}")
-    m = np.array(
-        [
-            [c.delta_omega_a - 0.5j * c.gamma_a, np.conj(c.g) - 0.5j * np.conj(c.gamma_coll)],
-            [c.g - 0.5j * c.gamma_coll, c.delta_omega_b - 0.5j * c.gamma_b],
-        ],
-        dtype=complex,
-    )
-    return EffectiveHamiltonian(m)
+    m11, m12, m21, m22 = heff_entries(c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g)
+    return EffectiveHamiltonian(np.array([[m11, m12], [m21, m22]], dtype=complex))
+
+
+def eigen_split(m11, m12, m21, m22):
+    """(mu, dd, s) of a 2x2 matrix: the eigenvalues are mu +- s, mu the mean
+    of the diagonal and dd its half-difference.  Either sqrt branch of s
+    serves every formula here, as all are even in s."""
+    mu = 0.5 * (m11 + m22)
+    dd = 0.5 * (m11 - m22)
+    return mu, dd, np.sqrt(dd * dd + m12 * m21)
+
+
+def spectral_weights(s, c1, c2, d1, d2):
+    """(p1, q1, p2, q2) with exp(-i m t) c = e^{-i(mu+s)t} p + e^{-i(mu-s)t} q,
+    where d = (m - mu I) c; needs s != 0."""
+    half = 0.5 / s
+    return (s * c1 + d1) * half, (s * c1 - d1) * half, (s * c2 + d2) * half, (s * c2 - d2) * half
 
 
 def concurrence(c: AmplitudePair) -> float:
@@ -83,9 +100,7 @@ def _evolve(m11, m12, m21, m22, c1, c2, t):
     m11, m12, m21, m22, c1, c2, t = np.broadcast_arrays(
         *(np.asarray(x, dtype=complex) for x in (m11, m12, m21, m22, c1, c2, t))
     )
-    mu = 0.5 * (m11 + m22)
-    dd = 0.5 * (m11 - m22)
-    s = np.sqrt(dd * dd + m12 * m21)  # either sqrt branch works: formulas are even in s
+    mu, dd, s = eigen_split(m11, m12, m21, m22)
     z = s * t
     d1 = dd * c1 + m12 * c2  # (m - mu I) @ c
     d2 = m21 * c1 - dd * c2
@@ -111,11 +126,7 @@ def _evolve(m11, m12, m21, m22, c1, c2, t):
         tb = t[big]
         e_plus = np.exp(-1j * (mu[big] + sb) * tb)
         e_minus = np.exp(-1j * (mu[big] - sb) * tb)
-        half = 0.5 / sb
-        p1 = (sb * c1[big] + d1[big]) * half
-        q1 = (sb * c1[big] - d1[big]) * half
-        p2 = (sb * c2[big] + d2[big]) * half
-        q2 = (sb * c2[big] - d2[big]) * half
+        p1, q1, p2, q2 = spectral_weights(sb, c1[big], c2[big], d1[big], d2[big])
         out1[big] = e_plus * p1 + e_minus * q1
         out2[big] = e_plus * p2 + e_minus * q2
 
@@ -244,13 +255,6 @@ class ModeReport:
     dark_projection: AmplitudePair | None = None
 
 
-def _eigensystem(m):
-    mu = 0.5 * (m[0, 0] + m[1, 1])
-    dd = 0.5 * (m[0, 0] - m[1, 1])
-    s = np.sqrt(dd * dd + m[0, 1] * m[1, 0])
-    return mu + s, mu - s
-
-
 def dark_modes(h: EffectiveHamiltonian, c0: InitialState, tol: float = 1e-9) -> ModeReport:
     """Classify the decay spectrum and predict the long-time concurrence.
 
@@ -262,7 +266,8 @@ def dark_modes(h: EffectiveHamiltonian, c0: InitialState, tol: float = 1e-9) -> 
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = h.matrix
-    lam1, lam2 = _eigensystem(m)
+    mu, _, s = eigen_split(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+    lam1, lam2 = mu + s, mu - s
     scale = h.scale
     thr = tol * scale if scale > 0 else tol
     real_flags = [abs(lam.imag) < thr for lam in (lam1, lam2)]

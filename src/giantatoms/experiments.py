@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coefficients import _coefficient_arrays, coefficients
+from .coefficients import _coefficient_arrays, coefficients, psd_mask
 from .dynamics import (
     EffectiveHamiltonian,
     ModeClass,
@@ -25,7 +25,11 @@ from .dynamics import (
     Trajectory,
     _evolve,
     build_heff,
+    concurrence,
     dark_modes,
+    eigen_split,
+    heff_entries,
+    spectral_weights,
     trajectory,
 )
 from .model import (
@@ -71,30 +75,14 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float
 
 
 def _m_components(cfg, gamma_r, gamma_l, phis):
-    """Effective-matrix entries over an array of phase shifts, PSD-checked.
-
-    Mirrors check_dissipator_psd: magnitude-space comparison with an
-    absolute slack set by the overall coefficient scale.
-    """
-    da, db, ga, gb, gc, g = _coefficient_arrays(cfg, phis, gamma_r, gamma_l)
-    scale = np.maximum.reduce([
-        np.full(np.shape(ga), 1.0), np.abs(ga), np.abs(gb), np.abs(gc),
-        2.0 * np.abs(g), np.abs(da), np.abs(db),
-    ])
-    slack = 1e-12 * scale
-    ok = (
-        (ga >= -slack)
-        & (gb >= -slack)
-        & (np.abs(gc) <= np.sqrt(np.maximum(ga, 0.0) * np.maximum(gb, 0.0)) * (1 + 1e-12) + slack)
-    )
+    """Effective-matrix entries (m11, m12, m21, m22) over an array of phase
+    shifts, PSD-checked."""
+    coeffs = _coefficient_arrays(cfg, phis, gamma_r, gamma_l)
+    ok = psd_mask(*coeffs)
     if not np.all(ok):
         bad = np.asarray(phis)[~ok]
         raise PhysicalityError(f"decay matrix not PSD at phi={bad[:3]}...")
-    m11 = da - 0.5j * ga
-    m22 = db - 0.5j * gb
-    m21 = g - 0.5j * gc
-    m12 = np.conj(g) - 0.5j * np.conj(gc)
-    return m11, m12, m21, m22
+    return heff_entries(*coeffs)
 
 
 def _concurrence_matrix(cfg, chirality, c0, phis, ts, chunk=128):
@@ -126,9 +114,7 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt, chunk=256):
     for lo in range(0, phis.size, chunk):
         sl = slice(lo, min(lo + chunk, phis.size))
         a11, a12, a21, a22 = m11[sl], m12[sl], m21[sl], m22[sl]
-        mu = 0.5 * (a11 + a22)
-        dd = 0.5 * (a11 - a22)
-        s = np.sqrt(dd * dd + a12 * a21)
+        mu, dd, s = eigen_split(a11, a12, a21, a22)
         d1 = dd * c0.c_eg + a12 * c0.c_ge
         d2 = a21 * c0.c_eg - dd * c0.c_ge
 
@@ -137,12 +123,7 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt, chunk=256):
         if rows.size:
             lam_p = (mu + s)[rows]
             lam_m = (mu - s)[rows]
-            ss = s[rows]
-            half = 0.5 / ss
-            p1 = (ss * c0.c_eg + d1[rows]) * half
-            q1 = (ss * c0.c_eg - d1[rows]) * half
-            p2 = (ss * c0.c_ge + d2[rows]) * half
-            q2 = (ss * c0.c_ge - d2[rows]) * half
+            p1, q1, p2, q2 = spectral_weights(s[rows], c0.c_eg, c0.c_ge, d1[rows], d2[rows])
             seq = np.empty((rows.size, n_t), dtype=complex)
             seq[:, 0] = 1.0
             seq[:, 1:] = np.exp(-1j * lam_p * dt)[:, None]
@@ -168,12 +149,18 @@ def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
     return build_heff(coefficients(cfg, phi, gamma_r, gamma_l))
 
 
-def evaluate_concurrence(cfg, chirality, c0, phi, t) -> float:
-    """Concurrence of the evolved state at a single (phi, t) point."""
+def _point_amplitudes(cfg, chirality, c0, phi, t):
+    """Exact amplitudes (c_eg, c_ge) at a single (phi, t) point."""
     gamma_r, gamma_l = rates_from_chirality(chirality)
     m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, np.asarray([phi]))
     c1, c2 = _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, np.asarray([t], dtype=float))
-    return float(2.0 * abs(c1[0]) * abs(c2[0]))
+    return c1[0], c2[0]
+
+
+def evaluate_concurrence(cfg, chirality, c0, phi, t) -> float:
+    """Concurrence of the evolved state at a single (phi, t) point."""
+    c1, c2 = _point_amplitudes(cfg, chirality, c0, phi, t)
+    return float(2.0 * abs(c1) * abs(c2))
 
 
 @dataclass(frozen=True)
@@ -255,12 +242,8 @@ def find_max(
     i, j = np.unravel_index(int(np.argmax(c)), c.shape)
     grid_best = float(c[i, j])
 
-    gamma_r, gamma_l = rates_from_chirality(chirality)
-
     def value(phi, t):
-        m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, np.asarray([phi]))
-        c1, c2 = _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, np.asarray([t], dtype=float))
-        return float(2.0 * abs(c1[0]) * abs(c2[0]))
+        return evaluate_concurrence(cfg, chirality, c0, phi, t)
 
     phi_star, t_star = float(phis[i]), float(ts[j])
     t_lo = float(ts[max(j - 1, 0)])
@@ -276,10 +259,9 @@ def find_max(
     if value(phi_star, t_star) < grid_best:
         phi_star, t_star = float(phis[i]), float(ts[j])
 
-    m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, np.asarray([phi_star]))
-    c1, c2 = _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, np.asarray([t_star], dtype=float))
-    amps = AmplitudePair(complex(c1[0]), complex(c2[0]))
-    return MaxResult(2.0 * abs(amps.c_eg) * abs(amps.c_ge), phi_star, t_star, amps)
+    c1, c2 = _point_amplitudes(cfg, chirality, c0, phi_star, t_star)
+    amps = AmplitudePair(complex(c1), complex(c2))
+    return MaxResult(concurrence(amps), phi_star, t_star, amps)
 
 
 @dataclass(frozen=True)
@@ -367,12 +349,8 @@ def find_special_phases(
     r_dec = np.maximum(decay_mag, np.abs(g)) / gamma
     r_df = decay_mag / gamma
 
-    m11 = da - 0.5j * ga
-    m22 = db - 0.5j * gb
-    m21 = g - 0.5j * gc
-    m12 = np.conj(g) - 0.5j * np.conj(gc)
-    mu = 0.5 * (m11 + m22)
-    s = np.sqrt((0.5 * (m11 - m22)) ** 2 + m12 * m21)
+    m11, m12, m21, m22 = heff_entries(da, db, ga, gb, gc, g)
+    mu, _, s = eigen_split(m11, m12, m21, m22)
     scale = np.maximum.reduce([np.abs(m11), np.abs(m12), np.abs(m21), np.abs(m22)])
     scale = np.maximum(scale, 1e-300)
     r_dark = np.minimum(np.abs((mu + s).imag), np.abs((mu - s).imag)) / scale
@@ -386,8 +364,7 @@ def find_special_phases(
         cset = coefficients(cfg, phi, gamma_r, gamma_l)
         h = build_heff(cset)
         m = h.matrix
-        mu_ = 0.5 * (m[0, 0] + m[1, 1])
-        s_ = np.sqrt((0.5 * (m[0, 0] - m[1, 1])) ** 2 + m[0, 1] * m[1, 0])
+        mu_, _, s_ = eigen_split(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
         sc = max(h.scale, 1e-300)
         return min(abs((mu_ + s_).imag), abs((mu_ - s_).imag)) / sc
 

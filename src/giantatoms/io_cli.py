@@ -12,16 +12,17 @@ Column contracts (fixed order, floats printed with 17 significant digits):
     compare      phi,t,c_from_eg,c_from_ge,abs_diff
     calibrate    config,ordering,score,unresolved,matches_default,target,computed,residual
 
-Exit codes: 0 success, 1 validation/usage error, 2 I/O error, 3 unphysical
-decay matrix.
+Exit codes: 0 success (every emitted number finite), 1 validation/usage
+error or numerical overflow, 2 I/O error, 3 unphysical decay matrix.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,6 +139,8 @@ class ExperimentSpec:
     def layout(self):
         if self.preset is not None:
             return make_preset(self.preset)
+        if self.positions is None:
+            raise ConfigValidationError("layout", "required: give a config layout, --preset or --layout-a/--layout-b")
         return make_layout(*self.positions)
 
     def chirality(self) -> ChiralitySpec:
@@ -205,23 +208,34 @@ def _parse_grid(field: str, v, t0_min=None) -> GridRange:
 _KNOWN_FIELDS = {"layout", "gamma", "chi", "phi", "time", "initial", "window", "tol", "chis", "out", "format"}
 
 
-def parse_experiment_config(text: str) -> ExperimentSpec:
-    """Parse and validate a JSON experiment document, applying defaults."""
+def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigValidationError("document", "top level must be an object")
+    return doc
+
+
+def parse_experiment_config(text: str) -> ExperimentSpec:
+    """Parse and validate a JSON experiment document, applying defaults."""
+    doc = _load_document(text)
+    if "layout" not in doc:
+        raise ConfigValidationError("layout", "required")
+    return _spec_from_document(doc)
+
+
+def _spec_from_document(doc: dict) -> ExperimentSpec:
+    """Validate the fields of an experiment document; a missing layout is
+    reported only when a command asks for it."""
     unknown = set(doc) - _KNOWN_FIELDS
     if unknown:
         raise ConfigValidationError(sorted(unknown)[0], "unknown field")
-    if "layout" not in doc:
-        raise ConfigValidationError("layout", "required")
 
     preset = None
     positions = None
-    layout = doc["layout"]
+    layout = doc.get("layout")
     if isinstance(layout, str):
         try:
             preset = Preset(layout)
@@ -238,7 +252,7 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
         problems = validate_layout(make_layout(*positions))
         if problems:
             raise ConfigValidationError("layout", "; ".join(problems))
-    else:
+    elif "layout" in doc:
         raise ConfigValidationError("layout", "expected a preset name or {a: [...], b: [...]}")
 
     gamma = _as_float("gamma", doc.get("gamma", 1.0))
@@ -494,43 +508,49 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_phi_flag(text: str):
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigValidationError("phi", "expected <real> or start:stop:count")
-        try:
-            return GridRange(float(parts[0]), float(parts[1]), int(parts[2]))
-        except ValueError:
-            raise ConfigValidationError("phi", "expected numeric start:stop:count") from None
+def _flag_number(field: str, text: str, convert=float):
     try:
-        return float(text)
+        return convert(text)
     except ValueError:
-        raise ConfigValidationError("phi", f"not a number: {text!r}") from None
+        raise ConfigValidationError(field, f"not a number: {text!r}") from None
 
 
-def _parse_t_flag(text: str) -> GridRange:
+def _flag_numbers(field: str, text: str, convert=float) -> list:
+    return [_flag_number(field, v, convert) for v in text.split(",")]
+
+
+def _flag_grid(field: str, text: str) -> dict:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigValidationError("t", "expected start:stop:count")
-    try:
-        return GridRange(float(parts[0]), float(parts[1]), int(parts[2]))
-    except ValueError:
-        raise ConfigValidationError("t", "expected numeric start:stop:count") from None
+        raise ConfigValidationError(field, "expected start:stop:count")
+    return {"start": _flag_number(field, parts[0]), "stop": _flag_number(field, parts[1]),
+            "count": _flag_number(field, parts[2], int)}
 
 
-def _parse_initial_flag(text: str):
-    if text in ("eg", "ge"):
-        return text
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigValidationError("initial", "expected eg, ge or re,im,re,im")
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigValidationError("initial", "expected numeric re,im,re,im") from None
-    InitialState(complex(vals[0], vals[1]), complex(vals[2], vals[3]))  # validates normalization
-    return vals
+def _flag_document(args) -> dict:
+    """The flags given on the command line, as experiment-document fields."""
+    doc: dict = {}
+    if args.preset is not None:
+        doc["layout"] = args.preset
+    if args.layout_a is not None or args.layout_b is not None:
+        if args.layout_a is None or args.layout_b is None:
+            raise ConfigValidationError("layout", "--layout-a and --layout-b must be given together")
+        doc["layout"] = {"a": _flag_numbers("layout.a", args.layout_a, int),
+                         "b": _flag_numbers("layout.b", args.layout_b, int)}
+    for field in ("gamma", "chi", "window", "tol", "out"):
+        if getattr(args, field) is not None:
+            doc[field] = getattr(args, field)
+    if args.fmt is not None:
+        doc["format"] = args.fmt
+    if args.phi is not None:
+        doc["phi"] = _flag_grid("phi", args.phi) if ":" in args.phi else _flag_number("phi", args.phi)
+    if args.t is not None:
+        doc["time"] = _flag_grid("time", args.t)
+    if args.initial is not None:
+        doc["initial"] = args.initial if args.initial in ("eg", "ge") else _flag_numbers("initial", args.initial)
+    if args.chis is not None:
+        doc["chis"] = _flag_numbers("chis", args.chis)
+    return doc
 
 
 def _build_parser() -> _Parser:
@@ -559,78 +579,14 @@ def _build_parser() -> _Parser:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
+    """The --config document with the flags laid over it, validated as one
+    document, so that a flag accepts exactly what its config field does."""
+    doc: dict = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            spec = parse_experiment_config(fh.read())
-    else:
-        spec = None
-
-    overrides = {}
-    if args.preset is not None:
-        try:
-            preset = Preset(args.preset)
-        except ValueError:
-            raise ConfigValidationError("preset", f"unknown preset {args.preset!r}") from None
-        overrides["preset"] = preset
-        overrides["positions"] = None
-    if args.layout_a is not None or args.layout_b is not None:
-        if args.layout_a is None or args.layout_b is None:
-            raise ConfigValidationError("layout", "--layout-a and --layout-b must be given together")
-        try:
-            pos = (tuple(sorted(int(v) for v in args.layout_a.split(","))),
-                   tuple(sorted(int(v) for v in args.layout_b.split(","))))
-        except ValueError:
-            raise ConfigValidationError("layout", "positions must be integers") from None
-        problems = validate_layout(make_layout(*pos))
-        if problems:
-            raise ConfigValidationError("layout", "; ".join(problems))
-        overrides["preset"] = None
-        overrides["positions"] = pos
-    if args.phi is not None:
-        overrides["phi"] = _parse_phi_flag(args.phi)
-    if args.gamma is not None:
-        if args.gamma <= 0:
-            raise ConfigValidationError("gamma", "must be positive")
-        overrides["gamma"] = args.gamma
-    if args.chi is not None:
-        if not 0.0 <= args.chi <= 1.0:
-            raise ConfigValidationError("chi", "must lie in [0, 1]")
-        overrides["chi"] = args.chi
-    if args.t is not None:
-        grid = _parse_t_flag(args.t)
-        if grid.start < 0:
-            raise ConfigValidationError("t", "start must be >= 0")
-        overrides["time"] = grid
-    if args.initial is not None:
-        overrides["initial"] = _parse_initial_flag(args.initial)
-    if args.window is not None:
-        if args.window <= 0:
-            raise ConfigValidationError("window", "must be positive")
-        overrides["window"] = args.window
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigValidationError("tol", "must be positive")
-        overrides["tol"] = args.tol
-    if args.chis is not None:
-        try:
-            chis = tuple(float(v) for v in args.chis.split(","))
-        except ValueError:
-            raise ConfigValidationError("chis", "expected comma-separated numbers") from None
-        if not chis or any(not 0.0 <= v <= 1.0 for v in chis):
-            raise ConfigValidationError("chis", "every value must lie in [0, 1]")
-        overrides["chis"] = chis
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.fmt is not None:
-        overrides["fmt"] = args.fmt
-
-    if spec is None:
-        if "preset" not in overrides and "positions" not in overrides:
-            raise ConfigValidationError("layout", "give --config, --preset or --layout-a/--layout-b")
-        spec = ExperimentSpec(**overrides)
-    elif overrides:
-        spec = replace(spec, **overrides)
-    return spec
+            doc = _load_document(fh.read())
+    doc.update(_flag_document(args))
+    return _spec_from_document(doc)
 
 
 def _scalar_phi(spec: ExperimentSpec) -> float:
@@ -646,6 +602,8 @@ def _phi_grid(spec: ExperimentSpec) -> np.ndarray:
 
 
 def _run_command(command: str, spec: ExperimentSpec):
+    if command == "calibrate":
+        return calibrate_presets(gamma_total=spec.gamma, t_horizon=spec.time.stop)
     cfg = spec.layout()
     chirality = spec.chirality()
     gamma_r, gamma_l = rates_from_chirality(chirality)
@@ -671,9 +629,31 @@ def _run_command(command: str, spec: ExperimentSpec):
                               spec.time.linspace(), gamma_total=spec.gamma)
     if command == "compare-initial":
         return compare_initial_states(cfg, chirality, _phi_grid(spec), spec.time.linspace())
-    if command == "calibrate":
-        return calibrate_presets(gamma_total=spec.gamma, t_horizon=spec.time.stop)
     raise _UsageError(f"unknown command {command!r}")
+
+
+def _require_finite(result) -> None:
+    """Raise ValueError unless every number the result carries is finite, so
+    that a run which exits 0 emits only finite values."""
+    arrays: list = []
+    scalars: list = []
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (float, complex, np.floating, np.complexfloating)):
+            scalars.append(value)
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                collect(getattr(value, f.name))
+        elif isinstance(value, (list, tuple, dict)):
+            for item in (value.values() if isinstance(value, dict) else value):
+                collect(item)
+
+    collect(result)
+    arrays.append(np.asarray(scalars, dtype=complex))
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("numerical overflow: the result holds non-finite values")
 
 
 def _write_output(data: bytes, out: str | None):
@@ -694,6 +674,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 1
         spec = _spec_from_args(args)
         result = _run_command(args.command, spec)
+        _require_finite(result)
         if spec.fmt == "svg":
             if not isinstance(result, SweepGrid):
                 raise ConfigValidationError("format", "svg output is only available for sweep grids")

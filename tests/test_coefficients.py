@@ -15,6 +15,7 @@ from giantatoms import (
     phase_distance,
     rates_from_chirality,
 )
+from giantatoms.coefficients import _coefficient_arrays, psd_mask
 from giantatoms.model import LayoutError
 
 SQRT3 = math.sqrt(3.0)
@@ -182,6 +183,35 @@ def test_psd_examples():
     assert check_dissipator_psd(c)
     assert not check_dissipator_psd(CoefficientSet(0, 0, 1.0, 1.0, 2.0 + 0j, 0j))
     assert check_dissipator_psd(CoefficientSet(0, 0, 0.0, 0.0, 0j, 0j))
+
+
+def test_psd_mask_agrees_with_scalar_check():
+    rng = np.random.default_rng(13)
+    n = 2000
+    da, db = rng.normal(size=n), rng.normal(size=n)
+    ga, gb = rng.uniform(-0.1, 3.0, size=n), rng.uniform(-0.1, 3.0, size=n)
+    gc = rng.uniform(0.0, 3.0, size=n) * np.exp(1j * rng.uniform(0, 2 * math.pi, size=n))
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # the separated cascade sits on the boundary |G_coll| = sqrt(G_a G_b);
+    # scaling G_coll by 1 + 1e-9 pushes it just outside
+    phis = np.linspace(0.0, 2 * math.pi, 400)
+    cascade = _coefficient_arrays(make_preset("separated"), phis, 1.0, 0.0)
+    outside = cascade[:4] + (cascade[4] * (1 + 1e-9),) + cascade[5:]
+    for coeffs in ((da, db, ga, gb, gc, g), cascade, outside):
+        mask = psd_mask(*coeffs)
+        scalar = [check_dissipator_psd(CoefficientSet(*(x[k].item() for x in coeffs))) for k in range(mask.size)]
+        assert mask.tolist() == scalar
+    assert psd_mask(*cascade).all()
+    assert not psd_mask(*outside)[np.abs(cascade[4]) > 1e-3].any()
+    assert 0 < psd_mask(da, db, ga, gb, gc, g).sum() < n
+
+
+def test_rate_overflow_is_a_named_error():
+    cfg = make_preset("separated")
+    with pytest.raises(ValueError, match="overflow"):
+        coefficients(cfg, 1.0, 5e199, 5e199)
+    with pytest.raises(ValueError, match="overflow"):
+        coefficients(cfg, 1.0, 1e160, 0.0)
 
 
 def test_invalid_layout_rejected():

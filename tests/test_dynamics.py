@@ -22,7 +22,7 @@ from giantatoms import (
     rates_from_chirality,
     trajectory,
 )
-from giantatoms.experiments import all_orderings, layout_from_pattern
+from giantatoms.experiments import _m_components, all_orderings, layout_from_pattern
 
 SQRT3 = math.sqrt(3.0)
 ZERO_SET = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0j, 0j)
@@ -56,6 +56,19 @@ def test_build_heff_nonchiral_is_symmetric():
     for preset in ("separated", "partially_braided", "fully_nested"):
         h = heff_for(preset, 0.77)
         assert h.matrix[0, 1] == pytest.approx(h.matrix[1, 0], abs=1e-14)
+
+
+def test_build_heff_matches_array_path_bitwise(ordering_layouts):
+    # the scalar and the array route share one matrix layout and PSD rule
+    phis = np.random.default_rng(5).uniform(0.0, 2 * math.pi, size=12)
+    for cfg in ordering_layouts:
+        for chi in (0.0, 0.5, 1.0):
+            gr, gl = rates_from_chirality(ChiralitySpec(1.0, chi))
+            m11, m12, m21, m22 = _m_components(cfg, gr, gl, phis)
+            for k, phi in enumerate(phis):
+                expected = np.array([[m11[k], m12[k]], [m21[k], m22[k]]])
+                got = build_heff(coefficients(cfg, float(phi), gr, gl)).matrix
+                assert got.tobytes() == expected.tobytes()
 
 
 def test_build_heff_rejects_unphysical():

@@ -338,3 +338,64 @@ def test_experiment_spec_defaults():
     assert spec.fmt == "csv"
     assert spec.time == GridRange(0.0, 50.0, 2001)
     assert spec.phi == GridRange(0.0, TAU, 2001)
+
+
+@pytest.mark.parametrize("flag, value, field, doc_value", [
+    ("--gamma", "inf", "gamma", math.inf),
+    ("--chi", "nan", "chi", math.nan),
+    ("--phi", "inf", "phi", math.inf),
+    ("--phi", "0:nan:3", "phi", {"start": 0, "stop": math.nan, "count": 3}),
+    ("--t", "0:nan:3", "time", {"start": 0, "stop": math.nan, "count": 3}),
+    ("--t", "0:5:2.5", "time", {"start": 0, "stop": 5, "count": 2.5}),
+    ("--initial", "nan,0,0,1", "initial", [math.nan, 0, 0, 1]),
+    ("--window", "inf", "window", math.inf),
+    ("--tol", "nan", "tol", math.nan),
+    ("--chis", "0,nan", "chis", [0, math.nan]),
+])
+def test_cli_flag_and_config_reject_alike(tmp_path, capsys, flag, value, field, doc_value):
+    out = tmp_path / "x.csv"
+    base = ["coeffs", "--preset", "separated", "--phi", "1.0", "--out", str(out)]
+    assert cli_main(base + [flag, value]) == 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"layout": "separated", "phi": 1.0, field: doc_value}))
+    assert cli_main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_cli_rate_overflow_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    code = cli_main(["evolve", "--preset", "separated", "--phi", "1.0", "--gamma", "1e200",
+                     "--t", "0:5:6", "--out", str(out)])
+    assert code == 1
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    ["evolve", "--preset", "separated", "--phi", "1.0", "--gamma", "1e154", "--t", "0:5:6"],
+    ["sweep", "--preset", "separated", "--phi", "0:6.283:5", "--t", "0:1e308:3"],
+])
+def test_cli_non_finite_result_is_not_emitted(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert cli_main(args + ["--out", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_calibrate_needs_no_layout(monkeypatch, tmp_path):
+    import giantatoms.io_cli as io_cli
+    from giantatoms.experiments import CalibrationResult
+
+    calls = []
+
+    def stub(**kwargs):
+        calls.append(kwargs)
+        return CalibrationResult({}, {})
+
+    monkeypatch.setattr(io_cli, "calibrate_presets", stub)
+    out = tmp_path / "calibration.ndjson"
+    assert cli_main(["calibrate", "--format", "ndjson", "--out", str(out)]) == 0
+    assert cli_main(["calibrate", "--preset", "separated", "--format", "ndjson", "--out", str(out)]) == 0
+    assert calls == [{"gamma_total": 1.0, "t_horizon": 50.0}] * 2
