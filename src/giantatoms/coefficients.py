@@ -179,7 +179,7 @@ def psd_mask(da, db, ga, gb, gc, g, tol: float = 1e-12):
     return (
         (ga >= -slack)
         & (gb >= -slack)
-        & (np.abs(gc) <= np.sqrt(np.maximum(ga, 0.0) * np.maximum(gb, 0.0)) * (1 + tol) + slack)
+        & (np.abs(gc) <= np.sqrt(np.maximum(ga, 0.0)) * np.sqrt(np.maximum(gb, 0.0)) * (1 + tol) + slack)
     )
 
 

@@ -1,7 +1,11 @@
 """Declarative experiment configs, deterministic CSV/NDJSON emission, SVG
 heatmaps and the command-line front end.
 
-Column contracts (fixed order, floats printed with 17 significant digits):
+Every result type has one column table: ordered header names and one column
+per name. The CSV writer, the NDJSON writer and the command line's
+finite-output check all read it, so the columns a result emits are defined
+once. Column contracts (fixed order, floats printed with 17 significant
+digits; NDJSON writes integral floats with a trailing ".0"):
 
     trajectory   t,c_eg_re,c_eg_im,c_ge_re,c_ge_im,concurrence
     sweep        phi,t,concurrence            (phi outer, t inner)
@@ -12,16 +16,22 @@ Column contracts (fixed order, floats printed with 17 significant digits):
     compare      phi,t,c_from_eg,c_from_ge,abs_diff
     calibrate    config,ordering,score,unresolved,matches_default,target,computed,residual
 
+NDJSON has one record per row, except that `compare` closes with a
+{"max_abs_diff": ...} record and `calibrate` writes one record per
+configuration with nested `values`/`residuals` maps in place of the
+target, computed and residual columns.
+
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
 error or numerical overflow, 2 I/O error, 3 unphysical decay matrix.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,16 +81,12 @@ class ConfigValidationError(ConfigError):
         self.field = field
 
 
-def _fmt(x: float) -> str:
-    """17-significant-digit rendering; losslessly round-trips doubles."""
-    return "%.17g" % x
+_fmt = "%.17g".__mod__  # 17 significant digits: losslessly round-trips doubles
 
 
-def _json_number(x: float) -> str:
-    s = _fmt(x)
-    if all(ch not in s for ch in ".eE") and s.lstrip("-").isdigit():
-        s += ".0"
-    return s
+def _json_float(s: str) -> str:
+    """A ``_fmt`` rendering as a JSON-style float: integral values gain ".0"."""
+    return s + ".0" if s.lstrip("-").isdigit() else s
 
 
 def _emit_json(value) -> str:
@@ -92,7 +98,7 @@ def _emit_json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _json_number(float(value))
+        return _json_float(_fmt(float(value)))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
@@ -158,7 +164,7 @@ class ExperimentSpec:
         doc: dict = {}
         if self.preset is not None:
             doc["layout"] = self.preset.value
-        else:
+        elif self.positions is not None:
             doc["layout"] = {"a": list(self.positions[0]), "b": list(self.positions[1])}
         doc["gamma"] = self.gamma
         doc["chi"] = self.chi
@@ -315,117 +321,110 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
 
 # --- result serialization ---------------------------------------------------
 
-
-def _table_bytes(header: list[str], rows, fmt: str, extra_ndjson=None) -> bytes:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        return ("\n".join(lines) + "\n").encode()
-    if fmt == "ndjson":
-        lines = [_emit_json(dict(zip(header, row))) for row in rows]
-        if extra_ndjson is not None:
-            lines.append(_emit_json(extra_ndjson))
-        return ("\n".join(lines) + "\n").encode()
-    raise ValueError(f"unsupported format {fmt!r}")
+_BLOCK_ROWS = 8192  # rows formatted at a time: a writer's working set does not grow with the table
+_TRAJ_HEADER = ("t", "c_eg_re", "c_eg_im", "c_ge_re", "c_ge_im", "concurrence")
+_COEFF_HEADER = ("phi", "delta_a", "delta_b", "gamma_a", "gamma_b", "gcoll_re", "gcoll_im", "g_re", "g_im")
+_CAL_HEADER = ("config", "ordering", "score", "unresolved", "matches_default")
+_CAL_TEXT = ("config", "ordering", "unresolved", "matches_default", "target", "values", "residuals")
 
 
-def _trajectory_rows(traj: Trajectory, lead: tuple = ()):
-    for t, (ceg, cge), conc in zip(traj.times, traj.amplitudes, traj.concurrence):
-        yield lead + (float(t), float(ceg.real), float(ceg.imag), float(cge.real), float(cge.imag), float(conc))
+@dataclass(frozen=True)
+class _Table:
+    """The columns a result emits, in order: a float array or a list of
+    str/bool/dict values per header name, plus an optional record that
+    closes the NDJSON stream."""
+
+    header: tuple[str, ...]
+    columns: tuple
+    trailer: dict | None = None
 
 
-def _coeff_row(phi: float, c: CoefficientSet):
-    return (
-        phi, c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b,
-        float(c.gamma_coll.real), float(c.gamma_coll.imag), float(c.g.real), float(c.g.imag),
-    )
+def _row_table(header, rows, text=()) -> _Table:
+    """A table from row tuples: the columns named in `text` keep their
+    values, every other column becomes a float array."""
+    columns = list(zip(*rows)) or [()] * len(header)
+    return _Table(header, tuple(list(c) if h in text else np.array(c, dtype=float) for h, c in zip(header, columns)))
 
 
-_COEFF_HEADER = ["phi", "delta_a", "delta_b", "gamma_a", "gamma_b", "gcoll_re", "gcoll_im", "g_re", "g_im"]
-_TRAJ_HEADER = ["t", "c_eg_re", "c_eg_im", "c_ge_re", "c_ge_im", "concurrence"]
+def _trajectory_block(traj: Trajectory) -> np.ndarray:
+    """The trajectory's rows as an (N, 6) float array, in _TRAJ_HEADER order."""
+    a = traj.amplitudes
+    return np.column_stack([traj.times, a[:, 0].real, a[:, 0].imag, a[:, 1].real, a[:, 1].imag, traj.concurrence])
+
+
+def _grid_axes(grid: SweepGrid) -> tuple:
+    """The phi and t columns of a grid table, phi outer."""
+    return np.repeat(grid.phi_values, len(grid.t_values)), np.tile(grid.t_values, len(grid.phi_values))
+
+
+def _table(result, fmt: str = "csv") -> _Table:
+    """The column table of a result.  Its CSV table holds every number that
+    CSV, NDJSON or SVG output emits; only calibration has another NDJSON
+    table, one record per configuration with nested values/residuals maps."""
+    if isinstance(result, SweepGrid):
+        return _Table(("phi", "t", "concurrence"), (*_grid_axes(result), result.c_matrix.ravel()))
+    if isinstance(result, Trajectory):
+        return _Table(_TRAJ_HEADER, tuple(_trajectory_block(result).T))
+    if isinstance(result, MaxResult):
+        a = result.amplitudes_at_max
+        return _row_table(("c_max", "phi_star", "t_star", "c_eg_re", "c_eg_im", "c_ge_re", "c_ge_im"),
+                          [(result.c_max, result.phi_star, result.t_star,
+                            a.c_eg.real, a.c_eg.imag, a.c_ge.real, a.c_ge.imag)])
+    if isinstance(result, ChiralityScanResult):
+        blocks = [np.column_stack([np.full(len(tr.times), chi), _trajectory_block(tr)])
+                  for chi, tr in zip(result.chis, result.trajectories)]
+        return _Table(("chi",) + _TRAJ_HEADER, tuple(np.vstack([np.empty((0, 7)), *blocks]).T))
+    if isinstance(result, InitialStateComparison):
+        eg, ge = result.grid_eg.c_matrix.ravel(), result.grid_ge.c_matrix.ravel()
+        return _Table(("phi", "t", "c_from_eg", "c_from_ge", "abs_diff"),
+                      (*_grid_axes(result.grid_eg), eg, ge, np.abs(eg - ge)), {"max_abs_diff": result.max_abs_diff})
+    if isinstance(result, CalibrationResult):
+        lead = [((name, c.pattern, c.score, c.unresolved, c.matches_default), c)
+                for name, c in result.assignments.items()]
+        if fmt == "ndjson":
+            return _row_table(_CAL_HEADER + ("values", "residuals"),
+                              [row + (c.values, c.residuals) for row, c in lead], _CAL_TEXT)
+        return _row_table(_CAL_HEADER + ("target", "computed", "residual"),
+                          [row + (label, value, c.residuals[label])
+                           for row, c in lead for label, value in c.values.items()], _CAL_TEXT)
+    if isinstance(result, CoefficientSet):
+        result = [(math.nan, result)]
+    if isinstance(result, (list, tuple)):
+        if all(isinstance(x, SpecialPhase) for x in result):
+            return _row_table(("phi", "kind"), [(sp.phi, sp.kind.value) for sp in result], ("kind",))
+        if all(isinstance(x, tuple) and len(x) == 2 and isinstance(x[1], CoefficientSet) for x in result):
+            return _row_table(_COEFF_HEADER, [
+                (p, c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b,
+                 c.gamma_coll.real, c.gamma_coll.imag, c.g.real, c.g.imag) for p, c in result])
+    raise TypeError(f"cannot serialize result of type {type(result).__name__}")
+
+
+def _cells(column, fmt: str) -> list[str]:
+    """The rendered values of one column block; CSV leaves strings bare."""
+    if isinstance(column, np.ndarray):
+        cells = list(map(_fmt, column.tolist()))
+        return cells if fmt == "csv" else list(map(_json_float, cells))
+    return [v if fmt == "csv" and isinstance(v, str) else _emit_json(v) for v in column]
 
 
 def serialize_results(result, fmt: str = "csv") -> bytes:
     """Render a result object to CSV or NDJSON bytes (deterministic)."""
-    if isinstance(result, SweepGrid):
-        rows = (
-            (float(p), float(t), float(result.c_matrix[i, j]))
-            for i, p in enumerate(result.phi_values)
-            for j, t in enumerate(result.t_values)
-        )
-        return _table_bytes(["phi", "t", "concurrence"], rows, fmt)
-
-    if isinstance(result, Trajectory):
-        return _table_bytes(_TRAJ_HEADER, _trajectory_rows(result), fmt)
-
-    if isinstance(result, CoefficientSet):
-        return _table_bytes(_COEFF_HEADER, [_coeff_row(math.nan, result)], fmt)
-
-    if isinstance(result, MaxResult):
-        a = result.amplitudes_at_max
-        row = (
-            result.c_max, result.phi_star, result.t_star,
-            float(a.c_eg.real), float(a.c_eg.imag), float(a.c_ge.real), float(a.c_ge.imag),
-        )
-        return _table_bytes(
-            ["c_max", "phi_star", "t_star", "c_eg_re", "c_eg_im", "c_ge_re", "c_ge_im"], [row], fmt
-        )
-
-    if isinstance(result, ChiralityScanResult):
-        rows = (
-            row
-            for chi, traj in zip(result.chis, result.trajectories)
-            for row in _trajectory_rows(traj, lead=(float(chi),))
-        )
-        return _table_bytes(["chi"] + _TRAJ_HEADER, rows, fmt)
-
-    if isinstance(result, InitialStateComparison):
-        eg, ge = result.grid_eg, result.grid_ge
-        rows = (
-            (float(p), float(t), float(eg.c_matrix[i, j]), float(ge.c_matrix[i, j]),
-             float(abs(eg.c_matrix[i, j] - ge.c_matrix[i, j])))
-            for i, p in enumerate(eg.phi_values)
-            for j, t in enumerate(eg.t_values)
-        )
-        return _table_bytes(
-            ["phi", "t", "c_from_eg", "c_from_ge", "abs_diff"], rows, fmt,
-            extra_ndjson={"max_abs_diff": result.max_abs_diff},
-        )
-
-    if isinstance(result, CalibrationResult):
-        if fmt == "ndjson":
-            lines = []
-            for name, cal in result.assignments.items():
-                lines.append(_emit_json({
-                    "config": name,
-                    "ordering": cal.pattern,
-                    "score": cal.score,
-                    "unresolved": cal.unresolved,
-                    "matches_default": cal.matches_default,
-                    "values": cal.values,
-                    "residuals": cal.residuals,
-                }))
-            return ("\n".join(lines) + "\n").encode()
-        rows = []
-        for name, cal in result.assignments.items():
-            for label, value in cal.values.items():
-                rows.append((name, cal.pattern, cal.score, str(cal.unresolved).lower(),
-                             str(cal.matches_default).lower(), label, value, cal.residuals[label]))
-        return _table_bytes(
-            ["config", "ordering", "score", "unresolved", "matches_default", "target", "computed", "residual"],
-            rows, fmt,
-        )
-
-    if isinstance(result, (list, tuple)):
-        if all(isinstance(x, SpecialPhase) for x in result):
-            rows = ((float(sp.phi), sp.kind.value) for sp in result)
-            return _table_bytes(["phi", "kind"], rows, fmt)
-        if all(isinstance(x, tuple) and len(x) == 2 and isinstance(x[1], CoefficientSet) for x in result):
-            rows = (_coeff_row(float(p), c) for p, c in result)
-            return _table_bytes(_COEFF_HEADER, rows, fmt)
-
-    raise TypeError(f"cannot serialize result of type {type(result).__name__}")
+    table = _table(result, fmt)
+    if fmt == "csv":
+        head, join = ",".join(table.header) + "\n", ",".join
+    elif fmt == "ndjson":
+        head = ""
+        join = ("{" + ",".join(json.dumps(h) + ":%s" for h in table.header) + "}").__mod__
+    else:
+        raise ValueError(f"unsupported format {fmt!r}")
+    out = io.BytesIO()
+    out.write(head.encode())
+    for lo in range(0, len(table.columns[0]), _BLOCK_ROWS):
+        cells = [_cells(c[lo:lo + _BLOCK_ROWS], fmt) for c in table.columns]
+        out.write(("\n".join(map(join, zip(*cells))) + "\n").encode())
+    if fmt == "ndjson" and table.trailer is not None:
+        out.write((_emit_json(table.trailer) + "\n").encode())
+    return out.getvalue() or b"\n"  # an empty NDJSON stream is one newline
 
 
 # --- SVG heatmap -------------------------------------------------------------
@@ -508,23 +507,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _flag_number(field: str, text: str, convert=float):
+def _flag_value(text: str, convert=float):
+    """A flag's text as the number a config document would hold there; text
+    that is not one stays a string, for the validator to reject in field order."""
     try:
         return convert(text)
     except ValueError:
-        raise ConfigValidationError(field, f"not a number: {text!r}") from None
+        return text
 
 
-def _flag_numbers(field: str, text: str, convert=float) -> list:
-    return [_flag_number(field, v, convert) for v in text.split(",")]
+def _flag_values(text: str, convert=float) -> list:
+    return [_flag_value(v, convert) for v in text.split(",")]
 
 
-def _flag_grid(field: str, text: str) -> dict:
+def _flag_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigValidationError(field, "expected start:stop:count")
-    return {"start": _flag_number(field, parts[0]), "stop": _flag_number(field, parts[1]),
-            "count": _flag_number(field, parts[2], int)}
+        return text
+    return {"start": _flag_value(parts[0]), "stop": _flag_value(parts[1]), "count": _flag_value(parts[2], int)}
 
 
 def _flag_document(args) -> dict:
@@ -535,21 +535,20 @@ def _flag_document(args) -> dict:
     if args.layout_a is not None or args.layout_b is not None:
         if args.layout_a is None or args.layout_b is None:
             raise ConfigValidationError("layout", "--layout-a and --layout-b must be given together")
-        doc["layout"] = {"a": _flag_numbers("layout.a", args.layout_a, int),
-                         "b": _flag_numbers("layout.b", args.layout_b, int)}
+        doc["layout"] = {"a": _flag_values(args.layout_a, int), "b": _flag_values(args.layout_b, int)}
     for field in ("gamma", "chi", "window", "tol", "out"):
         if getattr(args, field) is not None:
             doc[field] = getattr(args, field)
     if args.fmt is not None:
         doc["format"] = args.fmt
     if args.phi is not None:
-        doc["phi"] = _flag_grid("phi", args.phi) if ":" in args.phi else _flag_number("phi", args.phi)
+        doc["phi"] = _flag_grid(args.phi) if ":" in args.phi else _flag_value(args.phi)
     if args.t is not None:
-        doc["time"] = _flag_grid("time", args.t)
+        doc["time"] = _flag_grid(args.t)
     if args.initial is not None:
-        doc["initial"] = args.initial if args.initial in ("eg", "ge") else _flag_numbers("initial", args.initial)
+        doc["initial"] = args.initial if args.initial in ("eg", "ge") else _flag_values(args.initial)
     if args.chis is not None:
-        doc["chis"] = _flag_numbers("chis", args.chis)
+        doc["chis"] = _flag_values(args.chis)
     return doc
 
 
@@ -633,26 +632,10 @@ def _run_command(command: str, spec: ExperimentSpec):
 
 
 def _require_finite(result) -> None:
-    """Raise ValueError unless every number the result carries is finite, so
-    that a run which exits 0 emits only finite values."""
-    arrays: list = []
-    scalars: list = []
-
-    def collect(value):
-        if isinstance(value, np.ndarray):
-            arrays.append(value)
-        elif isinstance(value, (float, complex, np.floating, np.complexfloating)):
-            scalars.append(value)
-        elif dataclasses.is_dataclass(value):
-            for f in dataclasses.fields(value):
-                collect(getattr(value, f.name))
-        elif isinstance(value, (list, tuple, dict)):
-            for item in (value.values() if isinstance(value, dict) else value):
-                collect(item)
-
-    collect(result)
-    arrays.append(np.asarray(scalars, dtype=complex))
-    if not all(np.isfinite(a).all() for a in arrays):
+    """Raise ValueError unless every number in the result's CSV table is
+    finite; that table holds every number CSV, NDJSON or SVG output emits,
+    so a run that exits 0 emits only finite values."""
+    if not all(np.isfinite(c).all() for c in _table(result).columns if isinstance(c, np.ndarray)):
         raise ValueError("numerical overflow: the result holds non-finite values")
 
 
@@ -673,7 +656,9 @@ def cli_main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         spec = _spec_from_args(args)
-        result = _run_command(args.command, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = _run_command(args.command, spec)
         _require_finite(result)
         if spec.fmt == "svg":
             if not isinstance(result, SweepGrid):
@@ -690,6 +675,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except PhysicalityError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except RuntimeWarning as exc:
+        print(f"numerical overflow: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, LayoutError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

@@ -158,7 +158,8 @@ class InitialState:
     c_ge: complex
 
     def __post_init__(self):
-        norm = abs(self.c_eg) ** 2 + abs(self.c_ge) ** 2
+        a, b = abs(self.c_eg), abs(self.c_ge)
+        norm = a * a + b * b  # inf, not OverflowError, for huge amplitudes
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"initial state not normalized: |c|^2 = {norm!r}")
         if not (cmath.isfinite(self.c_eg) and cmath.isfinite(self.c_ge)):

@@ -206,6 +206,12 @@ def test_psd_mask_agrees_with_scalar_check():
     assert 0 < psd_mask(da, db, ga, gb, gc, g).sum() < n
 
 
+def test_psd_mask_at_huge_rates():
+    # G_a * G_b overflows above about 1e154; the PSD rule must not
+    assert not psd_mask(0.0, 0.0, 1e155, 1e155, 3e155, 0.0)
+    assert psd_mask(0.0, 0.0, 1e155, 1e155, 1e155, 0.0)
+
+
 def test_rate_overflow_is_a_named_error():
     cfg = make_preset("separated")
     with pytest.raises(ValueError, match="overflow"):

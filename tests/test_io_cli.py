@@ -3,13 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from giantatoms import (
+    AmplitudePair,
+    CalibrationResult,
+    ChiralityScanResult,
     CoefficientSet,
     GridRange,
     INITIAL_EG,
+    InitialStateComparison,
+    MaxResult,
+    PhaseKind,
     PhysicalityError,
     Preset,
+    SpecialPhase,
+    Trajectory,
     build_heff,
     cli_main,
     parse_experiment_config,
@@ -18,8 +27,16 @@ from giantatoms import (
     serialize_spec,
     trajectory,
 )
-from giantatoms.experiments import SweepGrid, SweepMetadata
-from giantatoms.io_cli import ConfigSyntaxError, ConfigValidationError, ExperimentSpec
+from giantatoms.experiments import ConfigCalibration, SweepGrid, SweepMetadata
+from giantatoms.io_cli import (
+    ConfigSyntaxError,
+    ConfigValidationError,
+    ExperimentSpec,
+    _build_parser,
+    _require_finite,
+    _spec_from_args,
+    _spec_from_document,
+)
 
 TAU = 2 * math.pi
 ZERO_SET = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0j, 0j)
@@ -103,6 +120,10 @@ def test_spec_round_trip(text):
     assert again == spec
 
 
+def test_spec_without_layout_round_trips():
+    assert _spec_from_document(json.loads(serialize_spec(ExperimentSpec()))) == ExperimentSpec()
+
+
 def test_serialize_spec_is_deterministic():
     spec = parse_experiment_config('{"layout":"separated","gamma":0.1}')
     assert serialize_spec(spec) == serialize_spec(spec)
@@ -150,6 +171,141 @@ def test_coeff_table_serialization():
     rows = serialize_results([(0.5, ZERO_SET)], "csv").decode().splitlines()
     assert rows[0] == "phi,delta_a,delta_b,gamma_a,gamma_b,gcoll_re,gcoll_im,g_re,g_im"
     assert rows[1] == "0.5,0,0,0,0,0,0,0,0"
+
+
+# Hand-built results carrying the float edge cases of the output format:
+# -0.0 (CSV "-0", NDJSON "-0.0"), the smallest subnormal, 2**53 (an integral
+# float: NDJSON appends ".0") and 1e20 (exponent form, no suffix).
+def edge_trajectory(times):
+    times = np.asarray(times)
+    amps = np.array([[complex(-0.0, 1 / 3), complex(2.0**53, 5e-324)]] * times.size)
+    return Trajectory(times, amps, np.full(times.size, 1e20))
+
+
+def edge_results():
+    meta = SweepMetadata("x", 0.0, 1.0, "eg")
+    coeff = CoefficientSet(-0.0, 5e-324, 2.0**53, 1e20, complex(-0.0, 1 / 3), complex(0.5, -2.0))
+    grid_a = SweepGrid(np.array([-0.0, 2.0**53]), np.array([5e-324, 1e20]),
+                       np.array([[1 / 3, -0.0], [0.5, 1e20]]), meta)
+    grid_b = SweepGrid(grid_a.phi_values, grid_a.t_values,
+                       np.array([[-0.0, 5e-324], [1.5, 2.0**53]]), meta)
+    separated = ConfigCalibration("aaabbb", (0, 1, 2), (3, 4, 5), -0.0,
+                                  {"nonchiral_eg": 5e-324, "chiral_ge": 1e20},
+                                  {"nonchiral_eg": 2.0**53, "chiral_ge": 1 / 3}, True, False, True)
+    braided = ConfigCalibration("ababab", (0, 2, 4), (1, 3, 5), 1 / 3, {"x": -0.0}, {"x": 1e20},
+                                False, True, False)
+    return {
+        "sweep": grid_a,
+        "trajectory": edge_trajectory([-0.0, 5e-324]),
+        "coefficients": coeff,
+        "coefficient_list": [(-0.0, coeff), (2.0**53, coeff)],
+        "max": MaxResult(1 / 3, -0.0, 1e20, AmplitudePair(complex(5e-324, -0.0), complex(2.0**53, 0.5))),
+        "chirality_scan": ChiralityScanResult(
+            1.0, 1.0, (-0.0, 1.0), (0.5, 1.0),
+            (edge_trajectory([0.0]), edge_trajectory([1.0, 2.0**53])), (0, 1)),
+        "comparison": InitialStateComparison(grid_a, grid_b, 1e20),
+        "calibration": CalibrationResult({"separated": separated, "fully_braided": braided}, {}),
+        "special_phases": [SpecialPhase(-0.0, PhaseKind.DECOUPLED),
+                           SpecialPhase(2.0**53, PhaseKind.DARK_STATE)],
+        "empty": [],
+    }
+
+
+_TINY = b"4.9406564584124654e-324"
+_AMPS_CSV = b"-0,0.33333333333333331,9007199254740992," + _TINY + b",1e+20\n"
+_AMPS_JSON = (b'"c_eg_re":-0.0,"c_eg_im":0.33333333333333331,"c_ge_re":9007199254740992.0,'
+              b'"c_ge_im":' + _TINY + b',"concurrence":1e+20}\n')
+_COEFF_CSV = b"-0," + _TINY + b",9007199254740992,1e+20,-0,0.33333333333333331,0.5,-2\n"
+_COEFF_JSON = (b'"delta_a":-0.0,"delta_b":' + _TINY + b',"gamma_a":9007199254740992.0,"gamma_b":1e+20,'
+               b'"gcoll_re":-0.0,"gcoll_im":0.33333333333333331,"g_re":0.5,"g_im":-2.0}\n')
+
+PINNED_BYTES = {
+    ("sweep", "csv"):
+        b"phi,t,concurrence\n"
+        b"-0," + _TINY + b",0.33333333333333331\n"
+        b"-0,1e+20,-0\n"
+        b"9007199254740992," + _TINY + b",0.5\n"
+        b"9007199254740992,1e+20,1e+20\n",
+    ("sweep", "ndjson"):
+        b'{"phi":-0.0,"t":' + _TINY + b',"concurrence":0.33333333333333331}\n'
+        b'{"phi":-0.0,"t":1e+20,"concurrence":-0.0}\n'
+        b'{"phi":9007199254740992.0,"t":' + _TINY + b',"concurrence":0.5}\n'
+        b'{"phi":9007199254740992.0,"t":1e+20,"concurrence":1e+20}\n',
+    ("trajectory", "csv"):
+        b"t,c_eg_re,c_eg_im,c_ge_re,c_ge_im,concurrence\n"
+        b"-0," + _AMPS_CSV + _TINY + b"," + _AMPS_CSV,
+    ("trajectory", "ndjson"):
+        b'{"t":-0.0,' + _AMPS_JSON + b'{"t":' + _TINY + b"," + _AMPS_JSON,
+    ("coefficients", "csv"):
+        b"phi,delta_a,delta_b,gamma_a,gamma_b,gcoll_re,gcoll_im,g_re,g_im\nnan," + _COEFF_CSV,
+    ("coefficients", "ndjson"): b'{"phi":nan,' + _COEFF_JSON,
+    ("coefficient_list", "csv"):
+        b"phi,delta_a,delta_b,gamma_a,gamma_b,gcoll_re,gcoll_im,g_re,g_im\n"
+        b"-0," + _COEFF_CSV + b"9007199254740992," + _COEFF_CSV,
+    ("coefficient_list", "ndjson"):
+        b'{"phi":-0.0,' + _COEFF_JSON + b'{"phi":9007199254740992.0,' + _COEFF_JSON,
+    ("max", "csv"):
+        b"c_max,phi_star,t_star,c_eg_re,c_eg_im,c_ge_re,c_ge_im\n"
+        b"0.33333333333333331,-0,1e+20," + _TINY + b",-0,9007199254740992,0.5\n",
+    ("max", "ndjson"):
+        b'{"c_max":0.33333333333333331,"phi_star":-0.0,"t_star":1e+20,"c_eg_re":' + _TINY
+        + b',"c_eg_im":-0.0,"c_ge_re":9007199254740992.0,"c_ge_im":0.5}\n',
+    ("chirality_scan", "csv"):
+        b"chi,t,c_eg_re,c_eg_im,c_ge_re,c_ge_im,concurrence\n"
+        b"-0,0," + _AMPS_CSV + b"1,1," + _AMPS_CSV + b"1,9007199254740992," + _AMPS_CSV,
+    ("chirality_scan", "ndjson"):
+        b'{"chi":-0.0,"t":0.0,' + _AMPS_JSON + b'{"chi":1.0,"t":1.0,' + _AMPS_JSON
+        + b'{"chi":1.0,"t":9007199254740992.0,' + _AMPS_JSON,
+    ("comparison", "csv"):
+        b"phi,t,c_from_eg,c_from_ge,abs_diff\n"
+        b"-0," + _TINY + b",0.33333333333333331,-0,0.33333333333333331\n"
+        b"-0,1e+20,-0," + _TINY + b"," + _TINY + b"\n"
+        b"9007199254740992," + _TINY + b",0.5,1.5,1\n"
+        b"9007199254740992,1e+20,1e+20,9007199254740992,9.9990992800745259e+19\n",
+    ("comparison", "ndjson"):
+        b'{"phi":-0.0,"t":' + _TINY + b',"c_from_eg":0.33333333333333331,"c_from_ge":-0.0,'
+        b'"abs_diff":0.33333333333333331}\n'
+        b'{"phi":-0.0,"t":1e+20,"c_from_eg":-0.0,"c_from_ge":' + _TINY + b',"abs_diff":' + _TINY + b"}\n"
+        b'{"phi":9007199254740992.0,"t":' + _TINY + b',"c_from_eg":0.5,"c_from_ge":1.5,"abs_diff":1.0}\n'
+        b'{"phi":9007199254740992.0,"t":1e+20,"c_from_eg":1e+20,"c_from_ge":9007199254740992.0,'
+        b'"abs_diff":9.9990992800745259e+19}\n'
+        b'{"max_abs_diff":1e+20}\n',
+    ("calibration", "csv"):
+        b"config,ordering,score,unresolved,matches_default,target,computed,residual\n"
+        b"separated,aaabbb,-0,false,true,nonchiral_eg,9007199254740992," + _TINY + b"\n"
+        b"separated,aaabbb,-0,false,true,chiral_ge,0.33333333333333331,1e+20\n"
+        b"fully_braided,ababab,0.33333333333333331,true,false,x,1e+20,-0\n",
+    ("calibration", "ndjson"):
+        b'{"config":"separated","ordering":"aaabbb","score":-0.0,"unresolved":false,"matches_default":true,'
+        b'"values":{"nonchiral_eg":9007199254740992.0,"chiral_ge":0.33333333333333331},'
+        b'"residuals":{"nonchiral_eg":' + _TINY + b',"chiral_ge":1e+20}}\n'
+        b'{"config":"fully_braided","ordering":"ababab","score":0.33333333333333331,"unresolved":true,'
+        b'"matches_default":false,"values":{"x":1e+20},"residuals":{"x":-0.0}}\n',
+    ("special_phases", "csv"): b"phi,kind\n-0,decoupled\n9007199254740992,dark_state\n",
+    ("special_phases", "ndjson"):
+        b'{"phi":-0.0,"kind":"decoupled"}\n{"phi":9007199254740992.0,"kind":"dark_state"}\n',
+    ("empty", "csv"): b"phi,kind\n",
+    ("empty", "ndjson"): b"\n",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(PINNED_BYTES))
+def test_serialized_bytes_are_pinned(name, fmt):
+    assert serialize_results(edge_results()[name], fmt) == PINNED_BYTES[name, fmt]
+
+
+def test_finite_check_reads_every_emitted_number():
+    for name, result in edge_results().items():
+        if name == "coefficients":  # a bare set emits phi as nan
+            with pytest.raises(ValueError, match="overflow"):
+                _require_finite(result)
+        else:
+            _require_finite(result)
+    # calibration NDJSON nests values/residuals; the CSV table carries them
+    cal = ConfigCalibration("aaabbb", (0, 1, 2), (3, 4, 5), 0.0, {"x": 0.0}, {"x": math.inf}, True, False, True)
+    for bad in (CalibrationResult({"separated": cal}, {}), edge_trajectory([math.nan])):
+        with pytest.raises(ValueError, match="overflow"):
+            _require_finite(bad)
 
 
 def test_serialize_rejects_unknown():
@@ -372,7 +528,6 @@ def test_cli_rate_overflow_is_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("args", [
     ["evolve", "--preset", "separated", "--phi", "1.0", "--gamma", "1e154", "--t", "0:5:6"],
     ["sweep", "--preset", "separated", "--phi", "0:6.283:5", "--t", "0:1e308:3"],
@@ -380,7 +535,9 @@ def test_cli_rate_overflow_is_validation_error(tmp_path, capsys):
 def test_cli_non_finite_result_is_not_emitted(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     assert cli_main(args + ["--out", str(out)]) == 1
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "overflow" in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -399,3 +556,101 @@ def test_cli_calibrate_needs_no_layout(monkeypatch, tmp_path):
     assert cli_main(["calibrate", "--format", "ndjson", "--out", str(out)]) == 0
     assert cli_main(["calibrate", "--preset", "separated", "--format", "ndjson", "--out", str(out)]) == 0
     assert calls == [{"gamma_total": 1.0, "t_horizon": 50.0}] * 2
+
+
+# --- flags and config documents accept and reject alike -----------------------
+
+_NUMBER_TEXT = st.one_of(
+    st.floats(-2.0, 8.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1", "3", "1e308", "abc", "", "1x"]),
+)
+_GRID_TEXT = st.one_of(
+    st.tuples(_NUMBER_TEXT, _NUMBER_TEXT, st.sampled_from(["1", "4", "0", "-2", "2.5", "x"])).map(":".join),
+    st.sampled_from(["1:2", "0:1:2:3", "::"]),
+)
+_RATE = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.floats(0.0, 1.0)).map(repr)
+_POSITIONS = st.one_of(
+    st.lists(st.integers(-1, 6), min_size=2, max_size=4).map(lambda ps: ",".join(map(str, ps))),
+    st.sampled_from(["0,1,x", "", "1.0,2,3"]),
+)
+_LAYOUT = st.one_of(
+    st.permutations(range(6)).map(lambda ps: (",".join(map(str, ps[:3])), ",".join(map(str, ps[3:])))),
+    st.tuples(_POSITIONS, st.one_of(st.none(), _POSITIONS)),
+)
+_FLAGS = st.fixed_dictionaries({}, optional={
+    "preset": st.sampled_from(["separated", "fully_braided", "fully_nested", "custom", "bogus"]),
+    "layout": _LAYOUT,
+    "gamma": _RATE, "chi": _RATE, "window": _RATE, "tol": _RATE,
+    "phi": st.one_of(_NUMBER_TEXT, _GRID_TEXT),
+    "t": _GRID_TEXT,
+    "initial": st.one_of(st.sampled_from(["eg", "ge", "xy", "0.6,0,0,0.8", "1,0,1,0", "0,1,0", "0,0,0,1e308"]),
+                         st.lists(_NUMBER_TEXT, min_size=4, max_size=4).map(",".join)),
+    "chis": st.lists(_NUMBER_TEXT, min_size=1, max_size=3).map(",".join),
+})
+
+
+def _document_number(text, convert=float):
+    """The value a config document holds for a flag's number text."""
+    try:
+        return convert(text)
+    except ValueError:
+        return text
+
+
+def _document_grid(text):
+    parts = text.split(":")
+    if len(parts) != 3:
+        return text
+    return {"start": _document_number(parts[0]), "stop": _document_number(parts[1]),
+            "count": _document_number(parts[2], int)}
+
+
+def _twin_document(flags: dict) -> dict:
+    """The config document a user would write for the same flags: number
+    text as JSON numbers, any other text as JSON strings; layout flags
+    override a preset, as on the command line."""
+    doc: dict = {}
+    for name, value in sorted(flags.items(), key=lambda item: item[0] != "preset"):
+        if name == "preset":
+            doc["layout"] = value
+        elif name == "layout":
+            a, b = value
+            doc["layout"] = {"a": [_document_number(v, int) for v in a.split(",")]}
+            if b is not None:
+                doc["layout"]["b"] = [_document_number(v, int) for v in b.split(",")]
+        elif name in ("gamma", "chi", "window", "tol"):
+            doc[name] = float(value)
+        elif name == "phi":
+            doc["phi"] = _document_grid(value) if ":" in value else _document_number(value)
+        elif name == "t":
+            doc["time"] = _document_grid(value)
+        elif name == "initial":
+            doc["initial"] = value if value in ("eg", "ge") else [_document_number(v) for v in value.split(",")]
+        else:
+            doc[name] = [_document_number(v) for v in value.split(",")]
+    return doc
+
+
+def _spec_or_field(build):
+    try:
+        return build(), None
+    except ConfigValidationError as exc:
+        return None, exc.field
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=_FLAGS)
+def test_flags_and_config_document_agree(flags):
+    """A flag set and its config twin give the same spec or fail on the same field."""
+    argv = ["sweep"]
+    for name, value in flags.items():
+        if name == "layout":
+            argv.append(f"--layout-a={value[0]}")
+            if value[1] is not None:
+                argv.append(f"--layout-b={value[1]}")
+        else:
+            argv.append(f"--{name}={value}")
+    args = _build_parser().parse_args(argv)
+    from_flags = _spec_or_field(lambda: _spec_from_args(args))
+    from_document = _spec_or_field(lambda: _spec_from_document(_twin_document(flags)))
+    assert from_flags == from_document
