@@ -250,7 +250,9 @@ def find_max(
     t_hi = float(ts[min(j + 1, ts.size - 1)])
     p_lo = float(phis[max(i - 1, 0)])
     p_hi = float(phis[min(i + 1, phis.size - 1)])
-    for _ in range(3):
+    # with one phase there is nothing to alternate with: more rounds would
+    # repeat the same t search
+    for _ in range(3 if p_hi > p_lo else 1):
         if t_hi > t_lo:
             t_star, _ = _golden_max(lambda t: value(phi_star, t), t_lo, t_hi, refine_tol)
         if p_hi > p_lo:
@@ -615,18 +617,6 @@ _UNRESOLVED_SCORE = 0.02
 _TIE_TOL = 1e-6
 
 
-def _peak_value(cfg, chi, initial_label, phi, gamma_total, t_horizon, t_points):
-    spec = ChiralitySpec(gamma_total, chi)
-    c0 = INITIAL_EG if initial_label == "eg" else INITIAL_GE
-    ts = np.linspace(0.0, t_horizon, t_points)
-    c = _concurrence_matrix(cfg, spec, c0, np.asarray([phi]), ts)[0]
-    j = int(np.argmax(c))
-    t_lo = float(ts[max(j - 1, 0)])
-    t_hi = float(ts[min(j + 1, ts.size - 1)])
-    _, v = _golden_max(lambda t: evaluate_concurrence(cfg, spec, c0, phi, t), t_lo, t_hi)
-    return max(v, float(c[j]))
-
-
 def calibrate_presets(
     targets: dict[Preset, ConfigTargets] | None = None,
     gamma_total: float = 1.0,
@@ -669,7 +659,9 @@ def calibrate_presets(
         def peaks_pass(pattern):
             cfg = layout_from_pattern(pattern)
             for pk in tg.peaks:
-                v = _peak_value(cfg, pk.chi, pk.initial_label, pk.phi, gamma_total, t_horizon, t_points)
+                c0 = INITIAL_EG if pk.initial_label == "eg" else INITIAL_GE
+                v = find_max(cfg, ChiralitySpec(gamma_total, pk.chi), c0, (pk.phi, pk.phi), t_horizon,
+                             phi_points=1, t_points=t_points).c_max
                 if abs(v - pk.value) > pk.band:
                     return False
             return True

@@ -21,6 +21,11 @@ NDJSON has one record per row, except that `compare` closes with a
 configuration with nested `values`/`residuals` maps in place of the
 target, computed and residual columns.
 
+Each flag is the text of one config field, named by a command's --help and
+checked with the --config document it overrides, so it accepts exactly what
+that field accepts; its value is the next token, even one starting with "-".
+find-max scans t over [0, time.stop] (time.start = 0) on a 4001-point grid.
+
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
 error or numerical overflow, 2 I/O error, 3 unphysical decay matrix.
 """
@@ -32,7 +37,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,20 +126,16 @@ class GridRange:
         return np.linspace(self.start, self.stop, self.count)
 
 
-_DEFAULT_PHI = GridRange(0.0, TWO_PI, 2001)
-_DEFAULT_TIME = GridRange(0.0, 50.0, 2001)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated description of a run; mirrors the JSON config schema."""
+    """Validated description of a run: the JSON config schema, with its defaults."""
 
     preset: Preset | None = None
     positions: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     gamma: float = 1.0
     chi: float = 0.0
-    phi: float | GridRange = _DEFAULT_PHI
-    time: GridRange = _DEFAULT_TIME
+    phi: float | GridRange = GridRange(0.0, TWO_PI, 2001)
+    time: GridRange = GridRange(0.0, 50.0, 2001)
     initial: str | tuple[float, float, float, float] = "eg"
     window: float = 10.0
     tol: float = 1e-3
@@ -153,12 +154,9 @@ class ExperimentSpec:
         return ChiralitySpec(self.gamma, self.chi)
 
     def initial_state(self) -> InitialState:
-        if self.initial == "eg":
-            return INITIAL_EG
-        if self.initial == "ge":
-            return INITIAL_GE
-        re1, im1, re2, im2 = self.initial
-        return InitialState(complex(re1, im1), complex(re2, im2))
+        if isinstance(self.initial, str):
+            return INITIAL_EG if self.initial == "eg" else INITIAL_GE
+        return InitialState(complex(*self.initial[:2]), complex(*self.initial[2:]))
 
     def to_document(self) -> dict:
         doc: dict = {}
@@ -168,11 +166,8 @@ class ExperimentSpec:
             doc["layout"] = {"a": list(self.positions[0]), "b": list(self.positions[1])}
         doc["gamma"] = self.gamma
         doc["chi"] = self.chi
-        if isinstance(self.phi, GridRange):
-            doc["phi"] = {"start": self.phi.start, "stop": self.phi.stop, "count": self.phi.count}
-        else:
-            doc["phi"] = self.phi
-        doc["time"] = {"start": self.time.start, "stop": self.time.stop, "count": self.time.count}
+        doc["phi"] = asdict(self.phi) if isinstance(self.phi, GridRange) else self.phi
+        doc["time"] = asdict(self.time)
         doc["initial"] = self.initial if isinstance(self.initial, str) else list(self.initial)
         doc["window"] = self.window
         doc["tol"] = self.tol
@@ -188,12 +183,19 @@ def serialize_spec(spec: ExperimentSpec) -> bytes:
     return (_emit_json(spec.to_document()) + "\n").encode()
 
 
-def _as_float(field: str, v) -> float:
+_POSITIVE = ("must be positive", lambda x: x > 0)
+_UNIT = ("must lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+
+
+def _as_float(field: str, v, rule: str = "", ok=lambda x: True) -> float:
+    """A document number as a finite float in the field's range `ok`."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigValidationError(field, f"expected a number, got {v!r}")
     v = float(v)
     if not math.isfinite(v):
         raise ConfigValidationError(field, "must be finite")
+    if not ok(v):
+        raise ConfigValidationError(field, rule)
     return v
 
 
@@ -209,9 +211,6 @@ def _parse_grid(field: str, v, t0_min=None) -> GridRange:
     if t0_min is not None and start < t0_min:
         raise ConfigValidationError(field + ".start", f"must be >= {t0_min}")
     return GridRange(start, stop, v["count"])
-
-
-_KNOWN_FIELDS = {"layout", "gamma", "chi", "phi", "time", "initial", "window", "tol", "chis", "out", "format"}
 
 
 def _load_document(text: str) -> dict:
@@ -233,8 +232,8 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
 
 
 def _spec_from_document(doc: dict) -> ExperimentSpec:
-    """Validate the fields of an experiment document; a missing layout is
-    reported only when a command asks for it."""
+    """Validate the fields of an experiment document (a config file, flags or
+    both); a missing layout is reported only when a command asks for it."""
     unknown = set(doc) - _KNOWN_FIELDS
     if unknown:
         raise ConfigValidationError(sorted(unknown)[0], "unknown field")
@@ -261,58 +260,44 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
     elif "layout" in doc:
         raise ConfigValidationError("layout", "expected a preset name or {a: [...], b: [...]}")
 
-    gamma = _as_float("gamma", doc.get("gamma", 1.0))
-    if gamma <= 0:
-        raise ConfigValidationError("gamma", "must be positive")
-    chi = _as_float("chi", doc.get("chi", 0.0))
-    if not 0.0 <= chi <= 1.0:
-        raise ConfigValidationError("chi", "must lie in [0, 1]")
+    defaults = ExperimentSpec()
+    gamma = _as_float("gamma", doc.get("gamma", defaults.gamma), *_POSITIVE)
+    chi = _as_float("chi", doc.get("chi", defaults.chi), *_UNIT)
 
     phi_doc = doc.get("phi")
     if phi_doc is None:
-        phi: float | GridRange = _DEFAULT_PHI
+        phi = defaults.phi
     elif isinstance(phi_doc, dict):
         phi = _parse_grid("phi", phi_doc)
     else:
         phi = _as_float("phi", phi_doc)
 
     time_doc = doc.get("time")
-    time = _DEFAULT_TIME if time_doc is None else _parse_grid("time", time_doc, t0_min=0.0)
+    time = defaults.time if time_doc is None else _parse_grid("time", time_doc, t0_min=0.0)
 
-    initial_doc = doc.get("initial", "eg")
-    if isinstance(initial_doc, str):
-        if initial_doc not in ("eg", "ge"):
-            raise ConfigValidationError("initial", "expected 'eg', 'ge' or [re, im, re, im]")
-        initial: str | tuple = initial_doc
-    elif isinstance(initial_doc, list) and len(initial_doc) == 4:
-        vals = tuple(_as_float("initial", v) for v in initial_doc)
+    initial = doc.get("initial", defaults.initial)
+    if isinstance(initial, list) and len(initial) == 4:
+        initial = tuple(_as_float("initial", v) for v in initial)
         try:
-            InitialState(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
+            InitialState(complex(*initial[:2]), complex(*initial[2:]))
         except ValueError as exc:
             raise ConfigValidationError("initial", str(exc)) from None
-        initial = vals
-    else:
+    elif initial not in ("eg", "ge"):
         raise ConfigValidationError("initial", "expected 'eg', 'ge' or [re, im, re, im]")
 
-    window = _as_float("window", doc.get("window", 10.0))
-    if window <= 0:
-        raise ConfigValidationError("window", "must be positive")
-    tol = _as_float("tol", doc.get("tol", 1e-3))
-    if tol <= 0:
-        raise ConfigValidationError("tol", "must be positive")
+    window = _as_float("window", doc.get("window", defaults.window), *_POSITIVE)
+    tol = _as_float("tol", doc.get("tol", defaults.tol), *_POSITIVE)
 
     chis = None
     if "chis" in doc:
         if not isinstance(doc["chis"], list) or not doc["chis"]:
             raise ConfigValidationError("chis", "expected a non-empty list of numbers")
-        chis = tuple(_as_float("chis", v) for v in doc["chis"])
-        if any(not 0.0 <= v <= 1.0 for v in chis):
-            raise ConfigValidationError("chis", "every value must lie in [0, 1]")
+        chis = tuple(_as_float("chis", v, *_UNIT) for v in doc["chis"])
 
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigValidationError("out", "expected a path string")
-    fmt = doc.get("format", "csv")
+    fmt = doc.get("format", defaults.fmt)
     if fmt not in ("csv", "ndjson", "svg"):
         raise ConfigValidationError("format", "expected csv, ndjson or svg")
 
@@ -502,78 +487,93 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _flag_value(text: str, convert=float):
-    """A flag's text as the number a config document would hold there; text
-    that is not one stays a string, for the validator to reject in field order."""
+def _number(text: str, convert=float):
+    """Flag text as the number a config document would hold there; other
+    text stays a string, for the validator to reject."""
     try:
         return convert(text)
     except ValueError:
         return text
 
 
-def _flag_values(text: str, convert=float) -> list:
-    return [_flag_value(v, convert) for v in text.split(",")]
+def _numbers(text: str, convert=float):
+    """A comma-separated number list; one non-number word stays a string ("eg")."""
+    items = [_number(v, convert) for v in text.split(",")]
+    return text if items == [text] else items
 
 
-def _flag_grid(text: str):
+def _grid(text: str):
+    """start:stop:count as a grid object; text without a colon is a number."""
     parts = text.split(":")
-    if len(parts) != 3:
-        return text
-    return {"start": _flag_value(parts[0]), "stop": _flag_value(parts[1]), "count": _flag_value(parts[2], int)}
+    if len(parts) == 3:
+        return {"start": _number(parts[0]), "stop": _number(parts[1]), "count": _number(parts[2], int)}
+    return _number(text) if len(parts) == 1 else text
+
+
+# Every flag: its name, the config field it sets ("layout.a" is key a of
+# layout), the rule turning its text into the field's value, and its help.
+_FLAGS = (
+    ("config", None, str, "path to a JSON experiment document"),
+    ("layout-a", "layout.a", lambda text: _numbers(text, int), "comma-separated positions of atom a"),
+    ("layout-b", "layout.b", lambda text: _numbers(text, int), "comma-separated positions of atom b"),
+    ("preset", "layout", str, "named layout preset"),
+    ("phi", "phi", _grid, "phase shift: <real> or start:stop:count"),
+    ("gamma", "gamma", _number, "total emission rate"),
+    ("chi", "chi", _number, "chirality in [0, 1]"),
+    ("t", "time", _grid, "time grid start:stop:count"),
+    ("initial", "initial", _numbers, "eg | ge | re,im,re,im"),
+    ("window", "window", _number, "steady-state window (1/gamma)"),
+    ("tol", "tol", _number, "steady-state tolerance"),
+    ("chis", "chis", _numbers, "comma-separated chirality list (chirality-scan)"),
+    ("out", "out", str, "output path (default stdout)"),
+    ("format", "format", str, "output format: csv | ndjson | svg"),
+)
+_KNOWN_FIELDS = {field.partition(".")[0] for _, field, _, _ in _FLAGS if field is not None}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports errors as _UsageError.  Every flag but --help takes a value,
+    and its value is the next token even when that starts with "-"."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens, rest = [], iter(sys.argv[1:] if args is None else args)
+        for token in rest:  # --flag text as --flag=text
+            takes_value = token.startswith("--") and "=" not in token and not "--help".startswith(token)
+            text = next(rest, None) if takes_value else None
+            tokens.append(token if text is None else f"{token}={text}")
+        return super().parse_known_args(tokens, namespace)
 
 
 def _flag_document(args) -> dict:
-    """The flags given on the command line, as experiment-document fields."""
+    """The flags given on the command line, as experiment-document fields;
+    an earlier flag of the table wins (--layout-a/-b over --preset)."""
     doc: dict = {}
-    if args.preset is not None:
-        doc["layout"] = args.preset
-    if args.layout_a is not None or args.layout_b is not None:
-        if args.layout_a is None or args.layout_b is None:
-            raise ConfigValidationError("layout", "--layout-a and --layout-b must be given together")
-        doc["layout"] = {"a": _flag_values(args.layout_a, int), "b": _flag_values(args.layout_b, int)}
-    for field in ("gamma", "chi", "window", "tol", "out"):
-        if getattr(args, field) is not None:
-            doc[field] = getattr(args, field)
-    if args.fmt is not None:
-        doc["format"] = args.fmt
-    if args.phi is not None:
-        doc["phi"] = _flag_grid(args.phi) if ":" in args.phi else _flag_value(args.phi)
-    if args.t is not None:
-        doc["time"] = _flag_grid(args.t)
-    if args.initial is not None:
-        doc["initial"] = args.initial if args.initial in ("eg", "ge") else _flag_values(args.initial)
-    if args.chis is not None:
-        doc["chis"] = _flag_values(args.chis)
+    for name, field, rule, _ in _FLAGS:
+        text = getattr(args, name)
+        if field is None or text is None:
+            continue
+        field, _, key = field.partition(".")
+        if key:
+            doc.setdefault(field, {})[key] = rule(text)
+        else:
+            doc.setdefault(field, rule(text))
     return doc
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="giantatoms", description=__doc__, add_help=True,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
     commands = ("coeffs", "evolve", "sweep", "find-max", "special-phases",
                 "chirality-scan", "compare-initial", "calibrate")
-    for name in commands:
-        p = sub.add_parser(name, help=f"run the {name} study")
-        p.add_argument("--config", help="path to a JSON experiment document")
-        p.add_argument("--preset", help="named layout preset")
-        p.add_argument("--layout-a", help="comma-separated positions of atom a")
-        p.add_argument("--layout-b", help="comma-separated positions of atom b")
-        p.add_argument("--phi", help="phase shift: <real> or start:stop:count")
-        p.add_argument("--gamma", type=float, help="total emission rate (default 1)")
-        p.add_argument("--chi", type=float, help="chirality in [0, 1] (default 0)")
-        p.add_argument("--t", help="time grid start:stop:count")
-        p.add_argument("--initial", help="eg | ge | re,im,re,im")
-        p.add_argument("--window", type=float, help="steady-state window (1/gamma)")
-        p.add_argument("--tol", type=float, help="steady-state tolerance")
-        p.add_argument("--chis", help="comma-separated chirality list (chirality-scan)")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "ndjson", "svg"), help="output format")
+    for command in commands:
+        p = sub.add_parser(command, help=f"run the {command} study")
+        for name, field, _, help_text in _FLAGS:
+            p.add_argument(f"--{name}", dest=name,
+                           help=help_text if field is None else f"{help_text} (field {field})")
     return parser
 
 
@@ -615,6 +615,8 @@ def _run_command(command: str, spec: ExperimentSpec):
     if command == "sweep":
         return sweep(cfg, chirality, spec.initial_state(), _phi_grid(spec), spec.time.linspace())
     if command == "find-max":
+        if spec.time.start != 0:
+            raise ConfigValidationError("time.start", "find-max scans t from 0 to time.stop; must be 0")
         phi = spec.phi
         phi_range = (phi.start, phi.stop) if isinstance(phi, GridRange) else (phi, phi)
         phi_points = phi.count if isinstance(phi, GridRange) else 1
@@ -652,9 +654,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return 1
         spec = _spec_from_args(args)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

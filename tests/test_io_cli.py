@@ -507,16 +507,38 @@ def test_experiment_spec_defaults():
     ("--window", "inf", "window", math.inf),
     ("--tol", "nan", "tol", math.nan),
     ("--chis", "0,nan", "chis", [0, math.nan]),
+    ("--gamma", "abc", "gamma", "abc"),
+    ("--gamma", "-inf", "gamma", -math.inf),
+    ("--format", "xml", "format", "xml"),
 ])
 def test_cli_flag_and_config_reject_alike(tmp_path, capsys, flag, value, field, doc_value):
     out = tmp_path / "x.csv"
     base = ["coeffs", "--preset", "separated", "--phi", "1.0", "--out", str(out)]
     assert cli_main(base + [flag, value]) == 1
+    from_flag = capsys.readouterr().err
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"layout": "separated", "phi": 1.0, field: doc_value}))
     assert cli_main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == from_flag
+    assert from_flag.startswith(f"validation error: invalid field '{field}")
     assert not out.exists()
-    capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--preset", "separated", "--phi", "1.0", "--t", "0:2:3", "--initial", "-0.6,0,0,0.8"],
+    ["coeffs", "--preset", "separated", "--phi", "-0.5"],
+    ["coeffs", "--preset", "separated", "--phi", "-0.5:1:3"],
+])
+def test_cli_flag_value_may_start_with_dash(capsysbinary, args):
+    assert cli_main(args) == 0
+    spaced = capsysbinary.readouterr().out
+    assert cli_main(args[:-2] + [f"{args[-2]}={args[-1]}"]) == 0
+    assert capsysbinary.readouterr().out == spaced
+
+
+def test_cli_find_max_rejects_time_start(capsys):
+    assert cli_main(["find-max", "--preset", "separated", "--t", "5:50:11"]) == 1
+    assert "invalid field 'time.start'" in capsys.readouterr().err
 
 
 def test_cli_rate_overflow_is_validation_error(tmp_path, capsys):
@@ -568,7 +590,8 @@ _GRID_TEXT = st.one_of(
     st.tuples(_NUMBER_TEXT, _NUMBER_TEXT, st.sampled_from(["1", "4", "0", "-2", "2.5", "x"])).map(":".join),
     st.sampled_from(["1:2", "0:1:2:3", "::"]),
 )
-_RATE = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.floats(0.0, 1.0)).map(repr)
+_RATE = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), st.floats(0.0, 1.0).map(repr),
+                  st.sampled_from(["abc", "", "1x", "-inf"]))
 _POSITIONS = st.one_of(
     st.lists(st.integers(-1, 6), min_size=2, max_size=4).map(lambda ps: ",".join(map(str, ps))),
     st.sampled_from(["0,1,x", "", "1.0,2,3"]),
@@ -586,6 +609,7 @@ _FLAGS = st.fixed_dictionaries({}, optional={
     "initial": st.one_of(st.sampled_from(["eg", "ge", "xy", "0.6,0,0,0.8", "1,0,1,0", "0,1,0", "0,0,0,1e308"]),
                          st.lists(_NUMBER_TEXT, min_size=4, max_size=4).map(",".join)),
     "chis": st.lists(_NUMBER_TEXT, min_size=1, max_size=3).map(",".join),
+    "format": st.sampled_from(["csv", "svg", "xml"]),
 })
 
 
@@ -619,13 +643,15 @@ def _twin_document(flags: dict) -> dict:
             if b is not None:
                 doc["layout"]["b"] = [_document_number(v, int) for v in b.split(",")]
         elif name in ("gamma", "chi", "window", "tol"):
-            doc[name] = float(value)
+            doc[name] = _document_number(value)
         elif name == "phi":
             doc["phi"] = _document_grid(value) if ":" in value else _document_number(value)
         elif name == "t":
             doc["time"] = _document_grid(value)
         elif name == "initial":
             doc["initial"] = value if value in ("eg", "ge") else [_document_number(v) for v in value.split(",")]
+        elif name == "format":
+            doc["format"] = value
         else:
             doc[name] = [_document_number(v) for v in value.split(",")]
     return doc
@@ -639,17 +665,17 @@ def _spec_or_field(build):
 
 
 @settings(max_examples=300, deadline=None)
-@given(flags=_FLAGS)
-def test_flags_and_config_document_agree(flags):
-    """A flag set and its config twin give the same spec or fail on the same field."""
+@given(flags=_FLAGS, spellings=st.lists(st.booleans(), min_size=12, max_size=12))
+def test_flags_and_config_document_agree(flags, spellings):
+    """A flag set and its config twin give the same spec or fail on the same
+    field, whether a flag is spelled --flag=value or --flag value."""
+    pairs = [(f"--{name}", value) for name, value in flags.items() if name != "layout"]
+    if "layout" in flags:
+        a, b = flags["layout"]
+        pairs += [("--layout-a", a)] + ([("--layout-b", b)] if b is not None else [])
     argv = ["sweep"]
-    for name, value in flags.items():
-        if name == "layout":
-            argv.append(f"--layout-a={value[0]}")
-            if value[1] is not None:
-                argv.append(f"--layout-b={value[1]}")
-        else:
-            argv.append(f"--{name}={value}")
+    for (flag, value), joined in zip(pairs, spellings):
+        argv += [f"{flag}={value}"] if joined else [flag, value]
     args = _build_parser().parse_args(argv)
     from_flags = _spec_or_field(lambda: _spec_from_args(args))
     from_document = _spec_or_field(lambda: _spec_from_document(_twin_document(flags)))
