@@ -65,7 +65,6 @@ from .io_cli import (
     ConfigError,
     ExperimentSpec,
     GridRange,
-    SvgOptions,
     cli_main,
     parse_experiment_config,
     render_svg_heatmap,

@@ -160,7 +160,11 @@ def coefficients_nonchiral(cfg: LayoutConfiguration, phi: float, gamma: float) -
     return CoefficientSet(delta_a, delta_b, dec_a, dec_b, complex(gamma_coll), complex(g))
 
 
-def psd_mask(da, db, ga, gb, gc, g, tol: float = 1e-12):
+# slack of the PSD test: relative, and absolute times the largest coefficient (at least 1)
+_PSD_TOL = 1e-12
+
+
+def psd_mask(da, db, ga, gb, gc, g):
     """True where the collective decay matrix [[G_a, G*_coll], [G_coll, G_b]] is PSD.
 
     Takes the six coefficients (Lamb shifts, decays, collective decay,
@@ -175,14 +179,14 @@ def psd_mask(da, db, ga, gb, gc, g, tol: float = 1e-12):
         np.full(np.shape(ga), 1.0), np.abs(ga), np.abs(gb), np.abs(gc),
         2.0 * np.abs(g), np.abs(da), np.abs(db),
     ])
-    slack = tol * scale
+    slack = _PSD_TOL * scale
     return (
         (ga >= -slack)
         & (gb >= -slack)
-        & (np.abs(gc) <= np.sqrt(np.maximum(ga, 0.0)) * np.sqrt(np.maximum(gb, 0.0)) * (1 + tol) + slack)
+        & (np.abs(gc) <= np.sqrt(np.maximum(ga, 0.0)) * np.sqrt(np.maximum(gb, 0.0)) * (1 + _PSD_TOL) + slack)
     )
 
 
-def check_dissipator_psd(c: CoefficientSet, tol: float = 1e-12) -> bool:
+def check_dissipator_psd(c: CoefficientSet) -> bool:
     """``psd_mask`` for one coefficient set."""
-    return bool(psd_mask(c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g, tol))
+    return bool(psd_mask(c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g))

@@ -29,6 +29,8 @@ from .model import InitialState
 # overflow because each exponential carries a full eigenvalue.
 _SINC_FORM_MAX_Z = 1.0
 _SINC_SERIES_MAX_Z = 1e-6
+# dark_modes: |Im lambda| below this times the matrix scale is non-decaying
+_DARK_TOL = 1e-9
 
 
 class PhysicalityError(ValueError):
@@ -255,21 +257,19 @@ class ModeReport:
     dark_projection: AmplitudePair | None = None
 
 
-def dark_modes(h: EffectiveHamiltonian, c0: InitialState, tol: float = 1e-9) -> ModeReport:
+def dark_modes(h: EffectiveHamiltonian, c0: InitialState) -> ModeReport:
     """Classify the decay spectrum and predict the long-time concurrence.
 
-    An eigenvalue counts as non-decaying when |Im lambda| < tol relative to
-    the matrix scale.  With exactly one such mode the initial state is
-    projected onto it through the left (dual) eigenvector and the plateau
-    concurrence follows from the surviving amplitudes.
+    An eigenvalue counts as non-decaying when |Im lambda| < _DARK_TOL
+    relative to the matrix scale.  With exactly one such mode the initial
+    state is projected onto it through the left (dual) eigenvector and the
+    plateau concurrence follows from the surviving amplitudes.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = h.matrix
     mu, _, s = eigen_split(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
     lam1, lam2 = mu + s, mu - s
     scale = h.scale
-    thr = tol * scale if scale > 0 else tol
+    thr = _DARK_TOL * scale if scale > 0 else _DARK_TOL
     real_flags = [abs(lam.imag) < thr for lam in (lam1, lam2)]
     n_real = sum(real_flags)
 

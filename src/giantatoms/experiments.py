@@ -23,6 +23,7 @@ from .dynamics import (
     PhysicalityError,
     AmplitudePair,
     Trajectory,
+    _SINC_FORM_MAX_Z,
     _evolve,
     build_heff,
     concurrence,
@@ -69,7 +70,7 @@ def _golden_max(f, a: float, b: float, tol: float = 1e-6) -> tuple[float, float]
     return x, f(x)
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
+def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
     x, v = _golden_max(lambda u: -f(u), a, b, tol)
     return x, -v
 
@@ -85,12 +86,17 @@ def _m_components(cfg, gamma_r, gamma_l, phis):
     return heff_entries(*coeffs)
 
 
-def _concurrence_matrix(cfg, chirality, c0, phis, ts, chunk=128):
+# phase rows per propagator batch: the exact grid and the uniform-t scan
+_MATRIX_CHUNK = 128
+_SCAN_CHUNK = 256
+
+
+def _concurrence_matrix(cfg, chirality, c0, phis, ts):
     gamma_r, gamma_l = rates_from_chirality(chirality)
     m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
     out = np.empty((phis.size, ts.size), dtype=float)
-    for lo in range(0, phis.size, chunk):
-        sl = slice(lo, min(lo + chunk, phis.size))
+    for lo in range(0, phis.size, _MATRIX_CHUNK):
+        sl = slice(lo, min(lo + _MATRIX_CHUNK, phis.size))
         c1, c2 = _evolve(
             m11[sl][:, None], m12[sl][:, None], m21[sl][:, None], m22[sl][:, None],
             c0.c_eg, c0.c_ge, ts[None, :],
@@ -99,7 +105,7 @@ def _concurrence_matrix(cfg, chirality, c0, phis, ts, chunk=128):
     return out
 
 
-def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt, chunk=256):
+def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     """Concurrence over phis x (0, dt, 2dt, ...): fast search-grade scan.
 
     Exploits the uniform time grid: the two eigen-exponentials are geometric
@@ -111,14 +117,14 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt, chunk=256):
     m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
     t_max = (n_t - 1) * dt
     out = np.empty((phis.size, n_t), dtype=float)
-    for lo in range(0, phis.size, chunk):
-        sl = slice(lo, min(lo + chunk, phis.size))
+    for lo in range(0, phis.size, _SCAN_CHUNK):
+        sl = slice(lo, min(lo + _SCAN_CHUNK, phis.size))
         a11, a12, a21, a22 = m11[sl], m12[sl], m21[sl], m22[sl]
         mu, dd, s = eigen_split(a11, a12, a21, a22)
         d1 = dd * c0.c_eg + a12 * c0.c_ge
         d2 = a21 * c0.c_eg - dd * c0.c_ge
 
-        spectral = np.abs(s) * t_max > 1.0
+        spectral = np.abs(s) * t_max > _SINC_FORM_MAX_Z
         rows = np.flatnonzero(spectral)
         if rows.size:
             lam_p = (mu + s)[rows]
@@ -209,6 +215,9 @@ def sweep(cfg, chirality, c0, phi_grid, t_grid) -> SweepGrid:
     return SweepGrid(phis, ts, c, meta)
 
 
+_MAX_REFINE_TOL = 1e-6  # find_max: golden-section bracket width in t and phi
+
+
 @dataclass(frozen=True)
 class MaxResult:
     c_max: float
@@ -225,7 +234,6 @@ def find_max(
     t_horizon: float = 50.0,
     phi_points: int = 2001,
     t_points: int = 4001,
-    refine_tol: float = 1e-6,
 ) -> MaxResult:
     """Maximum concurrence over phi_range x [0, t_horizon].
 
@@ -254,9 +262,9 @@ def find_max(
     # repeat the same t search
     for _ in range(3 if p_hi > p_lo else 1):
         if t_hi > t_lo:
-            t_star, _ = _golden_max(lambda t: value(phi_star, t), t_lo, t_hi, refine_tol)
+            t_star, _ = _golden_max(lambda t: value(phi_star, t), t_lo, t_hi, _MAX_REFINE_TOL)
         if p_hi > p_lo:
-            phi_star, _ = _golden_max(lambda p: value(p, t_star), p_lo, p_hi, refine_tol)
+            phi_star, _ = _golden_max(lambda p: value(p, t_star), p_lo, p_hi, _MAX_REFINE_TOL)
 
     if value(phi_star, t_star) < grid_best:
         phi_star, t_star = float(phis[i]), float(ts[j])
@@ -329,91 +337,77 @@ def _candidate_runs(mask):
     return runs
 
 
-def find_special_phases(
-    cfg,
-    chirality,
-    initial: InitialState = INITIAL_EG,
-    grid_points: int = 100_000,
-    coef_tol: float = 1e-9,
-    refine_tol: float = 1e-10,
-) -> list[SpecialPhase]:
+# find_special_phases: phase grid size, golden-section bracket width, and the
+# residual a refined phase must fall below (also |g|/gamma for a
+# decoherence-free phase to count as interacting)
+_PHASE_GRID_POINTS = 100_000
+_PHASE_REFINE_TOL = 1e-10
+_PHASE_COEF_TOL = 1e-9
+
+
+def _phase_residuals(da, db, ga, gb, gc, g, gamma):
+    """Residuals of the three special-phase conditions, as scalars or arrays.
+
+    Returns ({kind: residual}, |g|, largest decay magnitude). A phase is
+    decoupled when every decay and the exchange coupling vanish,
+    decoherence-free when every decay vanishes, and dark when one eigenvalue
+    of the effective matrix is real (relative to the matrix scale).
+    """
+    decay = np.maximum(np.maximum(np.abs(ga), np.abs(gb)), np.abs(gc))
+    g_abs = np.abs(g)
+    m11, m12, m21, m22 = heff_entries(da, db, ga, gb, gc, g)
+    mu, _, s = eigen_split(m11, m12, m21, m22)
+    scale = np.maximum(np.maximum.reduce([np.abs(m11), np.abs(m12), np.abs(m21), np.abs(m22)]), 1e-300)
+    residuals = {
+        PhaseKind.DECOUPLED: np.maximum(decay, g_abs) / gamma,
+        PhaseKind.DECOHERENCE_FREE: decay / gamma,
+        PhaseKind.DARK_STATE: np.minimum(np.abs((mu + s).imag), np.abs((mu - s).imag)) / scale,
+    }
+    return residuals, g_abs, decay
+
+
+def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> list[SpecialPhase]:
     """Locate phases where the pair decouples, interacts without decay, or
     hosts a dark state overlapping the initial state.
 
     Scans phi in [0, 2*pi), then refines each candidate by golden-section
-    minimization of the defining residual down to a bracket of refine_tol.
+    minimization of its kind's residual down to a bracket of 1e-10.
     """
     gamma_r, gamma_l = rates_from_chirality(chirality)
     gamma = chirality.gamma_total
-    phis = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
-    da, db, ga, gb, gc, g = _coefficient_arrays(cfg, phis, gamma_r, gamma_l)
-    decay_mag = np.maximum(np.maximum(np.abs(ga), np.abs(gb)), np.abs(gc))
-    r_dec = np.maximum(decay_mag, np.abs(g)) / gamma
-    r_df = decay_mag / gamma
-
-    m11, m12, m21, m22 = heff_entries(da, db, ga, gb, gc, g)
-    mu, _, s = eigen_split(m11, m12, m21, m22)
-    scale = np.maximum.reduce([np.abs(m11), np.abs(m12), np.abs(m21), np.abs(m22)])
-    scale = np.maximum(scale, 1e-300)
-    r_dark = np.minimum(np.abs((mu + s).imag), np.abs((mu - s).imag)) / scale
-
-    def coef_residuals(phi):
-        cset = coefficients(cfg, phi, gamma_r, gamma_l)
-        mag = max(abs(cset.gamma_a), abs(cset.gamma_b), abs(cset.gamma_coll))
-        return mag / gamma, max(mag, abs(cset.g)) / gamma, cset
-
-    def dark_residual(phi):
-        cset = coefficients(cfg, phi, gamma_r, gamma_l)
-        h = build_heff(cset)
-        m = h.matrix
-        mu_, _, s_ = eigen_split(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-        sc = max(h.scale, 1e-300)
-        return min(abs((mu_ + s_).imag), abs((mu_ - s_).imag)) / sc
-
+    phis = np.linspace(0.0, TWO_PI, _PHASE_GRID_POINTS, endpoint=False)
+    on_grid = _phase_residuals(*_coefficient_arrays(cfg, phis, gamma_r, gamma_l), gamma)[0]
     dphi = phis[1] - phis[0]
+
+    def at(phi):
+        c = coefficients(cfg, phi, gamma_r, gamma_l)
+        return _phase_residuals(c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g, gamma)
+
     found: list[SpecialPhase] = []
-
-    def near_existing(phi):
-        return any(abs(phi - sp.phi) < 1e-6 or abs(abs(phi - sp.phi) - TWO_PI) < 1e-6 for sp in found)
-
-    def refine(residual, i_min):
-        lo = phis[i_min] - dphi
-        hi = phis[i_min] + dphi
-        phi_star, val = _golden_min(residual, lo, hi, refine_tol)
-        phi_star %= TWO_PI
-        if TWO_PI - phi_star < 1e-9:
-            phi_star = 0.0
-        return phi_star, val
-
-    pre = 1e-4
-    for lo_i, hi_i in _candidate_runs(r_dec < pre):
-        i_min = lo_i + int(np.argmin(r_dec[lo_i : hi_i + 1]))
-        phi_star, _ = refine(lambda p: coef_residuals(p)[1], i_min)
-        if not near_existing(phi_star) and coef_residuals(phi_star)[1] < coef_tol:
-            found.append(SpecialPhase(phi_star, PhaseKind.DECOUPLED))
-
-    for lo_i, hi_i in _candidate_runs(r_df < pre):
-        i_min = lo_i + int(np.argmin(r_df[lo_i : hi_i + 1]))
-        phi_star, _ = refine(lambda p: coef_residuals(p)[0], i_min)
-        if near_existing(phi_star):
-            continue
-        r_df_star, _, cset = coef_residuals(phi_star)
-        if r_df_star < coef_tol and abs(cset.g) >= coef_tol * gamma:
-            found.append(SpecialPhase(phi_star, PhaseKind.DECOHERENCE_FREE))
-
-    for lo_i, hi_i in _candidate_runs(r_dark < pre):
-        i_min = lo_i + int(np.argmin(r_dark[lo_i : hi_i + 1]))
-        phi_star, _ = refine(dark_residual, i_min)
-        if near_existing(phi_star) or dark_residual(phi_star) >= coef_tol:
-            continue
-        # a dark state needs finite dissipation to stand out against; points
-        # in the flat halo of a decoupling phase are not separate roots
-        cset = coefficients(cfg, phi_star, gamma_r, gamma_l)
-        if max(abs(cset.gamma_a), abs(cset.gamma_b), abs(cset.gamma_coll)) < 1e-6 * gamma:
-            continue
-        report = dark_modes(_heff_at(cfg, chirality, phi_star), initial)
-        if report.classification is ModeClass.STEADY_PLATEAU and report.dark_overlap > 1e-6:
-            found.append(SpecialPhase(phi_star, PhaseKind.DARK_STATE))
+    for kind in PhaseKind:
+        for lo_i, hi_i in _candidate_runs(on_grid[kind] < 1e-4):
+            i_min = lo_i + int(np.argmin(on_grid[kind][lo_i : hi_i + 1]))
+            phi_star, _ = _golden_min(lambda p: at(p)[0][kind], phis[i_min] - dphi, phis[i_min] + dphi,
+                                      _PHASE_REFINE_TOL)
+            phi_star %= TWO_PI
+            if TWO_PI - phi_star < 1e-9:
+                phi_star = 0.0
+            if any(abs(phi_star - sp.phi) < 1e-6 or abs(abs(phi_star - sp.phi) - TWO_PI) < 1e-6 for sp in found):
+                continue
+            residuals, g_abs, decay = at(phi_star)
+            if residuals[kind] >= _PHASE_COEF_TOL:
+                continue
+            if kind is PhaseKind.DECOHERENCE_FREE and g_abs < _PHASE_COEF_TOL * gamma:
+                continue
+            if kind is PhaseKind.DARK_STATE:
+                # a dark state needs finite dissipation to stand out against; points
+                # in the flat halo of a decoupling phase are not separate roots
+                if decay < 1e-6 * gamma:
+                    continue
+                report = dark_modes(_heff_at(cfg, chirality, phi_star), initial)
+                if not (report.classification is ModeClass.STEADY_PLATEAU and report.dark_overlap > 1e-6):
+                    continue
+            found.append(SpecialPhase(phi_star, kind))
 
     return sorted(found, key=lambda sp: sp.phi)
 
@@ -618,7 +612,6 @@ _TIE_TOL = 1e-6
 
 
 def calibrate_presets(
-    targets: dict[Preset, ConfigTargets] | None = None,
     gamma_total: float = 1.0,
     t_horizon: float = 50.0,
     phi_points: int = 2001,
@@ -631,7 +624,6 @@ def calibrate_presets(
     from the preset default is reported via matches_default=False, and a
     score above 0.02 flags the assignment as unresolved.
     """
-    targets = CALIBRATION_TARGETS if targets is None else targets
     cases = (("nonchiral_eg", 0.0, INITIAL_EG), ("nonchiral_ge", 0.0, INITIAL_GE),
              ("chiral_eg", 1.0, INITIAL_EG), ("chiral_ge", 1.0, INITIAL_GE))
 
@@ -646,7 +638,7 @@ def calibrate_presets(
         value_table[pattern] = tuple(vals)
 
     assignments: dict[str, ConfigCalibration] = {}
-    for preset, tg in targets.items():
+    for preset, tg in CALIBRATION_TARGETS.items():
         candidates = [p for p in all_orderings() if _name_consistent(preset, p)]
         scored = []
         for pattern in candidates:

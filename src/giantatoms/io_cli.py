@@ -27,7 +27,8 @@ that field accepts; its value is the next token, even one starting with "-".
 find-max scans t over [0, time.stop] (time.start = 0) on a 4001-point grid.
 
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
-error or numerical overflow, 2 I/O error, 3 unphysical decay matrix.
+error, numerical overflow or a grid too large to allocate, 2 I/O error, 3
+unphysical decay matrix.
 """
 from __future__ import annotations
 
@@ -191,7 +192,10 @@ def _as_float(field: str, v, rule: str = "", ok=lambda x: True) -> float:
     """A document number as a finite float in the field's range `ok`."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigValidationError(field, f"expected a number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigValidationError(field, "must be finite")
     if not ok(v):
@@ -206,6 +210,8 @@ def _parse_grid(field: str, v, t0_min=None) -> GridRange:
     stop = _as_float(field + ".stop", v["stop"])
     if isinstance(v["count"], bool) or not isinstance(v["count"], int) or v["count"] < 1:
         raise ConfigValidationError(field + ".count", "must be a positive integer")
+    if v["count"] > np.iinfo(np.intp).max:
+        raise ConfigValidationError(field + ".count", f"must be at most {np.iinfo(np.intp).max}")
     if stop < start:
         raise ConfigValidationError(field, "stop must be >= start")
     if t0_min is not None and start < t0_min:
@@ -415,57 +421,47 @@ def serialize_results(result, fmt: str = "csv") -> bytes:
 # --- SVG heatmap -------------------------------------------------------------
 
 _COLOR_ANCHORS = ((13, 8, 135), (204, 71, 120), (240, 249, 33))  # C = 0, 0.5, 1
+_SVG_WIDTH, _SVG_HEIGHT = 720, 560
+_SVG_LEFT, _SVG_RIGHT, _SVG_TOP, _SVG_BOTTOM = 70, 20, 20, 55  # plot margins
 
 
-@dataclass(frozen=True)
-class SvgOptions:
-    width: int = 720
-    height: int = 560
-    margin_left: int = 70
-    margin_right: int = 20
-    margin_top: int = 20
-    margin_bottom: int = 55
-    anchors: tuple = _COLOR_ANCHORS
-
-
-def _cell_color(c: float, anchors) -> str:
+def _cell_color(c: float) -> str:
     c = min(max(c, 0.0), 1.0)
     if c <= 0.5:
-        lo, hi, frac = anchors[0], anchors[1], c / 0.5
+        lo, hi, frac = _COLOR_ANCHORS[0], _COLOR_ANCHORS[1], c / 0.5
     else:
-        lo, hi, frac = anchors[1], anchors[2], (c - 0.5) / 0.5
+        lo, hi, frac = _COLOR_ANCHORS[1], _COLOR_ANCHORS[2], (c - 0.5) / 0.5
     rgb = tuple(round(l + frac * (h - l)) for l, h in zip(lo, hi))
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
-def render_svg_heatmap(grid: SweepGrid, options: SvgOptions = SvgOptions()) -> bytes:
+def render_svg_heatmap(grid: SweepGrid) -> bytes:
     """Static heatmap of a sweep: gamma*t on x, phi/pi on y, one rect per cell."""
     n_phi, n_t = grid.c_matrix.shape
     if n_phi == 0 or n_t == 0:
         raise ValueError("cannot render an empty sweep grid")
-    o = options
-    plot_w = o.width - o.margin_left - o.margin_right
-    plot_h = o.height - o.margin_top - o.margin_bottom
+    plot_w = _SVG_WIDTH - _SVG_LEFT - _SVG_RIGHT
+    plot_h = _SVG_HEIGHT - _SVG_TOP - _SVG_BOTTOM
     cell_w = plot_w / n_t
     cell_h = plot_h / n_phi
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{o.width}" height="{o.height}" '
-        f'viewBox="0 0 {o.width} {o.height}">',
-        f'<rect x="0" y="0" width="{o.width}" height="{o.height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
     ]
     for i in range(n_phi):
-        y = o.margin_top + (n_phi - 1 - i) * cell_h
+        y = _SVG_TOP + (n_phi - 1 - i) * cell_h
         for j in range(n_t):
-            x = o.margin_left + j * cell_w
-            color = _cell_color(float(grid.c_matrix[i, j]), o.anchors)
+            x = _SVG_LEFT + j * cell_w
+            color = _cell_color(float(grid.c_matrix[i, j]))
             parts.append(
                 f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w + 0.5:.2f}" '
                 f'height="{cell_h + 0.5:.2f}" fill="{color}"/>'
             )
 
-    x0, x1 = o.margin_left, o.margin_left + plot_w
-    y0, y1 = o.margin_top + plot_h, o.margin_top
+    x0, x1 = _SVG_LEFT, _SVG_LEFT + plot_w
+    y0, y1 = _SVG_TOP + plot_h, _SVG_TOP
     parts.append(f'<rect x="{x0}" y="{y1}" width="{plot_w}" height="{plot_h}" fill="none" stroke="black"/>')
     t_lo, t_hi = float(grid.t_values[0]), float(grid.t_values[-1])
     p_lo, p_hi = float(grid.phi_values[0]) / math.pi, float(grid.phi_values[-1]) / math.pi
@@ -474,7 +470,7 @@ def render_svg_heatmap(grid: SweepGrid, options: SvgOptions = SvgOptions()) -> b
     parts.append(label.format(x=x1, y=y0 + 18, anchor="middle", s=f"{t_hi:.6g}"))
     parts.append(label.format(x=x0 - 8, y=y0, anchor="end", s=f"{p_lo:.6g}"))
     parts.append(label.format(x=x0 - 8, y=y1 + 10, anchor="end", s=f"{p_hi:.6g}"))
-    parts.append(label.format(x=(x0 + x1) / 2, y=o.height - 12, anchor="middle", s="&#947;t"))
+    parts.append(label.format(x=(x0 + x1) / 2, y=_SVG_HEIGHT - 12, anchor="middle", s="&#947;t"))
     parts.append(label.format(x=18, y=(y0 + y1) / 2, anchor="middle", s="&#966;/&#960;"))
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode()
@@ -676,6 +672,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 3
     except RuntimeWarning as exc:
         print(f"numerical overflow: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, LayoutError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

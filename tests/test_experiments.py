@@ -13,7 +13,9 @@ from giantatoms import (
     calibrate_presets,
     chirality_scan,
     coefficients,
+    coefficients_nonchiral,
     compare_initial_states,
+    dark_modes,
     detect_steady,
     evaluate_concurrence,
     find_max,
@@ -175,6 +177,36 @@ def test_special_phases_fb_cascade():
     # chirality destroys the phi = 0, pi plateaus
     dark = [p.phi for p in phases if p.kind is PhaseKind.DARK_STATE]
     assert all(min(d, abs(d - math.pi), abs(d - 2 * math.pi)) > 1e-3 for d in dark)
+
+
+@pytest.mark.parametrize("chi", [0.0, 1.0])
+@pytest.mark.parametrize("preset", ["partially_braided", "fully_nested", "partially_nested"])
+def test_special_phases_meet_their_conditions(preset, chi, coefficient_oracle):
+    cfg = make_preset(preset)
+    gr, gl = rates_from_chirality(ChiralitySpec(1.0, chi))
+    phases = find_special_phases(cfg, ChiralitySpec(1.0, chi))
+    assert phases
+    for sp in phases:
+        if chi == 0.0:
+            c = coefficients_nonchiral(cfg, sp.phi, 1.0)
+            da, db, ga, gb, gc, g = c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g
+        else:
+            da, db, ga, gb, gc, g = coefficient_oracle(cfg.atom_a.positions, cfg.atom_b.positions, sp.phi, gr, gl)
+        decay = max(abs(ga), abs(gb), abs(gc))
+        if sp.kind is PhaseKind.DECOUPLED:
+            assert max(decay, abs(g)) < 1e-8
+        elif sp.kind is PhaseKind.DECOHERENCE_FREE:
+            assert decay < 1e-8 < abs(g)
+        else:
+            report = dark_modes(build_heff(coefficients(cfg, sp.phi, gr, gl)), INITIAL_EG)
+            assert report.classification is ModeClass.STEADY_PLATEAU
+            assert report.dark_overlap > 1e-6
+            assert decay > 1e-6
+    # mirror phi -> 2pi - phi maps the set of special phases onto itself
+    for sp in phases:
+        mirror = (2 * math.pi - sp.phi) % (2 * math.pi)
+        assert any(q.kind is sp.kind and min(abs(q.phi - mirror), 2 * math.pi - abs(q.phi - mirror)) < 1e-6
+                   for q in phases)
 
 
 def test_chirality_scan_overlap_and_peaks():

@@ -105,6 +105,16 @@ def test_parse_rejects_bad_grid():
         parse_experiment_config('{"layout":"separated","time":{"start":-1,"stop":5,"count":10}}')
     with pytest.raises(ConfigValidationError):
         parse_experiment_config('{"layout":"separated","phi":{"start":0,"stop":1}}')
+    with pytest.raises(ConfigValidationError, match="must be finite") as err:
+        parse_experiment_config('{"layout":"separated","time":{"start":0,"stop":1%s,"count":3}}' % ("0" * 400))
+    assert err.value.field == "time.stop"
+    with pytest.raises(ConfigValidationError) as err:
+        parse_experiment_config('{"layout":"separated","time":{"start":0,"stop":1,"count":%d}}' % 10**21)
+    assert err.value.field == "time.count"
+    # an integer beyond the float range, outside a grid too
+    with pytest.raises(ConfigValidationError, match="must be finite") as err:
+        parse_experiment_config('{"layout":"separated","gamma":1%s}' % ("0" * 400))
+    assert err.value.field == "gamma"
 
 
 @pytest.mark.parametrize("text", [
@@ -539,6 +549,22 @@ def test_cli_flag_value_may_start_with_dash(capsysbinary, args):
 def test_cli_find_max_rejects_time_start(capsys):
     assert cli_main(["find-max", "--preset", "separated", "--t", "5:50:11"]) == 1
     assert "invalid field 'time.start'" in capsys.readouterr().err
+
+
+# counts whose allocation is refused at once: 10**21 exceeds the index
+# range, 2**57 float64 values need 1 EiB
+@pytest.mark.parametrize("count, message", [
+    (10**21, "validation error: invalid field 'time.count'"),
+    (2**57, "out of memory: "),
+])
+def test_cli_grid_too_large_exits_1(tmp_path, capsys, count, message):
+    out = tmp_path / "x.csv"
+    args = ["evolve", "--preset", "separated", "--phi", "1.0", "--t", f"0:1:{count}", "--out", str(out)]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_cli_rate_overflow_is_validation_error(tmp_path, capsys):
