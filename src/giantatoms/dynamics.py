@@ -98,14 +98,20 @@ def _evolve(m11, m12, m21, m22, c1, c2, t):
     mu the mean eigenvalue, s^2 the squared half-splitting and z = s t; for
     |z| beyond _SINC_FORM_MAX_Z it switches to the explicit two-eigenvalue
     form whose exponentials are bounded for a decaying spectrum.
+
+    mu, s and d = (m - mu I) c depend on the matrix and start only, so they
+    are computed before broadcasting against t: once per row, not once per
+    cell. The inputs are made at least 1-d, and so is the result: numpy
+    turns results of 0-d operands into scalars, whose complex products round
+    differently from its array loops, and the constants must equal those
+    computed per cell.
     """
-    m11, m12, m21, m22, c1, c2, t = np.broadcast_arrays(
-        *(np.asarray(x, dtype=complex) for x in (m11, m12, m21, m22, c1, c2, t))
-    )
+    m11, m12, m21, m22, c1, c2 = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (m11, m12, m21, m22, c1, c2))
     mu, dd, s = eigen_split(m11, m12, m21, m22)
-    z = s * t
     d1 = dd * c1 + m12 * c2  # (m - mu I) @ c
     d2 = m21 * c1 - dd * c2
+    mu, s, c1, c2, d1, d2, t = np.broadcast_arrays(mu, s, c1, c2, d1, d2, np.asarray(t, dtype=complex))
+    z = s * t
 
     out1 = np.empty(z.shape, dtype=complex)
     out2 = np.empty(z.shape, dtype=complex)

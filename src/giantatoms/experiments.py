@@ -86,9 +86,17 @@ def _m_components(cfg, gamma_r, gamma_l, phis):
     return heff_entries(*coeffs)
 
 
-# phase rows per propagator batch: the exact grid and the uniform-t scan
+# Phase rows per propagator block: the exact grid (_MATRIX_CHUNK) and the
+# uniform-t scan (_SCAN_CHUNK). A scan block's complex work arrays take
+# rows x times x 16 bytes, 1 MB at the default 4001 times: they stay near the
+# cache and the peak memory stays small. Both values come from a measured
+# sweep of block sizes (CHANGES.md). _MATRIX_CHUNK keeps its old value: the
+# grouping of cells into _evolve calls decides whether numpy evaluates a
+# complex product in place with its operands swapped (temporaries of 256 KiB
+# and more), which moves the last bit, so a smaller block changes the bytes
+# of sweep output.
 _MATRIX_CHUNK = 128
-_SCAN_CHUNK = 256
+_SCAN_CHUNK = 16
 
 
 def _concurrence_matrix(cfg, chirality, c0, phis, ts):
@@ -105,20 +113,47 @@ def _concurrence_matrix(cfg, chirality, c0, phis, ts):
     return out
 
 
+def _first_max(blocks):
+    """np.argmax of the row-wise concatenation of 2-D blocks, as (row, col,
+    value), holding one block at a time.
+
+    Each block's argmax is its first maximum (or first NaN), and np.argmax
+    over the winners' values, taken in block order, keeps the first of
+    those: the same cell, first occurrence and NaN rules as one argmax over
+    the whole matrix.
+    """
+    winners = []
+    lo = 0
+    for block in blocks:
+        i, j = divmod(int(np.argmax(block)), block.shape[1])
+        winners.append((lo + i, j, float(block[i, j])))
+        lo += block.shape[0]
+    return winners[int(np.argmax([v for _, _, v in winners]))]
+
+
 def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
-    """Concurrence over phis x (0, dt, 2dt, ...): fast search-grade scan.
+    """First maximum (row, col, value) of the concurrence over
+    phis x (0, dt, 2dt, ...): fast search-grade scan.
 
     Exploits the uniform time grid: the two eigen-exponentials are geometric
     sequences, built by cumulative products instead of per-cell exp calls.
     Accumulated drift is O(n_t * eps) ~ 1e-12, fine for locating extrema;
     anything that matters gets re-evaluated with the exact propagator.
+
+    Blocks of _SCAN_CHUNK phase rows are computed one at a time into work
+    arrays allocated once per call (fresh memory for every temporary of
+    every block costs page faults that outweigh the arithmetic); the
+    ufuncs and their order are those of the plain expressions.
     """
     gamma_r, gamma_l = rates_from_chirality(chirality)
     m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
     t_max = (n_t - 1) * dt
-    out = np.empty((phis.size, n_t), dtype=float)
-    for lo in range(0, phis.size, _SCAN_CHUNK):
-        sl = slice(lo, min(lo + _SCAN_CHUNK, phis.size))
+    ts = np.arange(n_t) * dt
+    shape = (min(_SCAN_CHUNK, phis.size), n_t)
+    seq, ep, em, tmp = (np.empty(shape, dtype=complex) for _ in range(4))
+    out, mag1, mag2 = np.empty(shape), np.empty(shape), np.empty(shape)
+
+    def block(sl):
         a11, a12, a21, a22 = m11[sl], m12[sl], m21[sl], m22[sl]
         mu, dd, s = eigen_split(a11, a12, a21, a22)
         d1 = dd * c0.c_eg + a12 * c0.c_ge
@@ -127,27 +162,33 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
         spectral = np.abs(s) * t_max > _SINC_FORM_MAX_Z
         rows = np.flatnonzero(spectral)
         if rows.size:
+            k = rows.size
             lam_p = (mu + s)[rows]
             lam_m = (mu - s)[rows]
             p1, q1, p2, q2 = spectral_weights(s[rows], c0.c_eg, c0.c_ge, d1[rows], d2[rows])
-            seq = np.empty((rows.size, n_t), dtype=complex)
-            seq[:, 0] = 1.0
-            seq[:, 1:] = np.exp(-1j * lam_p * dt)[:, None]
-            ep = np.cumprod(seq, axis=1)
-            seq[:, 1:] = np.exp(-1j * lam_m * dt)[:, None]
-            em = np.cumprod(seq, axis=1)
-            c1 = ep * p1[:, None] + em * q1[:, None]
-            c2 = ep * p2[:, None] + em * q2[:, None]
-            out[lo + rows] = 2.0 * np.abs(c1) * np.abs(c2)
+            sq, e_p, e_m, t_k, r1, r2 = seq[:k], ep[:k], em[:k], tmp[:k], mag1[:k], mag2[:k]
+            sq[:, 0] = 1.0
+            sq[:, 1:] = np.exp(-1j * lam_p * dt)[:, None]
+            np.cumprod(sq, axis=1, out=e_p)
+            sq[:, 1:] = np.exp(-1j * lam_m * dt)[:, None]
+            np.cumprod(sq, axis=1, out=e_m)
+            # c1 = e_p p1 + e_m q1 into sq, c2 = e_p p2 + e_m q2 into e_p,
+            # then 2 |c1| |c2|
+            np.add(np.multiply(e_p, p1[:, None], out=sq), np.multiply(e_m, q1[:, None], out=t_k), out=sq)
+            np.add(np.multiply(e_p, p2[:, None], out=e_p), np.multiply(e_m, q2[:, None], out=t_k), out=e_p)
+            np.abs(sq, out=r1)
+            np.abs(e_p, out=r2)
+            out[rows] = np.multiply(np.multiply(2.0, r1, out=r1), r2, out=r1)
         rows = np.flatnonzero(~spectral)
         if rows.size:
-            ts = np.arange(n_t) * dt
             c1, c2 = _evolve(
                 a11[rows][:, None], a12[rows][:, None], a21[rows][:, None],
                 a22[rows][:, None], c0.c_eg, c0.c_ge, ts[None, :],
             )
-            out[lo + rows] = 2.0 * np.abs(c1) * np.abs(c2)
-    return out
+            out[rows] = 2.0 * np.abs(c1) * np.abs(c2)
+        return out[: a11.size]
+
+    return _first_max(block(slice(lo, lo + _SCAN_CHUNK)) for lo in range(0, phis.size, _SCAN_CHUNK))
 
 
 def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
@@ -246,9 +287,7 @@ def find_max(
     phi_lo, phi_hi = phi_range
     phis = np.linspace(phi_lo, phi_hi, phi_points) if phi_hi > phi_lo else np.asarray([phi_lo])
     ts = np.linspace(0.0, t_horizon, t_points)
-    c = _concurrence_scan_uniform(cfg, chirality, c0, phis, t_points, t_horizon / (t_points - 1))
-    i, j = np.unravel_index(int(np.argmax(c)), c.shape)
-    grid_best = float(c[i, j])
+    i, j, grid_best = _concurrence_scan_uniform(cfg, chirality, c0, phis, t_points, t_horizon / (t_points - 1))
 
     def value(phi, t):
         return evaluate_concurrence(cfg, chirality, c0, phi, t)

@@ -22,6 +22,7 @@ from giantatoms import (
     rates_from_chirality,
     trajectory,
 )
+from giantatoms.dynamics import _evolve, eigen_split
 from giantatoms.experiments import _m_components, all_orderings, layout_from_pattern
 
 SQRT3 = math.sqrt(3.0)
@@ -212,6 +213,36 @@ def test_trajectory_matches_pointwise_propagation():
         single = propagate_closed(h, INITIAL_EG, float(times[k]))
         assert traj.amplitudes[k, 0] == single.c_eg
         assert traj.amplitudes[k, 1] == single.c_ge
+
+
+@pytest.mark.parametrize("per_row_starts", [True, False])
+def test_evolve_broadcast_grid_matches_rows_and_cells(per_row_starts):
+    # the row constants are computed before broadcasting; a (R, 1) x (1, T)
+    # grid must equal one call per row (a trajectory: 0-d matrix, times
+    # vector) and one call per cell, in every branch, with per-row starts (as
+    # c09 and c10 use) or one shared start (as sweep and the scan use)
+    named = [("aaabbb", 1.0, 1.0), ("aaabbb", 0.0, 0.3), ("abaabb", 0.37, 2.0), ("ababab", 0.8, 4.4)]
+    rng = np.random.default_rng(11)
+    rows = named + [(p, rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)) for p in all_orderings() * 15]
+    m = np.array([_m_components(layout_from_pattern(p), *rates_from_chirality(ChiralitySpec(1.0, chi)),
+                                np.array([phi])) for p, chi, phi in rows])[:, :, 0]  # (R, 4)
+    starts = rng.normal(size=(len(rows), 2)) + 1j * rng.normal(size=(len(rows), 2))
+    if not per_row_starts:
+        starts[:] = (0.6, 0.8j)
+    times = np.concatenate([[0.0, 1e-9], np.linspace(0.05, 50.0, 30)])
+    z = np.abs(eigen_split(*m[: len(named)].T)[2])[:, None] * times[None, :]
+    assert np.any(z < 1e-6) and np.any((z >= 1e-6) & (z <= 1.0)) and np.any(z > 1.0)
+    assert np.all(eigen_split(*m[0])[2] == 0)  # the cascade row: series branch throughout
+
+    c1, c2 = (starts[:, k, None] for k in range(2)) if per_row_starts else (0.6, 0.8j)
+    grid = _evolve(*(m[:, k, None] for k in range(4)), c1, c2, times[None, :])
+    for i in range(len(rows)):
+        row = _evolve(*m[i], starts[i, 0], starts[i, 1], times)
+        assert all(g[i].tobytes() == r.tobytes() for g, r in zip(grid, row))
+    for i in range(len(named)):
+        for j in range(times.size):
+            cell = _evolve(*m[i], starts[i, 0], starts[i, 1], times[j : j + 1])
+            assert all(g[i, j].tobytes() == c[0].tobytes() for g, c in zip(grid, cell))
 
 
 def test_eigenvalues_match_numpy():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from giantatoms import (
     ChiralitySpec,
     INITIAL_EG,
     INITIAL_GE,
+    InitialState,
     ModeClass,
     PhaseKind,
     build_heff,
@@ -25,9 +27,12 @@ from giantatoms import (
     sweep,
     trajectory,
 )
+from giantatoms import experiments
+from giantatoms.dynamics import eigen_split, spectral_weights
 from giantatoms.experiments import (
     CALIBRATION_TARGETS,
     _count_peaks,
+    _first_max,
     _golden_max,
     all_orderings,
     layout_from_pattern,
@@ -114,6 +119,114 @@ def test_find_max_consistency_invariant():
     from giantatoms import concurrence
 
     assert res.c_max == pytest.approx(concurrence(res.amplitudes_at_max), abs=1e-12)
+
+
+def _tie_matrices():
+    ties = np.zeros((7, 5))
+    ties[[1, 4, 6], [3, 0, 2]] = 1.0  # equal maxima in different blocks
+    nan_late = ties.copy()
+    nan_late[5, 1] = np.nan  # a NaN after the first maximum still wins
+    two_nans = nan_late.copy()
+    two_nans[2, 4] = np.nan
+    return [ties, nan_late, two_nans, np.full((7, 5), -np.inf), np.zeros((7, 5)),
+            np.random.default_rng(2).integers(0, 3, size=(7, 5)).astype(float)]
+
+
+@pytest.mark.parametrize("matrix", _tie_matrices())
+def test_first_max_matches_argmax(matrix):
+    i, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
+    for rows in (1, 2, 3, 5, 7):
+        row, col, value = _first_max(matrix[lo : lo + rows] for lo in range(0, matrix.shape[0], rows))
+        assert (row, col) == (i, j)
+        assert np.array_equal(value, matrix[i, j], equal_nan=True)
+
+
+def _scan(monkeypatch, chunk, cfg, spec, c0, phis, n_t):
+    """The scan's result at one block size, and the matrix its blocks form."""
+    monkeypatch.setattr(experiments, "_SCAN_CHUNK", chunk)
+    blocks = []
+
+    def keep(gen):
+        return _first_max(blocks.append(b.copy()) or b for b in gen)
+
+    monkeypatch.setattr(experiments, "_first_max", keep)
+    result = experiments._concurrence_scan_uniform(cfg, spec, c0, phis, n_t, 50.0 / (n_t - 1))
+    return result, np.concatenate(blocks)
+
+
+# Rows that fall back to _evolve are compared on grids where no _evolve call
+# reaches numpy's in-place size (see test_sweep_does_not_depend_on_block_size).
+@pytest.mark.parametrize("pattern, chi, c0, n_t", [
+    ("abaabb", 0.37, InitialState(0.6, 0.8j), 4001),  # spectral rows only
+    ("aaabbb", 1.0, INITIAL_EG, 401),  # the cascade: every row through _evolve
+    ("aaabbb", 0.37, InitialState(0.6, 0.8j), 401),  # both kinds of row
+])
+def test_scan_does_not_depend_on_block_size(monkeypatch, pattern, chi, c0, n_t):
+    args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, np.linspace(0.0, 2 * math.pi, 101), n_t)
+    result, matrix = _scan(monkeypatch, experiments._SCAN_CHUNK, *args)
+    i, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
+    assert result == (i, j, matrix[i, j])
+    for chunk in (1, 7):
+        other, other_matrix = _scan(monkeypatch, chunk, *args)
+        assert other == result
+        assert other_matrix.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("pattern, chi", [
+    ("abaabb", 0.37),
+    pytest.param("aaabbb", 1.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "numpy evaluates a complex product whose right operand is a temporary of 256 KiB or more in "
+        "place with the operands swapped, which moves the last bit: a 101-row _evolve call of the "
+        "cascade crosses that size, a 1-row call does not"))),
+])
+def test_sweep_does_not_depend_on_block_size(monkeypatch, pattern, chi):
+    args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), InitialState(0.6, 0.8j),
+            np.linspace(0.0, 2 * math.pi, 101), np.linspace(0.0, 50.0, 401))
+    grid = sweep(*args).c_matrix
+    monkeypatch.setattr(experiments, "_MATRIX_CHUNK", 1)
+    assert sweep(*args).c_matrix.tobytes() == grid.tobytes()
+
+
+def test_scan_matches_plain_expressions(monkeypatch):
+    # the scan's reused work arrays and in-place ufuncs must round exactly
+    # like the plain whole-matrix expressions, written out here for a grid
+    # of spectral rows
+    cfg, spec, c0 = layout_from_pattern("abaabb"), ChiralitySpec(1.0, 0.37), InitialState(0.6, 0.8j)
+    phis, n_t, dt = np.linspace(0.0, 2 * math.pi, 101), 4001, 50.0 / 4000
+    _, matrix = _scan(monkeypatch, experiments._SCAN_CHUNK, cfg, spec, c0, phis, n_t)
+
+    m11, m12, m21, m22 = experiments._m_components(cfg, *rates_from_chirality(spec), phis)
+    mu, dd, s = eigen_split(m11, m12, m21, m22)
+    assert np.all(np.abs(s) * (n_t - 1) * dt > 1.0)
+    p1, q1, p2, q2 = spectral_weights(s, c0.c_eg, c0.c_ge, dd * c0.c_eg + m12 * c0.c_ge, m21 * c0.c_eg - dd * c0.c_ge)
+    seq = np.empty((phis.size, n_t), dtype=complex)
+    seq[:, 0] = 1.0
+    seq[:, 1:] = np.exp(-1j * (mu + s) * dt)[:, None]
+    ep = np.cumprod(seq, axis=1)
+    seq[:, 1:] = np.exp(-1j * (mu - s) * dt)[:, None]
+    em = np.cumprod(seq, axis=1)
+    c1 = ep * p1[:, None] + em * q1[:, None]
+    c2 = ep * p2[:, None] + em * q2[:, None]
+    assert matrix.tobytes() == (2.0 * np.abs(c1) * np.abs(c2)).tobytes()
+
+
+def test_find_max_ties_keep_the_first_cell():
+    # from (0.6, 0.8) the cascade's concurrence starts at its maximum 0.96 in
+    # every phase row, so the first row and the first time win
+    res = find_max(layout_from_pattern("aaabbb"), CASCADE, InitialState(0.6, 0.8))
+    assert (res.phi_star, res.t_star, res.c_max) == (0.0, 0.0, 0.96)
+
+
+def test_cascade_search_memory_is_bounded():
+    # the scan holds one block of phase rows, never the 401 x 4001 matrix
+    # (12 MiB) or blocks of hundreds of rows
+    tracemalloc.start()
+    try:
+        find_max(layout_from_pattern("aaabbb"), CASCADE, INITIAL_EG, phi_points=401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_detect_steady_separated_plateau():
