@@ -86,9 +86,21 @@ def spectral_weights(s, c1, c2, d1, d2):
     return (s * c1 + d1) * half, (s * c1 - d1) * half, (s * c2 + d2) * half, (s * c2 - d2) * half
 
 
+def concurrence_values(c1, c2, out=(None, None)):
+    """Concurrence 2 |c_eg| |c_ge| of amplitude arrays, elementwise, worked
+    out in the float arrays out = (result, scratch) when they are given.
+
+    Every concurrence the package reports comes from this expression on
+    arrays, a point as one-element arrays: numpy's scalar abs rounds
+    differently from its array loop.
+    """
+    r1 = np.abs(c1, out=out[0])
+    return np.multiply(np.multiply(2.0, r1, out=r1), np.abs(c2, out=out[1]), out=r1)
+
+
 def concurrence(c: AmplitudePair) -> float:
     """Entanglement of the pure single-excitation state: 2 |c_eg| |c_ge|."""
-    return 2.0 * abs(c.c_eg) * abs(c.c_ge)
+    return float(concurrence_values(np.array([c.c_eg]), np.array([c.c_ge]))[0])
 
 
 def _evolve(m11, m12, m21, m22, c1, c2, t):
@@ -105,6 +117,13 @@ def _evolve(m11, m12, m21, m22, c1, c2, t):
     turns results of 0-d operands into scalars, whose complex products round
     differently from its array loops, and the constants must equal those
     computed per cell.
+
+    Each complex product over cells is an explicit np.multiply(a, b). For
+    the operator form a * b, numpy computes b *= a in place once b is a
+    temporary of 256 KiB or more, and its complex loops round b * a
+    differently from a * b: a cell's last bit would depend on how many
+    cells share the call. None writes into an operand (out=), as numpy
+    rounds such a product of one-element arrays differently too.
     """
     m11, m12, m21, m22, c1, c2 = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (m11, m12, m21, m22, c1, c2))
     mu, dd, s = eigen_split(m11, m12, m21, m22)
@@ -117,26 +136,26 @@ def _evolve(m11, m12, m21, m22, c1, c2, t):
     out2 = np.empty(z.shape, dtype=complex)
 
     small = np.abs(z) <= _SINC_FORM_MAX_Z
-    if np.any(small):
+    if small.any():
         zs = z[small]
         tiny = np.abs(zs) < _SINC_SERIES_MAX_Z
         zsafe = np.where(tiny, 1.0, zs)
-        sinc = np.where(tiny, 1.0 - zs * zs / 6.0, np.sin(zsafe) / zsafe)
-        phase = np.exp(-1j * mu[small] * t[small])
-        cz = np.cos(zs)
         ts = t[small]
-        out1[small] = phase * (cz * c1[small] - 1j * ts * sinc * d1[small])
-        out2[small] = phase * (cz * c2[small] - 1j * ts * sinc * d2[small])
+        its = np.multiply(np.multiply(1j, ts), np.where(tiny, 1.0 - zs * zs / 6.0, np.sin(zsafe) / zsafe))
+        phase = np.exp(np.multiply(np.multiply(-1j, mu[small]), ts))
+        cz = np.cos(zs)
+        out1[small] = np.multiply(phase, np.multiply(cz, c1[small]) - np.multiply(its, d1[small]))
+        out2[small] = np.multiply(phase, np.multiply(cz, c2[small]) - np.multiply(its, d2[small]))
 
     big = ~small
-    if np.any(big):
+    if big.any():
         sb = s[big]
         tb = t[big]
-        e_plus = np.exp(-1j * (mu[big] + sb) * tb)
-        e_minus = np.exp(-1j * (mu[big] - sb) * tb)
+        e_plus = np.exp(np.multiply(np.multiply(-1j, mu[big] + sb), tb))
+        e_minus = np.exp(np.multiply(np.multiply(-1j, mu[big] - sb), tb))
         p1, q1, p2, q2 = spectral_weights(sb, c1[big], c2[big], d1[big], d2[big])
-        out1[big] = e_plus * p1 + e_minus * q1
-        out2[big] = e_plus * p2 + e_minus * q2
+        out1[big] = np.multiply(e_plus, p1) + np.multiply(e_minus, q1)
+        out2[big] = np.multiply(e_plus, p2) + np.multiply(e_minus, q2)
 
     return out1, out2
 
@@ -244,8 +263,7 @@ def trajectory(h: EffectiveHamiltonian, c0: InitialState, t_grid) -> Trajectory:
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("t_grid must be strictly increasing with t_grid[0] >= 0")
     c1, c2 = _amplitude_curves(h, c0, times)
-    conc = 2.0 * np.abs(c1) * np.abs(c2)
-    return Trajectory(times, np.stack([c1, c2], axis=-1), conc, h, c0)
+    return Trajectory(times, np.stack([c1, c2], axis=-1), concurrence_values(c1, c2), h, c0)
 
 
 class ModeClass(Enum):
@@ -297,7 +315,7 @@ def dark_modes(h: EffectiveHamiltonian, c0: InitialState) -> ModeReport:
         return ModeReport((complex(lam1), complex(lam2)), ModeClass.STEADY_PLATEAU, 0.0)
     p = r * ((w @ c0_vec) / denom)
     overlap = float(abs(w @ c0_vec) / (np.linalg.norm(w) * np.linalg.norm(c0_vec)))
-    c_ss = 2.0 * abs(p[0]) * abs(p[1])
+    c_ss = concurrence_values(p[:1], p[1:])[0]
     return ModeReport(
         (complex(lam1), complex(lam2)),
         ModeClass.STEADY_PLATEAU,

@@ -26,7 +26,7 @@ from .dynamics import (
     _SINC_FORM_MAX_Z,
     _evolve,
     build_heff,
-    concurrence,
+    concurrence_values,
     dark_modes,
     eigen_split,
     heff_entries,
@@ -86,30 +86,27 @@ def _m_components(cfg, gamma_r, gamma_l, phis):
     return heff_entries(*coeffs)
 
 
-# Phase rows per propagator block: the exact grid (_MATRIX_CHUNK) and the
-# uniform-t scan (_SCAN_CHUNK). A scan block's complex work arrays take
-# rows x times x 16 bytes, 1 MB at the default 4001 times: they stay near the
-# cache and the peak memory stays small. Both values come from a measured
-# sweep of block sizes (CHANGES.md). _MATRIX_CHUNK keeps its old value: the
-# grouping of cells into _evolve calls decides whether numpy evaluates a
-# complex product in place with its operands swapped (temporaries of 256 KiB
-# and more), which moves the last bit, so a smaller block changes the bytes
-# of sweep output.
-_MATRIX_CHUNK = 128
-_SCAN_CHUNK = 16
+# Phase rows per propagator block, of the exact grid and the uniform-t scan.
+# A scan block's complex work arrays take rows x times x 16 bytes, 1 MB at
+# the default 4001 times: they stay near the cache and the peak memory stays
+# small (a measured sweep of block sizes is in CHANGES.md).
+_ROW_BLOCK = 16
+
+
+def _concurrence_rows(m11, m12, m21, m22, c0, ts):
+    """Exact concurrence over phase rows x ts, from the rows' 1-d matrix
+    entries."""
+    c1, c2 = _evolve(m11[:, None], m12[:, None], m21[:, None], m22[:, None], c0.c_eg, c0.c_ge, ts[None, :])
+    return concurrence_values(c1, c2)
 
 
 def _concurrence_matrix(cfg, chirality, c0, phis, ts):
     gamma_r, gamma_l = rates_from_chirality(chirality)
-    m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
+    m = _m_components(cfg, gamma_r, gamma_l, phis)
     out = np.empty((phis.size, ts.size), dtype=float)
-    for lo in range(0, phis.size, _MATRIX_CHUNK):
-        sl = slice(lo, min(lo + _MATRIX_CHUNK, phis.size))
-        c1, c2 = _evolve(
-            m11[sl][:, None], m12[sl][:, None], m21[sl][:, None], m22[sl][:, None],
-            c0.c_eg, c0.c_ge, ts[None, :],
-        )
-        out[sl] = 2.0 * np.abs(c1) * np.abs(c2)
+    for lo in range(0, phis.size, _ROW_BLOCK):
+        sl = slice(lo, lo + _ROW_BLOCK)
+        out[sl] = _concurrence_rows(*(x[sl] for x in m), c0, ts)
     return out
 
 
@@ -140,7 +137,7 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     Accumulated drift is O(n_t * eps) ~ 1e-12, fine for locating extrema;
     anything that matters gets re-evaluated with the exact propagator.
 
-    Blocks of _SCAN_CHUNK phase rows are computed one at a time into work
+    Blocks of _ROW_BLOCK phase rows are computed one at a time into work
     arrays allocated once per call (fresh memory for every temporary of
     every block costs page faults that outweigh the arithmetic); the
     ufuncs and their order are those of the plain expressions.
@@ -149,7 +146,7 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
     t_max = (n_t - 1) * dt
     ts = np.arange(n_t) * dt
-    shape = (min(_SCAN_CHUNK, phis.size), n_t)
+    shape = (min(_ROW_BLOCK, phis.size), n_t)
     seq, ep, em, tmp = (np.empty(shape, dtype=complex) for _ in range(4))
     out, mag1, mag2 = np.empty(shape), np.empty(shape), np.empty(shape)
 
@@ -172,23 +169,16 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
             np.cumprod(sq, axis=1, out=e_p)
             sq[:, 1:] = np.exp(-1j * lam_m * dt)[:, None]
             np.cumprod(sq, axis=1, out=e_m)
-            # c1 = e_p p1 + e_m q1 into sq, c2 = e_p p2 + e_m q2 into e_p,
-            # then 2 |c1| |c2|
+            # c1 = e_p p1 + e_m q1 into sq, c2 = e_p p2 + e_m q2 into e_p
             np.add(np.multiply(e_p, p1[:, None], out=sq), np.multiply(e_m, q1[:, None], out=t_k), out=sq)
             np.add(np.multiply(e_p, p2[:, None], out=e_p), np.multiply(e_m, q2[:, None], out=t_k), out=e_p)
-            np.abs(sq, out=r1)
-            np.abs(e_p, out=r2)
-            out[rows] = np.multiply(np.multiply(2.0, r1, out=r1), r2, out=r1)
+            out[rows] = concurrence_values(sq, e_p, (r1, r2))
         rows = np.flatnonzero(~spectral)
         if rows.size:
-            c1, c2 = _evolve(
-                a11[rows][:, None], a12[rows][:, None], a21[rows][:, None],
-                a22[rows][:, None], c0.c_eg, c0.c_ge, ts[None, :],
-            )
-            out[rows] = 2.0 * np.abs(c1) * np.abs(c2)
+            out[rows] = _concurrence_rows(a11[rows], a12[rows], a21[rows], a22[rows], c0, ts)
         return out[: a11.size]
 
-    return _first_max(block(slice(lo, lo + _SCAN_CHUNK)) for lo in range(0, phis.size, _SCAN_CHUNK))
+    return _first_max(block(slice(lo, lo + _ROW_BLOCK)) for lo in range(0, phis.size, _ROW_BLOCK))
 
 
 def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
@@ -197,17 +187,16 @@ def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
 
 
 def _point_amplitudes(cfg, chirality, c0, phi, t):
-    """Exact amplitudes (c_eg, c_ge) at a single (phi, t) point."""
+    """Exact amplitudes (c_eg, c_ge) at a single (phi, t) point, as
+    one-element arrays."""
     gamma_r, gamma_l = rates_from_chirality(chirality)
     m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, np.asarray([phi]))
-    c1, c2 = _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, np.asarray([t], dtype=float))
-    return c1[0], c2[0]
+    return _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, np.asarray([t], dtype=float))
 
 
 def evaluate_concurrence(cfg, chirality, c0, phi, t) -> float:
     """Concurrence of the evolved state at a single (phi, t) point."""
-    c1, c2 = _point_amplitudes(cfg, chirality, c0, phi, t)
-    return float(2.0 * abs(c1) * abs(c2))
+    return float(concurrence_values(*_point_amplitudes(cfg, chirality, c0, phi, t))[0])
 
 
 @dataclass(frozen=True)
@@ -305,12 +294,12 @@ def find_max(
         if p_hi > p_lo:
             phi_star, _ = _golden_max(lambda p: value(p, t_star), p_lo, p_hi, _MAX_REFINE_TOL)
 
-    if value(phi_star, t_star) < grid_best:
-        phi_star, t_star = float(phis[i]), float(ts[j])
+    def cell(phi, t):
+        c1, c2 = _point_amplitudes(cfg, chirality, c0, phi, t)
+        return MaxResult(float(concurrence_values(c1, c2)[0]), phi, t, AmplitudePair(complex(c1[0]), complex(c2[0])))
 
-    c1, c2 = _point_amplitudes(cfg, chirality, c0, phi_star, t_star)
-    amps = AmplitudePair(complex(c1), complex(c2))
-    return MaxResult(concurrence(amps), phi_star, t_star, amps)
+    best = cell(phi_star, t_star)
+    return cell(float(phis[i]), float(ts[j])) if best.c_max < grid_best else best
 
 
 @dataclass(frozen=True)

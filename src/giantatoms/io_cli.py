@@ -138,8 +138,6 @@ class ExperimentSpec:
     phi: float | GridRange = GridRange(0.0, TWO_PI, 2001)
     time: GridRange = GridRange(0.0, 50.0, 2001)
     initial: str | tuple[float, float, float, float] = "eg"
-    window: float = 10.0
-    tol: float = 1e-3
     chis: tuple[float, ...] | None = None
     out: str | None = None
     fmt: str = "csv"
@@ -170,8 +168,6 @@ class ExperimentSpec:
         doc["phi"] = asdict(self.phi) if isinstance(self.phi, GridRange) else self.phi
         doc["time"] = asdict(self.time)
         doc["initial"] = self.initial if isinstance(self.initial, str) else list(self.initial)
-        doc["window"] = self.window
-        doc["tol"] = self.tol
         if self.chis is not None:
             doc["chis"] = list(self.chis)
         if self.out is not None:
@@ -291,9 +287,6 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
     elif initial not in ("eg", "ge"):
         raise ConfigValidationError("initial", "expected 'eg', 'ge' or [re, im, re, im]")
 
-    window = _as_float("window", doc.get("window", defaults.window), *_POSITIVE)
-    tol = _as_float("tol", doc.get("tol", defaults.tol), *_POSITIVE)
-
     chis = None
     if "chis" in doc:
         if not isinstance(doc["chis"], list) or not doc["chis"]:
@@ -307,7 +300,7 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
     if fmt not in ("csv", "ndjson", "svg"):
         raise ConfigValidationError("format", "expected csv, ndjson or svg")
 
-    return ExperimentSpec(preset, positions, gamma, chi, phi, time, initial, window, tol, chis, out, fmt)
+    return ExperimentSpec(preset, positions, gamma, chi, phi, time, initial, chis, out, fmt)
 
 
 # --- result serialization ---------------------------------------------------
@@ -518,8 +511,6 @@ _FLAGS = (
     ("chi", "chi", _number, "chirality in [0, 1]"),
     ("t", "time", _grid, "time grid start:stop:count"),
     ("initial", "initial", _numbers, "eg | ge | re,im,re,im"),
-    ("window", "window", _number, "steady-state window (1/gamma)"),
-    ("tol", "tol", _number, "steady-state tolerance"),
     ("chis", "chis", _numbers, "comma-separated chirality list (chirality-scan)"),
     ("out", "out", str, "output path (default stdout)"),
     ("format", "format", str, "output format: csv | ndjson | svg"),

@@ -215,6 +215,19 @@ def test_trajectory_matches_pointwise_propagation():
         assert traj.amplitudes[k, 1] == single.c_ge
 
 
+def test_long_cascade_trajectory_matches_pointwise_propagation():
+    # 20 001 small-z times in one call, past numpy's in-place size for complex
+    # temporaries (16 384), against one time per call
+    h = heff_for("separated", 1.0, chi=1.0)
+    c0 = InitialState(0.6, 0.8j)
+    times = np.linspace(0.0, 50.0, 20001)
+    traj = trajectory(h, c0, times)
+    for k in range(0, times.size, 97):
+        single = propagate_closed(h, c0, float(times[k]))
+        assert (traj.amplitudes[k, 0], traj.amplitudes[k, 1]) == (single.c_eg, single.c_ge), k
+        assert traj.concurrence[k] == concurrence(single), k
+
+
 @pytest.mark.parametrize("per_row_starts", [True, False])
 def test_evolve_broadcast_grid_matches_rows_and_cells(per_row_starts):
     # the row constants are computed before broadcasting; a (R, 1) x (1, T)

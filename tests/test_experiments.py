@@ -143,7 +143,7 @@ def test_first_max_matches_argmax(matrix):
 
 def _scan(monkeypatch, chunk, cfg, spec, c0, phis, n_t):
     """The scan's result at one block size, and the matrix its blocks form."""
-    monkeypatch.setattr(experiments, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(experiments, "_ROW_BLOCK", chunk)
     blocks = []
 
     def keep(gen):
@@ -154,16 +154,15 @@ def _scan(monkeypatch, chunk, cfg, spec, c0, phis, n_t):
     return result, np.concatenate(blocks)
 
 
-# Rows that fall back to _evolve are compared on grids where no _evolve call
-# reaches numpy's in-place size (see test_sweep_does_not_depend_on_block_size).
 @pytest.mark.parametrize("pattern, chi, c0, n_t", [
     ("abaabb", 0.37, InitialState(0.6, 0.8j), 4001),  # spectral rows only
     ("aaabbb", 1.0, INITIAL_EG, 401),  # the cascade: every row through _evolve
     ("aaabbb", 0.37, InitialState(0.6, 0.8j), 401),  # both kinds of row
+    ("aaabbb", 1.0, INITIAL_EG, 4001),  # 7 or 16 such rows pass numpy's in-place size, 1 row does not
 ])
 def test_scan_does_not_depend_on_block_size(monkeypatch, pattern, chi, c0, n_t):
     args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, np.linspace(0.0, 2 * math.pi, 101), n_t)
-    result, matrix = _scan(monkeypatch, experiments._SCAN_CHUNK, *args)
+    result, matrix = _scan(monkeypatch, experiments._ROW_BLOCK, *args)
     i, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
     assert result == (i, j, matrix[i, j])
     for chunk in (1, 7):
@@ -172,19 +171,16 @@ def test_scan_does_not_depend_on_block_size(monkeypatch, pattern, chi, c0, n_t):
         assert other_matrix.tobytes() == matrix.tobytes()
 
 
-@pytest.mark.parametrize("pattern, chi", [
-    ("abaabb", 0.37),
-    pytest.param("aaabbb", 1.0, marks=pytest.mark.xfail(strict=True, reason=(
-        "numpy evaluates a complex product whose right operand is a temporary of 256 KiB or more in "
-        "place with the operands swapped, which moves the last bit: a 101-row _evolve call of the "
-        "cascade crosses that size, a 1-row call does not"))),
-])
+@pytest.mark.parametrize("pattern, chi", [("abaabb", 0.37), ("aaabbb", 1.0)])
 def test_sweep_does_not_depend_on_block_size(monkeypatch, pattern, chi):
+    # one block of all 101 rows puts 40 501 cells into one _evolve call, past
+    # numpy's in-place size for complex temporaries (16 384); one row does not
     args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), InitialState(0.6, 0.8j),
             np.linspace(0.0, 2 * math.pi, 101), np.linspace(0.0, 50.0, 401))
     grid = sweep(*args).c_matrix
-    monkeypatch.setattr(experiments, "_MATRIX_CHUNK", 1)
-    assert sweep(*args).c_matrix.tobytes() == grid.tobytes()
+    for rows in (1, 101):
+        monkeypatch.setattr(experiments, "_ROW_BLOCK", rows)
+        assert sweep(*args).c_matrix.tobytes() == grid.tobytes()
 
 
 def test_scan_matches_plain_expressions(monkeypatch):
@@ -193,7 +189,7 @@ def test_scan_matches_plain_expressions(monkeypatch):
     # of spectral rows
     cfg, spec, c0 = layout_from_pattern("abaabb"), ChiralitySpec(1.0, 0.37), InitialState(0.6, 0.8j)
     phis, n_t, dt = np.linspace(0.0, 2 * math.pi, 101), 4001, 50.0 / 4000
-    _, matrix = _scan(monkeypatch, experiments._SCAN_CHUNK, cfg, spec, c0, phis, n_t)
+    _, matrix = _scan(monkeypatch, experiments._ROW_BLOCK, cfg, spec, c0, phis, n_t)
 
     m11, m12, m21, m22 = experiments._m_components(cfg, *rates_from_chirality(spec), phis)
     mu, dd, s = eigen_split(m11, m12, m21, m22)
@@ -380,11 +376,49 @@ def test_compare_initial_states_nested_asymmetric():
     assert cmp.max_abs_diff > 0.05
 
 
+def _random_start(rng):
+    v = rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    return InitialState(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
 def test_evaluate_concurrence_matches_sweep():
-    cfg = make_preset("partially_nested")
-    val = evaluate_concurrence(cfg, NONCHIRAL, INITIAL_EG, 1.1, 7.0)
-    grid = sweep(cfg, NONCHIRAL, INITIAL_EG, [1.1], [7.0])
-    assert val == grid.c_matrix[0, 0]
+    # one value per (phi, t) cell: a point evaluation equals the sweep cell
+    # bit for bit, over random orderings, chiralities and starts, with the
+    # separated cascade (every cell in _evolve's small-z branch) included
+    rng = np.random.default_rng(7)
+    cases = [("aaabbb", 1.0, INITIAL_EG), ("bbbaaa", 1.0, InitialState(0.6, 0.8j))]
+    for k in range(8):
+        start = (INITIAL_EG, INITIAL_GE, _random_start(rng))[k % 3]
+        cases.append((str(rng.choice(all_orderings())), float(rng.uniform(0.0, 1.0)), start))
+    ts = np.linspace(0.0, 50.0, 2001)
+    for pattern, chi, c0 in cases:
+        cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
+        phis = np.sort(rng.uniform(0.0, 2 * math.pi, 16))
+        grid = sweep(cfg, spec, c0, phis, ts).c_matrix
+        for i, j in zip(rng.integers(0, phis.size, 30), rng.integers(0, ts.size, 30)):
+            assert evaluate_concurrence(cfg, spec, c0, phis[i], ts[j]) == grid[i, j], (pattern, chi, i, j)
+
+
+@pytest.mark.parametrize("pattern, chi, c0", [
+    ("ababab", 0.0, INITIAL_EG),
+    ("aaabbb", 1.0, INITIAL_EG),
+    ("abbaab", 0.6, InitialState(0.6, 0.8j)),
+])
+def test_find_max_reports_its_cell_value(pattern, chi, c0):
+    cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
+    res = find_max(cfg, spec, c0, phi_points=201, t_points=401)
+    assert res.c_max == evaluate_concurrence(cfg, spec, c0, res.phi_star, res.t_star)
+    assert res.c_max == sweep(cfg, spec, c0, [res.phi_star], [res.t_star]).c_matrix[0, 0]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "find_max refines only around the grid's first maximum; here a near-equal peak elsewhere is higher"))
+def test_find_max_finds_the_global_maximum():
+    cfg, spec = layout_from_pattern("bbaaab"), ChiralitySpec(1.0, 0.7388496187722705)
+    c0 = InitialState(0.3485351275070701 + 0.6206217717157976j, -0.005356172642051363 + 0.7023696980797246j)
+    res = find_max(cfg, spec, c0, phi_points=2001)
+    assert res.c_max >= evaluate_concurrence(cfg, spec, c0, 2.0941946665273043, 43.34483455485605) - 1e-9
 
 
 def test_orderings_enumeration():

@@ -89,6 +89,14 @@ def test_parse_rejects_unknown_field():
     assert err.value.field == "bogus"
 
 
+def test_cli_rejects_steady_state_window(tmp_path, capsys):
+    # no command reads a steady-state window or tolerance, so neither is a field
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"layout":"separated","phi":1.0,"window":10.0}')
+    assert cli_main(["coeffs", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "validation error: invalid field 'window': unknown field\n"
+
+
 def test_parse_rejects_missing_layout():
     with pytest.raises(ConfigValidationError):
         parse_experiment_config('{"gamma":1.0}')
@@ -121,8 +129,8 @@ def test_parse_rejects_bad_grid():
     '{"layout":"fully_braided","chi":1.0,"phi":1.0471975512}',
     '{"layout":{"a":[0,1,3],"b":[2,4,5]}}',
     '{"layout":"separated","gamma":2.5,"chi":0.25,"phi":{"start":0,"stop":3.14,"count":11},'
-    '"time":{"start":0,"stop":12.5,"count":26},"initial":[0.6,0,0,0.8],"window":5.0,'
-    '"tol":0.01,"chis":[0,0.5,1],"out":"x.csv","format":"ndjson"}',
+    '"time":{"start":0,"stop":12.5,"count":26},"initial":[0.6,0,0,0.8],'
+    '"chis":[0,0.5,1],"out":"x.csv","format":"ndjson"}',
 ])
 def test_spec_round_trip(text):
     spec = parse_experiment_config(text)
@@ -514,8 +522,6 @@ def test_experiment_spec_defaults():
     ("--t", "0:nan:3", "time", {"start": 0, "stop": math.nan, "count": 3}),
     ("--t", "0:5:2.5", "time", {"start": 0, "stop": 5, "count": 2.5}),
     ("--initial", "nan,0,0,1", "initial", [math.nan, 0, 0, 1]),
-    ("--window", "inf", "window", math.inf),
-    ("--tol", "nan", "tol", math.nan),
     ("--chis", "0,nan", "chis", [0, math.nan]),
     ("--gamma", "abc", "gamma", "abc"),
     ("--gamma", "-inf", "gamma", -math.inf),
@@ -629,7 +635,7 @@ _LAYOUT = st.one_of(
 _FLAGS = st.fixed_dictionaries({}, optional={
     "preset": st.sampled_from(["separated", "fully_braided", "fully_nested", "custom", "bogus"]),
     "layout": _LAYOUT,
-    "gamma": _RATE, "chi": _RATE, "window": _RATE, "tol": _RATE,
+    "gamma": _RATE, "chi": _RATE,
     "phi": st.one_of(_NUMBER_TEXT, _GRID_TEXT),
     "t": _GRID_TEXT,
     "initial": st.one_of(st.sampled_from(["eg", "ge", "xy", "0.6,0,0,0.8", "1,0,1,0", "0,1,0", "0,0,0,1e308"]),
@@ -668,7 +674,7 @@ def _twin_document(flags: dict) -> dict:
             doc["layout"] = {"a": [_document_number(v, int) for v in a.split(",")]}
             if b is not None:
                 doc["layout"]["b"] = [_document_number(v, int) for v in b.split(",")]
-        elif name in ("gamma", "chi", "window", "tol"):
+        elif name in ("gamma", "chi"):
             doc[name] = _document_number(value)
         elif name == "phi":
             doc["phi"] = _document_grid(value) if ":" in value else _document_number(value)
@@ -691,7 +697,7 @@ def _spec_or_field(build):
 
 
 @settings(max_examples=300, deadline=None)
-@given(flags=_FLAGS, spellings=st.lists(st.booleans(), min_size=12, max_size=12))
+@given(flags=_FLAGS, spellings=st.lists(st.booleans(), min_size=10, max_size=10))
 def test_flags_and_config_document_agree(flags, spellings):
     """A flag set and its config twin give the same spec or fail on the same
     field, whether a flag is spelled --flag=value or --flag value."""
