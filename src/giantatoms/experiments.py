@@ -50,8 +50,9 @@ TWO_PI = 2.0 * math.pi
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, a: float, b: float, tol: float = 1e-6) -> tuple[float, float]:
-    """Golden-section maximization of f on [a, b] to bracket width tol."""
+def _golden_max(f, a: float, b: float, tol: float = 1e-6) -> float:
+    """Golden-section maximization of f on [a, b]: the midpoint of the final
+    bracket, of width at most tol."""
     if b < a:
         a, b = b, a
     c = b - _GOLDEN_INV * (b - a)
@@ -66,13 +67,11 @@ def _golden_max(f, a: float, b: float, tol: float = 1e-6) -> tuple[float, float]
             a, c, fc = c, d, fd
             d = a + _GOLDEN_INV * (b - a)
             fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return 0.5 * (a + b)
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    x, v = _golden_max(lambda u: -f(u), a, b, tol)
-    return x, -v
+def _golden_min(f, a: float, b: float, tol: float) -> float:
+    return _golden_max(lambda u: -f(u), a, b, tol)
 
 
 def _m_components(cfg, gamma_r, gamma_l, phis):
@@ -270,13 +269,27 @@ def find_max(
     Coarse grid scan followed by alternating golden-section refinement in t
     and phi inside the bracketing grid cells; the result never falls below
     the best coarse-grid sample.
+
+    The effective matrix obeys m(2pi - phi) = -conj(m(phi)), so C is
+    symmetric under phi -> 2pi - phi when c0 is real up to a global phase
+    (c_eg conj(c_ge) real). When that holds and phi_range is symmetric
+    about pi (phi_lo + phi_hi == 2pi), the scan covers only the first
+    (phi_points + 1) // 2 phase rows. The grid is not ulp-symmetric, so
+    phi_star may then be the mirror of the full scan's and c_max may differ
+    from it in the last bits. Any other start or range scans every row.
     """
     if not (t_horizon > 0):
         raise ValueError("t_horizon must be positive")
+    if t_points < 2:
+        raise ValueError(f"t_points must be at least 2, got {t_points}")
+    if phi_points < 1:
+        raise ValueError(f"phi_points must be at least 1, got {phi_points}")
     phi_lo, phi_hi = phi_range
     phis = np.linspace(phi_lo, phi_hi, phi_points) if phi_hi > phi_lo else np.asarray([phi_lo])
     ts = np.linspace(0.0, t_horizon, t_points)
-    i, j, grid_best = _concurrence_scan_uniform(cfg, chirality, c0, phis, t_points, t_horizon / (t_points - 1))
+    mirrored = (c0.c_eg * c0.c_ge.conjugate()).imag == 0 and phi_lo + phi_hi == TWO_PI
+    scanned = phis[: (phis.size + 1) // 2] if mirrored else phis
+    i, j, grid_best = _concurrence_scan_uniform(cfg, chirality, c0, scanned, t_points, t_horizon / (t_points - 1))
 
     def value(phi, t):
         return evaluate_concurrence(cfg, chirality, c0, phi, t)
@@ -290,9 +303,9 @@ def find_max(
     # repeat the same t search
     for _ in range(3 if p_hi > p_lo else 1):
         if t_hi > t_lo:
-            t_star, _ = _golden_max(lambda t: value(phi_star, t), t_lo, t_hi, _MAX_REFINE_TOL)
+            t_star = _golden_max(lambda t: value(phi_star, t), t_lo, t_hi, _MAX_REFINE_TOL)
         if p_hi > p_lo:
-            phi_star, _ = _golden_max(lambda p: value(p, t_star), p_lo, p_hi, _MAX_REFINE_TOL)
+            phi_star = _golden_max(lambda p: value(p, t_star), p_lo, p_hi, _MAX_REFINE_TOL)
 
     def cell(phi, t):
         c1, c2 = _point_amplitudes(cfg, chirality, c0, phi, t)
@@ -415,8 +428,8 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
     for kind in PhaseKind:
         for lo_i, hi_i in _candidate_runs(on_grid[kind] < 1e-4):
             i_min = lo_i + int(np.argmin(on_grid[kind][lo_i : hi_i + 1]))
-            phi_star, _ = _golden_min(lambda p: at(p)[0][kind], phis[i_min] - dphi, phis[i_min] + dphi,
-                                      _PHASE_REFINE_TOL)
+            phi_star = _golden_min(lambda p: at(p)[0][kind], phis[i_min] - dphi, phis[i_min] + dphi,
+                                   _PHASE_REFINE_TOL)
             phi_star %= TWO_PI
             if TWO_PI - phi_star < 1e-9:
                 phi_star = 0.0
@@ -637,6 +650,7 @@ class CalibrationResult:
 
 _UNRESOLVED_SCORE = 0.02
 _TIE_TOL = 1e-6
+_SWAP_LABELS = str.maketrans("ab", "ba")
 
 
 def calibrate_presets(
@@ -651,19 +665,26 @@ def calibrate_presets(
     The canonical presets are never modified; a chosen ordering that differs
     from the preset default is reported via matches_default=False, and a
     score above 0.02 flags the assignment as unresolved.
-    """
-    cases = (("nonchiral_eg", 0.0, INITIAL_EG), ("nonchiral_ge", 0.0, INITIAL_GE),
-             ("chiral_eg", 1.0, INITIAL_EG), ("chiral_ge", 1.0, INITIAL_GE))
 
+    Swapping the atom labels maps ordering p with an eg start onto swap(p)
+    with a ge start, so only the first ordering of each swap pair is
+    searched; its twin's row is the same values with the eg and ge columns
+    exchanged. Every search starts from eg or ge over the full phase range,
+    so find_max scans half the phase rows.
+    """
     value_table: dict[str, tuple[float, float, float, float]] = {}
     for pattern in all_orderings():
+        twin = value_table.get(pattern.translate(_SWAP_LABELS))
+        if twin is not None:
+            value_table[pattern] = (twin[1], twin[0], twin[3], twin[2])
+            continue
         cfg = layout_from_pattern(pattern)
-        vals = []
-        for _, chi, c0 in cases:
-            res = find_max(cfg, ChiralitySpec(gamma_total, chi), c0,
-                           t_horizon=t_horizon, phi_points=phi_points, t_points=t_points)
-            vals.append(res.c_max)
-        value_table[pattern] = tuple(vals)
+        # columns in the order of ConfigTargets.bands(): nonchiral eg, ge, chiral eg, ge
+        value_table[pattern] = tuple(
+            find_max(cfg, ChiralitySpec(gamma_total, chi), c0,
+                     t_horizon=t_horizon, phi_points=phi_points, t_points=t_points).c_max
+            for chi in (0.0, 1.0) for c0 in (INITIAL_EG, INITIAL_GE)
+        )
 
     assignments: dict[str, ConfigCalibration] = {}
     for preset, tg in CALIBRATION_TARGETS.items():

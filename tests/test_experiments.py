@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -50,9 +51,12 @@ def traj_for(preset, phi, chi=0.0, t_max=60.0, n=1201, c0=INITIAL_EG):
 
 
 def test_golden_max_finds_peak():
-    x, v = _golden_max(lambda u: -(u - 0.3) ** 2, 0.0, 1.0)
+    def f(u):
+        return -(u - 0.3) ** 2
+
+    x = _golden_max(f, 0.0, 1.0)
     assert x == pytest.approx(0.3, abs=1e-6)
-    assert v == pytest.approx(0.0, abs=1e-12)
+    assert f(x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sweep_decoupled_row_is_zero():
@@ -204,6 +208,73 @@ def test_scan_matches_plain_expressions(monkeypatch):
     c1 = ep * p1[:, None] + em * q1[:, None]
     c2 = ep * p2[:, None] + em * q2[:, None]
     assert matrix.tobytes() == (2.0 * np.abs(c1) * np.abs(c2)).tobytes()
+
+
+@pytest.mark.parametrize("kwargs", [{"t_points": 1}, {"t_points": 0}, {"phi_points": 0}])
+def test_find_max_rejects_grid_sizes(kwargs):
+    (name, _), = kwargs.items()
+    with pytest.raises(ValueError, match=name):
+        find_max(make_preset("separated"), CASCADE, INITIAL_EG, **kwargs)
+
+
+def _swap(pattern):
+    return pattern.translate(str.maketrans("ab", "ba"))
+
+
+def _count_scan_rows(monkeypatch, full_phis=None):
+    """Record the phase rows each scan receives; with full_phis, scan those
+    instead, which gives find_max's result without the mirror reduction."""
+    scan = experiments._concurrence_scan_uniform
+    rows = []
+
+    def counted(cfg, chirality, c0, phis, n_t, dt):
+        rows.append(phis.size)
+        return scan(cfg, chirality, c0, phis if full_phis is None else full_phis, n_t, dt)
+
+    monkeypatch.setattr(experiments, "_concurrence_scan_uniform", counted)
+    return rows
+
+
+@pytest.mark.parametrize("phi_points", [201, 200])
+@pytest.mark.parametrize("pattern, chi, c0", [
+    ("abbaab", 0.0, INITIAL_EG),
+    ("aababb", 0.3, INITIAL_GE),
+    ("abbbaa", 1.0, INITIAL_EG),
+    ("ababba", 0.7, InitialState(0.6, -0.8)),
+    ("aabbba", 0.5, InitialState(0.6j, 0.8j)),  # real up to a global phase
+    ("aaabbb", 0.8, InitialState(0.96 * cmath.exp(0.7j), -0.28 * cmath.exp(0.7j))),
+])
+def test_mirror_reduced_search_matches_full_scan(monkeypatch, pattern, chi, c0, phi_points):
+    cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
+    rows = _count_scan_rows(monkeypatch)
+    res = find_max(cfg, spec, c0, phi_points=phi_points, t_points=401)
+    assert rows == [(phi_points + 1) // 2]
+    _count_scan_rows(monkeypatch, np.linspace(0.0, 2 * math.pi, phi_points))
+    ref = find_max(cfg, spec, c0, phi_points=phi_points, t_points=401)
+    assert res.c_max == pytest.approx(ref.c_max, abs=1e-12)
+    assert min(abs(res.phi_star - ref.phi_star), abs(res.phi_star - (2 * math.pi - ref.phi_star))) < 1e-6
+    assert res.t_star == pytest.approx(ref.t_star, abs=1e-6)
+
+
+@pytest.mark.parametrize("c0, phi_range", [
+    (InitialState(0.6, 0.8j), (0.0, 2 * math.pi)),  # complex start
+    (INITIAL_EG, (0.0, math.pi)),  # range not symmetric about pi
+    (INITIAL_EG, (0.5, 2 * math.pi)),
+])
+def test_mirror_reduction_needs_real_start_and_symmetric_range(monkeypatch, c0, phi_range):
+    rows = _count_scan_rows(monkeypatch)
+    find_max(layout_from_pattern("abbaab"), ChiralitySpec(1.0, 0.4), c0, phi_range, phi_points=101, t_points=201)
+    assert rows == [101]
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("pattern", ["aaabbb", "abbaab", "aababb"])
+def test_label_swap_maps_eg_onto_ge(pattern, chi):
+    # calibrate_presets fills swap(p)'s row from p's: the physics behind it
+    spec = ChiralitySpec(1.0, chi)
+    res = find_max(layout_from_pattern(pattern), spec, INITIAL_EG, phi_points=201, t_points=401)
+    twin = find_max(layout_from_pattern(_swap(pattern)), spec, INITIAL_GE, phi_points=201, t_points=401)
+    assert twin.c_max == pytest.approx(res.c_max, abs=1e-12)
 
 
 def test_find_max_ties_keep_the_first_cell():
@@ -455,7 +526,10 @@ def test_calibration_quick():
     layout = result.layout("partially_nested")
     assert layout.atom_a.positions == (0, 2, 5)
     assert layout.atom_b.positions == (1, 3, 4)
-    assert set(result.value_table) == set(all_orderings())
+    assert list(result.value_table) == all_orderings()
+    # each swap twin's row is its partner's with the eg and ge columns exchanged
+    for pattern, (ne, ng, ce, cg) in result.value_table.items():
+        assert result.value_table[_swap(pattern)] == (ng, ne, cg, ce)
 
 
 def test_calibration_targets_shape():
