@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from functools import cache
+from itertools import combinations, count
 
 import numpy as np
 
@@ -127,27 +128,66 @@ def _first_max(blocks):
     return winners[int(np.argmax([v for _, _, v in winners]))]
 
 
+# Taylor coefficients of cos z and sinc z = sin z / z in w = z^2, up to the
+# first cos term below 2^-53 at |z| = _SINC_FORM_MAX_Z (1/20! at |z| = 1)
+_SERIES_LENGTH = next(k for k in count(1) if _SINC_FORM_MAX_Z ** (2 * k) / math.factorial(2 * k) < 2.0**-53)
+_COS_SERIES, _SINC_SERIES = (
+    np.array([(-1) ** k / math.factorial(2 * k + j) for k in range(_SERIES_LENGTH)]) for j in (0, 1)
+)
+
+
+def _even_series(coef, w_max, w, h):
+    """Per row, the series sum_k coef[k] w^k truncated before its first term
+    below 2^-53 at the row's largest |w|, w_max, evaluated by Horner's rule
+    into h.
+
+    A row's dropped terms are zero coefficients, and Horner's rule over
+    leading zeros gives exactly the value without them, so a row's value
+    does not depend on the rows it shares a block with.
+    """
+    coefs = np.where(w_max[:, None] ** np.arange(coef.size) * np.abs(coef) >= 2.0**-53, coef, 0.0)
+    n = int(np.count_nonzero(coefs, axis=1).max())
+    h[...] = coefs[:, n - 1, None]
+    for k in range(n - 2, -1, -1):
+        np.add(np.multiply(h, w, out=h), coefs[:, k, None], out=h)
+    return h
+
+
 def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     """First maximum (row, col, value) of the concurrence over
     phis x (0, dt, 2dt, ...): fast search-grade scan.
 
-    Exploits the uniform time grid: the two eigen-exponentials are geometric
-    sequences, built by cumulative products instead of per-cell exp calls.
-    Accumulated drift is O(n_t * eps) ~ 1e-12, fine for locating extrema;
-    anything that matters gets re-evaluated with the exact propagator.
+    Exploits the uniform time grid: every exponential is a geometric
+    sequence, built by cumulative products instead of per-cell exp calls.
+    A row takes one of two forms, both on this recurrence, by its largest
+    |z| = |s| t:
+    - |z| beyond _SINC_FORM_MAX_Z: the two eigen-exponentials e^{-i(mu+-s)t}
+      with their spectral weights;
+    - otherwise, degenerate or nearly so: c = e^{-i mu t} (cos z c0 -
+      i t sinc z d), cos z and sinc z from their series in w = z^2.
+    No row calls _evolve. Accumulated drift is O(n_t * eps) ~ 1e-12, fine
+    for locating extrema; anything that matters gets re-evaluated with the
+    exact propagator.
 
     Blocks of _ROW_BLOCK phase rows are computed one at a time into work
     arrays allocated once per call (fresh memory for every temporary of
-    every block costs page faults that outweigh the arithmetic); the
-    ufuncs and their order are those of the plain expressions.
+    every block costs page faults that outweigh the arithmetic). The
+    spectral rows use the ufuncs, in their order, of the plain expressions.
     """
     gamma_r, gamma_l = rates_from_chirality(chirality)
     m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
     t_max = (n_t - 1) * dt
     ts = np.arange(n_t) * dt
+    t_sq, i_t = ts * ts, 1j * ts
     shape = (min(_ROW_BLOCK, phis.size), n_t)
     seq, ep, em, tmp = (np.empty(shape, dtype=complex) for _ in range(4))
     out, mag1, mag2 = np.empty(shape), np.empty(shape), np.empty(shape)
+
+    def geometric(rate, sq, dest):
+        """e^{-i rate t} over the time grid, per row, into dest."""
+        sq[:, 0] = 1.0
+        sq[:, 1:] = np.exp(-1j * rate * dt)[:, None]
+        return np.cumprod(sq, axis=1, out=dest)
 
     def block(sl):
         a11, a12, a21, a22 = m11[sl], m12[sl], m21[sl], m22[sl]
@@ -159,22 +199,30 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
         rows = np.flatnonzero(spectral)
         if rows.size:
             k = rows.size
-            lam_p = (mu + s)[rows]
-            lam_m = (mu - s)[rows]
             p1, q1, p2, q2 = spectral_weights(s[rows], c0.c_eg, c0.c_ge, d1[rows], d2[rows])
             sq, e_p, e_m, t_k, r1, r2 = seq[:k], ep[:k], em[:k], tmp[:k], mag1[:k], mag2[:k]
-            sq[:, 0] = 1.0
-            sq[:, 1:] = np.exp(-1j * lam_p * dt)[:, None]
-            np.cumprod(sq, axis=1, out=e_p)
-            sq[:, 1:] = np.exp(-1j * lam_m * dt)[:, None]
-            np.cumprod(sq, axis=1, out=e_m)
+            geometric((mu + s)[rows], sq, e_p)
+            geometric((mu - s)[rows], sq, e_m)
             # c1 = e_p p1 + e_m q1 into sq, c2 = e_p p2 + e_m q2 into e_p
             np.add(np.multiply(e_p, p1[:, None], out=sq), np.multiply(e_m, q1[:, None], out=t_k), out=sq)
             np.add(np.multiply(e_p, p2[:, None], out=e_p), np.multiply(e_m, q2[:, None], out=t_k), out=e_p)
             out[rows] = concurrence_values(sq, e_p, (r1, r2))
         rows = np.flatnonzero(~spectral)
         if rows.size:
-            out[rows] = _concurrence_rows(a11[rows], a12[rows], a21[rows], a22[rows], c0, ts)
+            k = rows.size
+            sq, cz, its, t_k, r1, r2 = seq[:k], ep[:k], em[:k], tmp[:k], mag1[:k], mag2[:k]
+            sr = s[rows]
+            w_max = (np.abs(sr) * t_max) ** 2
+            w = np.multiply((sr * sr)[:, None], t_sq, out=sq)
+            _even_series(_COS_SERIES, w_max, w, cz)
+            np.multiply(_even_series(_SINC_SERIES, w_max, w, its), i_t, out=its)
+            # the phase goes into both factors first: c1 into sq, c2 into cz
+            phase = geometric(mu[rows], t_k, sq)
+            np.multiply(phase, cz, out=cz)
+            np.multiply(phase, its, out=its)
+            np.subtract(np.multiply(cz, c0.c_eg, out=sq), np.multiply(its, d1[rows][:, None], out=t_k), out=sq)
+            np.subtract(np.multiply(cz, c0.c_ge, out=cz), np.multiply(its, d2[rows][:, None], out=its), out=cz)
+            out[rows] = concurrence_values(sq, cz, (r1, r2))
         return out[: a11.size]
 
     return _first_max(block(slice(lo, lo + _ROW_BLOCK)) for lo in range(0, phis.size, _ROW_BLOCK))
@@ -697,6 +745,8 @@ def calibrate_presets(
             scored.append((score, pattern, devs, vals))
         scored.sort(key=lambda item: (item[0], item[1]))
 
+        # once per ordering: the walk below and the tie list both ask
+        @cache
         def peaks_pass(pattern):
             cfg = layout_from_pattern(pattern)
             for pk in tg.peaks:

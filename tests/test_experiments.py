@@ -12,6 +12,7 @@ from giantatoms import (
     InitialState,
     ModeClass,
     PhaseKind,
+    Preset,
     build_heff,
     calibrate_presets,
     chirality_scan,
@@ -29,7 +30,7 @@ from giantatoms import (
     trajectory,
 )
 from giantatoms import experiments
-from giantatoms.dynamics import eigen_split, spectral_weights
+from giantatoms.dynamics import _SINC_FORM_MAX_Z, _SINC_SERIES_MAX_Z, eigen_split, spectral_weights
 from giantatoms.experiments import (
     CALIBRATION_TARGETS,
     _count_peaks,
@@ -160,9 +161,10 @@ def _scan(monkeypatch, chunk, cfg, spec, c0, phis, n_t):
 
 @pytest.mark.parametrize("pattern, chi, c0, n_t", [
     ("abaabb", 0.37, InitialState(0.6, 0.8j), 4001),  # spectral rows only
-    ("aaabbb", 1.0, INITIAL_EG, 401),  # the cascade: every row through _evolve
+    ("aaabbb", 1.0, INITIAL_EG, 401),  # the cascade: every row has s = 0
     ("aaabbb", 0.37, InitialState(0.6, 0.8j), 401),  # both kinds of row
-    ("aaabbb", 1.0, INITIAL_EG, 4001),  # 7 or 16 such rows pass numpy's in-place size, 1 row does not
+    ("aaabbb", 1.0, INITIAL_EG, 4001),
+    ("aaabbb", 0.0, InitialState(0.6, 0.8j), 4001),  # near-degenerate rows: series of different lengths
 ])
 def test_scan_does_not_depend_on_block_size(monkeypatch, pattern, chi, c0, n_t):
     args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, np.linspace(0.0, 2 * math.pi, 101), n_t)
@@ -173,6 +175,38 @@ def test_scan_does_not_depend_on_block_size(monkeypatch, pattern, chi, c0, n_t):
         other, other_matrix = _scan(monkeypatch, chunk, *args)
         assert other == result
         assert other_matrix.tobytes() == matrix.tobytes()
+
+
+def _row_kinds(cfg, spec, phis, t_max):
+    """The scan's row kinds by |s| t_max: degenerate, near-degenerate or
+    spectral."""
+    _, _, s = eigen_split(*experiments._m_components(cfg, *rates_from_chirality(spec), phis))
+    z = np.abs(s) * t_max
+    kinds = (("degenerate", z < _SINC_SERIES_MAX_Z), ("near", (z >= _SINC_SERIES_MAX_Z) & (z <= _SINC_FORM_MAX_Z)),
+             ("spectral", z > _SINC_FORM_MAX_Z))
+    return {kind for kind, rows in kinds if rows.any()}
+
+
+_DEGENERATE_SCANS = [
+    ("aaabbb", 1.0, np.linspace(0.0, 2 * math.pi, 101), {"degenerate"}),  # every row has s = 0
+    ("aaabbb", 0.0, np.linspace(0.0, 2 * math.pi, 101), {"near", "spectral"}),
+    ("abbaab", 1.0, np.linspace(0.0, 2 * math.pi, 2001)[950:1051], {"degenerate", "near", "spectral"}),
+]
+_DEGENERATE_IDS = ["cascade", "aaabbb-chi0", "abbaab-near-pi"]
+
+
+@pytest.mark.parametrize("pattern, chi, phis, kinds", _DEGENERATE_SCANS, ids=_DEGENERATE_IDS)
+def test_scan_matches_exact_propagator_without_evolve(monkeypatch, pattern, chi, phis, kinds):
+    cfg, spec, c0, n_t = layout_from_pattern(pattern), ChiralitySpec(1.0, chi), InitialState(0.6, 0.8j), 4001
+    assert _row_kinds(cfg, spec, phis, 50.0) == kinds
+    exact = experiments._concurrence_matrix(cfg, spec, c0, phis, np.arange(n_t) * (50.0 / (n_t - 1)))
+
+    def refuse(*args):
+        raise AssertionError("the scan called _evolve")
+
+    monkeypatch.setattr(experiments, "_evolve", refuse)
+    _, matrix = _scan(monkeypatch, experiments._ROW_BLOCK, cfg, spec, c0, phis, n_t)
+    assert np.max(np.abs(matrix - exact)) < 1e-11
 
 
 @pytest.mark.parametrize("pattern, chi", [("abaabb", 0.37), ("aaabbb", 1.0)])
@@ -532,9 +566,29 @@ def test_calibration_quick():
         assert result.value_table[_swap(pattern)] == (ng, ne, cg, ce)
 
 
-def test_calibration_targets_shape():
-    from giantatoms import Preset
+def test_calibration_checks_each_ordering_peak_once(monkeypatch):
+    # with every table value equal, every fully nested ordering ties with the
+    # first that passes its peak check, so the walk up the score order and
+    # the tie list both reach the winner
+    search = experiments.find_max
+    checked = []
 
+    def counted(cfg, chirality, c0, *args, **kwargs):
+        if kwargs["phi_points"] != 1:
+            return experiments.MaxResult(0.9, 0.0, 0.0, None)
+        checked.append(cfg.atom_a.positions)
+        return search(cfg, chirality, c0, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "find_max", counted)
+    monkeypatch.setattr(experiments, "CALIBRATION_TARGETS",
+                        {Preset.FULLY_NESTED: CALIBRATION_TARGETS[Preset.FULLY_NESTED]})
+    result = calibrate_presets(t_points=401)
+    assert result.assignments["fully_nested"].peaks_ok
+    nested = [p for p in all_orderings() if experiments._name_consistent(Preset.FULLY_NESTED, p)]
+    assert sorted(checked) == sorted(layout_from_pattern(p).atom_a.positions for p in nested)
+
+
+def test_calibration_targets_shape():
     named = {Preset.SEPARATED, Preset.FULLY_BRAIDED, Preset.PARTIALLY_BRAIDED,
              Preset.FULLY_NESTED, Preset.PARTIALLY_NESTED}
     assert set(CALIBRATION_TARGETS) == named
