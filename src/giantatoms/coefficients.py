@@ -1,29 +1,36 @@
 """Waveguide-induced coefficients for a pair of three-point giant atoms.
 
-For each atom j the Lamb shift and individual decay are double sums over its
-coupling points n, m (all 9 ordered pairs, diagonal included):
+Every point couples with rate gamma_R into right movers and gamma_L into
+left movers.  For each atom j the Lamb shift and individual decay are sums
+over its 9 ordered point pairs (diagonal included), and the cross-atom
+collective decay and exchange coupling sum over the 9 (a_n, b_m) pairs.
+Each term is a phase e^{i phi d} at an integer pair distance d, so a layout
+enters only through how many pairs sit at each distance: within a, within b,
+b right of a (forward) and b left of a (backward).  With each row's sum
 
-    delta_omega_j = sum (sqrt(r_n r_m) + sqrt(l_n l_m))/2 * sin(phi*|x_n - x_m|)
-    Gamma_j       = sum (sqrt(r_n r_m) + sqrt(l_n l_m))   * cos(phi*|x_n - x_m|)
+    S_j, fw, bw = sum_d count(d) e^{i phi d}   (within j, forward, backward)
+    F = fw + conj(bw),   H = fw - conj(bw)
 
-and the cross-atom collective decay and exchange coupling run over the 9
-(a_n, b_m) pairs with a direction sign eps = sign(x_bm - x_an):
+the six coefficients are
 
-    Gamma_coll = sum  sqrt(r_an r_bm) e^{+i eps phi d} + sqrt(l_an l_bm) e^{-i eps phi d}
-    g          = sum (eps/2i) [ sqrt(r_an r_bm) e^{+i eps phi d} - sqrt(l_an l_bm) e^{-i eps phi d} ]
+    delta_omega_j = (gamma_R + gamma_L)/2 Im S_j
+    Gamma_j       = (gamma_R + gamma_L)   Re S_j
+    Gamma_coll    = gamma_R F + gamma_L conj(F)
+    g             = (gamma_R H - gamma_L conj(H)) / 2i
 
-with d = |x_an - x_bm|.  Under symmetric rates (r = l = gamma/2) these reduce
-to the purely real cos/sin forms implemented independently in
+Under symmetric rates (gamma_R = gamma_L = gamma/2) these reduce to the
+purely real cos/sin forms implemented independently in
 ``coefficients_nonchiral``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .model import LayoutConfiguration, GiantAtom, LayoutError, epsilon, validate_layout
+from .model import LayoutConfiguration, LayoutError, validate_layout
 
 
 @dataclass(frozen=True)
@@ -41,16 +48,25 @@ def phase_distance(p: int, q: int, phi: float) -> float:
     return abs(p - q) * phi
 
 
-def _point_rates(atom: GiantAtom, gamma_r: float, gamma_l: float) -> tuple[list[float], list[float]]:
-    right = [pt.rate_right if pt.rate_right is not None else gamma_r for pt in atom.points]
-    left = [pt.rate_left if pt.rate_left is not None else gamma_l for pt in atom.points]
-    return right, left
-
-
 def _require_valid(cfg: LayoutConfiguration) -> None:
     problems = validate_layout(cfg)
     if problems:
         raise LayoutError("; ".join(problems))
+
+
+def _distance_counts(cfg: LayoutConfiguration) -> tuple[np.ndarray, np.ndarray]:
+    """The layout's distinct pair distances and a 4 x len(dists) table of how
+    many ordered point pairs sit at each: within a, within b, b right of a,
+    b left of a."""
+    pa, pb = cfg.atom_a.positions, cfg.atom_b.positions
+    pairs = [(0, 0, 3), (1, 0, 3)]  # the three diagonal pairs of each atom
+    pairs += [(row, y - x, 2) for row, pos in ((0, pa), (1, pb)) for x, y in combinations(pos, 2)]
+    pairs += [(2, y - x, 1) if x < y else (3, x - y, 1) for x in pa for y in pb]
+    dists = sorted({d for _, d, _ in pairs})
+    counts = np.zeros((4, len(dists)))
+    for row, d, n in pairs:
+        counts[row, dists.index(d)] += n
+    return np.array(dists, dtype=float), counts
 
 
 def _coefficient_arrays(cfg, phis, gamma_r, gamma_l):
@@ -62,46 +78,21 @@ def _coefficient_arrays(cfg, phis, gamma_r, gamma_l):
     _require_valid(cfg)
     if gamma_r < 0 or gamma_l < 0 or (gamma_r == 0 and gamma_l == 0):
         raise ValueError("rates must be non-negative and not both zero")
+    total = gamma_r + gamma_l
+    # no coefficient exceeds the 9 pairs' total weight
+    if not math.isfinite(9.0 * total):
+        raise ValueError("coupling rates too large: the coefficients overflow")
     phis = np.asarray(phis, dtype=float)
     if not np.all(np.isfinite(phis)):
         raise ValueError("phase shifts must be finite")
 
-    ra, la = _point_rates(cfg.atom_a, gamma_r, gamma_l)
-    rb, lb = _point_rates(cfg.atom_b, gamma_r, gamma_l)
-    # every pair weight sqrt(r_n r_m) is finite iff every r_n * r_n is
-    if not all(math.isfinite(r * r) for r in ra + la + rb + lb):
-        raise ValueError("coupling rates too large: the pair weights sqrt(r_n r_m) overflow")
-
-    within = []
-    for (right, left), atom in (((ra, la), cfg.atom_a), ((rb, lb), cfg.atom_b)):
-        pos = atom.positions
-        delta = np.zeros_like(phis)
-        decay = np.zeros_like(phis)
-        for n in range(len(pos)):
-            for m in range(len(pos)):
-                w = math.sqrt(right[n] * right[m]) + math.sqrt(left[n] * left[m])
-                arg = phis * phase_distance(pos[n], pos[m], 1.0)
-                delta = delta + (w / 2.0) * np.sin(arg)
-                decay = decay + w * np.cos(arg)
-        within.append((delta, decay))
-
-    pa, pb = cfg.atom_a.positions, cfg.atom_b.positions
-    gamma_coll = np.zeros(phis.shape, dtype=complex)
-    g = np.zeros(phis.shape, dtype=complex)
-    for n in range(len(pa)):
-        for m in range(len(pb)):
-            eps = epsilon(pa[n], pb[m])
-            d = phase_distance(pa[n], pb[m], 1.0)
-            wr = math.sqrt(ra[n] * rb[m])
-            wl = math.sqrt(la[n] * lb[m])
-            e = np.exp(1j * eps * d * phis)
-            ec = np.conj(e)
-            gamma_coll = gamma_coll + wr * e + wl * ec
-            if eps != 0:
-                g = g + (eps / 2j) * (wr * e - wl * ec)
-
-    (delta_a, dec_a), (delta_b, dec_b) = within
-    return delta_a, delta_b, dec_a, dec_b, gamma_coll, g
+    dists, counts = _distance_counts(cfg)
+    e = np.exp(1j * np.multiply.outer(phis, dists))
+    s_a, s_b, fw, bw = ((e * row).sum(-1) for row in counts)
+    f = fw + np.conj(bw)
+    h = fw - np.conj(bw)
+    return (0.5 * total * s_a.imag, 0.5 * total * s_b.imag, total * s_a.real, total * s_b.real,
+            gamma_r * f + gamma_l * np.conj(f), (gamma_r * h - gamma_l * np.conj(h)) / 2j)
 
 
 def coefficients(cfg: LayoutConfiguration, phi: float, gamma_r: float, gamma_l: float) -> CoefficientSet:
@@ -122,39 +113,26 @@ def coefficients_nonchiral(cfg: LayoutConfiguration, phi: float, gamma: float) -
     if not (gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
 
-    def tot(atom):
-        out = []
-        for pt in atom.points:
-            if pt.rate_right is not None and pt.rate_left is not None:
-                out.append(pt.rate_right + pt.rate_left)
-            else:
-                out.append(gamma)
-        return out
-
     within = []
     for atom in (cfg.atom_a, cfg.atom_b):
-        rates = tot(atom)
         pos = atom.positions
         delta = 0.0
         decay = 0.0
         for n in range(len(pos)):
             for m in range(len(pos)):
-                w = math.sqrt(rates[n] * rates[m])
                 arg = phase_distance(pos[n], pos[m], phi)
-                delta += (w / 2.0) * math.sin(arg)
-                decay += w * math.cos(arg)
+                delta += (gamma / 2.0) * math.sin(arg)
+                decay += gamma * math.cos(arg)
         within.append((delta, decay))
 
-    rates_a, rates_b = tot(cfg.atom_a), tot(cfg.atom_b)
     pa, pb = cfg.atom_a.positions, cfg.atom_b.positions
     gamma_coll = 0.0
     g = 0.0
     for n in range(len(pa)):
         for m in range(len(pb)):
-            w = math.sqrt(rates_a[n] * rates_b[m])
             arg = phase_distance(pa[n], pb[m], phi)
-            gamma_coll += w * math.cos(arg)
-            g += (w / 2.0) * math.sin(arg)
+            gamma_coll += gamma * math.cos(arg)
+            g += (gamma / 2.0) * math.sin(arg)
 
     (delta_a, dec_a), (delta_b, dec_b) = within
     return CoefficientSet(delta_a, delta_b, dec_a, dec_b, complex(gamma_coll), complex(g))

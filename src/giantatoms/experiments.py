@@ -93,20 +93,15 @@ def _m_components(cfg, gamma_r, gamma_l, phis):
 _ROW_BLOCK = 16
 
 
-def _concurrence_rows(m11, m12, m21, m22, c0, ts):
-    """Exact concurrence over phase rows x ts, from the rows' 1-d matrix
-    entries."""
-    c1, c2 = _evolve(m11[:, None], m12[:, None], m21[:, None], m22[:, None], c0.c_eg, c0.c_ge, ts[None, :])
-    return concurrence_values(c1, c2)
-
-
 def _concurrence_matrix(cfg, chirality, c0, phis, ts):
+    """Exact concurrence over phis x ts, _ROW_BLOCK phase rows at a time."""
     gamma_r, gamma_l = rates_from_chirality(chirality)
     m = _m_components(cfg, gamma_r, gamma_l, phis)
     out = np.empty((phis.size, ts.size), dtype=float)
     for lo in range(0, phis.size, _ROW_BLOCK):
-        sl = slice(lo, lo + _ROW_BLOCK)
-        out[sl] = _concurrence_rows(*(x[sl] for x in m), c0, ts)
+        m11, m12, m21, m22 = (x[lo : lo + _ROW_BLOCK, None] for x in m)
+        c1, c2 = _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, ts[None, :])
+        out[lo : lo + _ROW_BLOCK] = concurrence_values(c1, c2)
     return out
 
 

@@ -7,6 +7,7 @@ multiple of the single phase parameter phi.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,13 +42,11 @@ class LayoutError(ValueError):
 class CouplingPoint:
     """One connection point of an atom to the waveguide.
 
-    Emission rates into right/left movers are optional; when None they are
-    filled in from a ChiralitySpec at the point of use.
+    Every point emits into right/left movers at the rates a ChiralitySpec
+    gives.
     """
 
     position: int
-    rate_right: float | None = None
-    rate_left: float | None = None
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def make_layout(
     positions_b: tuple[int, ...] | list[int],
     tag: Preset = Preset.CUSTOM,
 ) -> LayoutConfiguration:
-    """Build a layout from bare positions, leaving per-point rates unset."""
+    """Build a layout from bare positions."""
     atom_a = GiantAtom("a", tuple(CouplingPoint(int(p)) for p in positions_a))
     atom_b = GiantAtom("b", tuple(CouplingPoint(int(p)) for p in positions_b))
     return LayoutConfiguration(atom_a, atom_b, tag)
@@ -103,10 +102,6 @@ def validate_layout(cfg: LayoutConfiguration) -> list[str]:
             problems.append(f"atom {atom.label}: positions must be non-negative integers, got {pos}")
         if any(q <= p for p, q in zip(pos, pos[1:])):
             problems.append(f"atom {atom.label}: positions not strictly increasing: {pos}")
-        for pt in atom.points:
-            for rate, name in ((pt.rate_right, "rate_right"), (pt.rate_left, "rate_left")):
-                if rate is not None and rate < 0:
-                    problems.append(f"atom {atom.label} position {pt.position}: negative {name}")
     seen: dict[int, str] = {}
     for atom in (cfg.atom_a, cfg.atom_b):
         for p in atom.positions:
@@ -134,16 +129,17 @@ class ChiralitySpec:
     chi: float = 0.0
 
     def __post_init__(self):
-        if not (self.gamma_total > 0):
-            raise ValueError(f"gamma_total must be positive, got {self.gamma_total}")
+        if not (0 < self.gamma_total < math.inf):
+            raise ValueError(f"gamma_total must be positive and finite, got {self.gamma_total}")
         if not (0.0 <= self.chi <= 1.0):
             raise ValueError(f"chi must lie in [0, 1], got {self.chi}")
 
 
 def rates_from_chirality(spec: ChiralitySpec) -> tuple[float, float]:
     """Split gamma_total into (gamma_right, gamma_left) for the given chi."""
-    gamma_r = spec.gamma_total * (1.0 + spec.chi) / 2.0
-    gamma_l = spec.gamma_total * (1.0 - spec.chi) / 2.0
+    # halved first, so no product overflows for any finite gamma_total
+    gamma_r = 0.5 * spec.gamma_total * (1.0 + spec.chi)
+    gamma_l = 0.5 * spec.gamma_total * (1.0 - spec.chi)
     return gamma_r, gamma_l
 
 

@@ -214,10 +214,13 @@ def test_psd_mask_at_huge_rates():
 
 def test_rate_overflow_is_a_named_error():
     cfg = make_preset("separated")
+    # the largest coefficient is 9 (gamma_R + gamma_L): rates this large are fine
+    big = as_tuple(coefficients(cfg, 1.0, 5e199, 5e199))
+    unit = as_tuple(coefficients(cfg, 1.0, 0.5, 0.5))
+    for x, y in zip(big, unit):
+        assert abs(x - 1e200 * y) <= 1e-15 * abs(1e200 * y)
     with pytest.raises(ValueError, match="overflow"):
-        coefficients(cfg, 1.0, 5e199, 5e199)
-    with pytest.raises(ValueError, match="overflow"):
-        coefficients(cfg, 1.0, 1e160, 0.0)
+        coefficients(cfg, 1.0, 1e308, 1e308)
 
 
 def test_invalid_layout_rejected():
@@ -238,15 +241,34 @@ def test_bad_rates_rejected():
         coefficients_nonchiral(cfg, 1.0, 0.0)
 
 
-def test_per_point_rates_override():
-    # points carrying explicit rates take precedence over the uniform ones
-    cfg = make_preset("separated")
-    from giantatoms.model import CouplingPoint, GiantAtom, LayoutConfiguration
+layout_positions = st.lists(st.integers(0, 10**6), min_size=6, max_size=6, unique=True)
 
-    atom_a = GiantAtom("a", tuple(CouplingPoint(p, 0.25, 0.25) for p in (0, 1, 2)))
-    cfg2 = LayoutConfiguration(atom_a, cfg.atom_b, cfg.preset_tag)
-    c_mixed = coefficients(cfg2, 0.9, 0.5, 0.5)
-    c_uniform = coefficients(cfg, 0.9, 0.5, 0.5)
-    # atom b untouched; atom a decays at half rate
-    assert c_mixed.gamma_b == pytest.approx(c_uniform.gamma_b, abs=1e-12)
-    assert c_mixed.gamma_a == pytest.approx(0.5 * c_uniform.gamma_a, abs=1e-12)
+
+@given(points=layout_positions, order=st.permutations(range(6)), phi=st.floats(0.0, 2 * math.pi),
+       chi=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_arrays_match_brute_force_on_custom_layouts(coefficient_oracle, points, order, phi, chi):
+    # the six points dealt to the atoms in any interleaving, far apart or not
+    pos_a = tuple(sorted(points[i] for i in order[:3]))
+    pos_b = tuple(sorted(points[i] for i in order[3:]))
+    gr, gl = rates_from_chirality(ChiralitySpec(1.0, chi))
+    got = _coefficient_arrays(make_layout(pos_a, pos_b), np.asarray([phi]), gr, gl)
+    want = coefficient_oracle(pos_a, pos_b, phi, gr, gl)
+    for a, b in zip(got, want):
+        assert abs(a[0] - b) <= 1e-12 * (gr + gl) * 9
+
+
+def test_one_phase_call_equals_grid_element(ordering_layouts):
+    # a scalar evaluation (refinement, special phases, point queries) and a
+    # grid evaluation give the same bits at the same phase
+    phis = np.linspace(0.0, 2 * math.pi, 2001)
+    far = make_layout((0, 7, 100), (3, 1000, 123456))
+    rng = np.random.default_rng(14)
+    for cfg in ordering_layouts[::3] + [far]:
+        for chi in (0.0, 0.37, 1.0):
+            gr, gl = rates_from_chirality(ChiralitySpec(1.0, chi))
+            grid = _coefficient_arrays(cfg, phis, gr, gl)
+            for i in rng.integers(0, phis.size, 8):
+                one = _coefficient_arrays(cfg, phis[i : i + 1], gr, gl)
+                for x, y in zip(grid, one):
+                    assert x[i].tobytes() == y[0].tobytes()

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import tracemalloc
 
@@ -595,3 +596,21 @@ def test_calibration_targets_shape():
     for tg in CALIBRATION_TARGETS.values():
         labels = [lbl for lbl, _ in tg.bands()]
         assert labels == ["nonchiral_eg", "nonchiral_ge", "chiral_eg", "chiral_ge"]
+
+
+# Parameter positions that bench/tracer.py reads from the positional arguments
+# of the private functions it wraps: a refactor that moves one of them would
+# silently zero the per-layer work counts.
+_TRACED_PARAMETERS = [
+    ("_coefficient_arrays", {"phis": 1}),
+    ("_m_components", {"phis": 3}),
+    ("_concurrence_scan_uniform", {"phis": 3, "n_t": 4}),
+    ("_concurrence_matrix", {"phis": 3, "ts": 4}),
+    ("_evolve", {"m11": 0, "m12": 1, "m21": 2, "m22": 3, "t": 6}),
+]
+
+
+@pytest.mark.parametrize("name,positions", _TRACED_PARAMETERS, ids=[n for n, _ in _TRACED_PARAMETERS])
+def test_traced_functions_keep_their_parameter_positions(name, positions):
+    params = list(inspect.signature(getattr(experiments, name)).parameters)
+    assert {p: params.index(p) for p in positions if p in params} == positions

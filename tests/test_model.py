@@ -31,9 +31,6 @@ def test_make_preset_positions(tag, expected):
     cfg = make_preset(tag)
     assert (cfg.atom_a.positions, cfg.atom_b.positions) == expected
     assert cfg.preset_tag is tag
-    # rates stay unset until a ChiralitySpec fills them in
-    assert all(p.rate_right is None and p.rate_left is None
-               for p in cfg.atom_a.points + cfg.atom_b.points)
 
 
 def test_make_preset_accepts_strings():
@@ -89,6 +86,8 @@ def test_rates_examples():
     assert rates_from_chirality(ChiralitySpec(1.0, 0.0)) == (0.5, 0.5)
     assert rates_from_chirality(ChiralitySpec(1.0, 1.0)) == (1.0, 0.0)
     assert rates_from_chirality(ChiralitySpec(2.0, 0.5)) == (1.5, 0.5)
+    # the largest rates stay finite: gamma is halved before the (1 + chi) product
+    assert rates_from_chirality(ChiralitySpec(1e308, 1.0)) == (1e308, 0.0)
 
 
 @given(
@@ -101,7 +100,8 @@ def test_rates_round_trip(gamma, chi):
     assert abs((gr - gl) / (gr + gl) - chi) <= 1e-15 * max(1.0, chi)
 
 
-@pytest.mark.parametrize("gamma,chi", [(0.0, 0.5), (-1.0, 0.0), (1.0, -0.1), (1.0, 1.5)])
+@pytest.mark.parametrize("gamma,chi", [(0.0, 0.5), (-1.0, 0.0), (1.0, -0.1), (1.0, 1.5), (math.inf, 0.5),
+                                       (math.nan, 0.5)])
 def test_chirality_domain_errors(gamma, chi):
     with pytest.raises(ValueError):
         ChiralitySpec(gamma, chi)
