@@ -3,7 +3,6 @@ with tunable directional (chiral) coupling."""
 
 from .model import (
     ChiralitySpec,
-    CouplingPoint,
     GiantAtom,
     InitialState,
     INITIAL_EG,
@@ -12,11 +11,9 @@ from .model import (
     LayoutError,
     Preset,
     PRESET_POSITIONS,
-    epsilon,
     make_layout,
     make_preset,
     rates_from_chirality,
-    validate_layout,
 )
 from .coefficients import (
     CoefficientSet,

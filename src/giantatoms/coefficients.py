@@ -6,7 +6,10 @@ over its 9 ordered point pairs (diagonal included), and the cross-atom
 collective decay and exchange coupling sum over the 9 (a_n, b_m) pairs.
 Each term is a phase e^{i phi d} at an integer pair distance d, so a layout
 enters only through how many pairs sit at each distance: within a, within b,
-b right of a (forward) and b left of a (backward).  With each row's sum
+b right of a (forward) and b left of a (backward).  The layout counts these
+once, at construction (``LayoutConfiguration.distances`` and
+``pair_counts``), and ``_coefficient_arrays`` reads that table.  With each
+row's sum
 
     S_j, fw, bw = sum_d count(d) e^{i phi d}   (within j, forward, backward)
     F = fw + conj(bw),   H = fw - conj(bw)
@@ -26,11 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .model import LayoutConfiguration, LayoutError, validate_layout
+from .model import LayoutConfiguration
 
 
 @dataclass(frozen=True)
@@ -48,34 +50,12 @@ def phase_distance(p: int, q: int, phi: float) -> float:
     return abs(p - q) * phi
 
 
-def _require_valid(cfg: LayoutConfiguration) -> None:
-    problems = validate_layout(cfg)
-    if problems:
-        raise LayoutError("; ".join(problems))
-
-
-def _distance_counts(cfg: LayoutConfiguration) -> tuple[np.ndarray, np.ndarray]:
-    """The layout's distinct pair distances and a 4 x len(dists) table of how
-    many ordered point pairs sit at each: within a, within b, b right of a,
-    b left of a."""
-    pa, pb = cfg.atom_a.positions, cfg.atom_b.positions
-    pairs = [(0, 0, 3), (1, 0, 3)]  # the three diagonal pairs of each atom
-    pairs += [(row, y - x, 2) for row, pos in ((0, pa), (1, pb)) for x, y in combinations(pos, 2)]
-    pairs += [(2, y - x, 1) if x < y else (3, x - y, 1) for x in pa for y in pb]
-    dists = sorted({d for _, d, _ in pairs})
-    counts = np.zeros((4, len(dists)))
-    for row, d, n in pairs:
-        counts[row, dists.index(d)] += n
-    return np.array(dists, dtype=float), counts
-
-
 def _coefficient_arrays(cfg, phis, gamma_r, gamma_l):
     """Vectorized coefficient evaluation over an array of phase shifts.
 
     Returns (delta_a, delta_b, gamma_a, gamma_b, gamma_coll, g); the first
     four are float arrays, the last two complex arrays, all shaped like phis.
     """
-    _require_valid(cfg)
     if gamma_r < 0 or gamma_l < 0 or (gamma_r == 0 and gamma_l == 0):
         raise ValueError("rates must be non-negative and not both zero")
     total = gamma_r + gamma_l
@@ -86,9 +66,8 @@ def _coefficient_arrays(cfg, phis, gamma_r, gamma_l):
     if not np.all(np.isfinite(phis)):
         raise ValueError("phase shifts must be finite")
 
-    dists, counts = _distance_counts(cfg)
-    e = np.exp(1j * np.multiply.outer(phis, dists))
-    s_a, s_b, fw, bw = ((e * row).sum(-1) for row in counts)
+    e = np.exp(1j * np.multiply.outer(phis, cfg.distances))
+    s_a, s_b, fw, bw = ((e * row).sum(-1) for row in cfg.pair_counts)
     f = fw + np.conj(bw)
     h = fw - np.conj(bw)
     return (0.5 * total * s_a.imag, 0.5 * total * s_b.imag, total * s_a.real, total * s_b.real,
@@ -109,7 +88,6 @@ def coefficients_nonchiral(cfg: LayoutConfiguration, phi: float, gamma: float) -
     reduction identity coefficients(cfg, phi, g/2, g/2) == this can serve as
     a cross-check.
     """
-    _require_valid(cfg)
     if not (gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
 

@@ -168,9 +168,9 @@ def _amplitude_curves(h: EffectiveHamiltonian, c0, times):
 
 
 def propagate_closed(h: EffectiveHamiltonian, c0: InitialState | AmplitudePair, t: float) -> AmplitudePair:
-    """Exact amplitudes at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    """Exact amplitudes at a finite time t >= 0."""
+    if not (0 <= t < math.inf):
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     c1, c2 = _amplitude_curves(h, c0, np.asarray([t]))
     return AmplitudePair(complex(c1[0]), complex(c2[0]))
 
@@ -254,14 +254,14 @@ class Trajectory:
 
 
 def trajectory(h: EffectiveHamiltonian, c0: InitialState, t_grid) -> Trajectory:
-    """Concurrence trajectory on a strictly increasing, non-negative grid.
+    """Concurrence trajectory on a finite, strictly increasing, non-negative grid.
 
     Every point is evaluated independently with the exact propagator, so the
     result carries no step-to-step accumulation and is order-independent.
     """
     times = np.asarray(t_grid, dtype=float)
-    if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("t_grid must be strictly increasing with t_grid[0] >= 0")
+    if times.size == 0 or not np.all(np.isfinite(times)) or times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("t_grid must be finite and strictly increasing with t_grid[0] >= 0")
     c1, c2 = _amplitude_curves(h, c0, times)
     return Trajectory(times, np.stack([c1, c2], axis=-1), concurrence_values(c1, c2), h, c0)
 

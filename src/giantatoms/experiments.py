@@ -278,6 +278,8 @@ def sweep(cfg, chirality, c0, phi_grid, t_grid) -> SweepGrid:
     for name, grid in (("phi_grid", phis), ("t_grid", ts)):
         if grid.size == 0:
             raise ValueError(f"{name} must be non-empty")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"{name} must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
     if ts[0] < 0:
@@ -328,6 +330,8 @@ def find_max(
     if phi_points < 1:
         raise ValueError(f"phi_points must be at least 1, got {phi_points}")
     phi_lo, phi_hi = phi_range
+    if phi_hi < phi_lo:
+        raise ValueError(f"phi_range must not be reversed, got ({phi_lo}, {phi_hi})")
     phis = np.linspace(phi_lo, phi_hi, phi_points) if phi_hi > phi_lo else np.asarray([phi_lo])
     ts = np.linspace(0.0, t_horizon, t_points)
     mirrored = (c0.c_eg * c0.c_ge.conjugate()).imag == 0 and phi_lo + phi_hi == TWO_PI

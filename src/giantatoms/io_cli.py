@@ -69,7 +69,6 @@ from .model import (
     make_layout,
     make_preset,
     rates_from_chirality,
-    validate_layout,
 )
 
 
@@ -256,9 +255,10 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
             if not isinstance(pts, list) or not all(isinstance(p, int) and not isinstance(p, bool) for p in pts):
                 raise ConfigValidationError(f"layout.{key}", "expected a list of integers")
         positions = (tuple(sorted(layout["a"])), tuple(sorted(layout["b"])))
-        problems = validate_layout(make_layout(*positions))
-        if problems:
-            raise ConfigValidationError("layout", "; ".join(problems))
+        try:
+            make_layout(*positions)
+        except LayoutError as exc:
+            raise ConfigValidationError("layout", str(exc)) from None
     elif "layout" in doc:
         raise ConfigValidationError("layout", "expected a preset name or {a: [...], b: [...]}")
 

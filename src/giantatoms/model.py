@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
+
+import numpy as np
 
 
 class Preset(str, Enum):
@@ -35,39 +39,70 @@ POINTS_PER_ATOM = 3
 
 
 class LayoutError(ValueError):
-    """Raised when an operation receives a layout that fails validation."""
-
-
-@dataclass(frozen=True)
-class CouplingPoint:
-    """One connection point of an atom to the waveguide.
-
-    Every point emits into right/left movers at the rates a ChiralitySpec
-    gives.
-    """
-
-    position: int
+    """Raised when a layout fails validation at construction."""
 
 
 @dataclass(frozen=True)
 class GiantAtom:
     label: str  # "a" or "b"
-    points: tuple[CouplingPoint, ...]
+    positions: tuple[int, ...]
 
-    @property
-    def positions(self) -> tuple[int, ...]:
-        return tuple(p.position for p in self.points)
+
+def _pair_table(pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pair distances and a 4 x len(dists) table of how many
+    ordered point pairs sit at each: within a, within b, b right of a, b left
+    of a."""
+    pairs = [(0, 0, len(pa)), (1, 0, len(pb))]  # each atom's diagonal pairs
+    pairs += [(row, y - x, 2) for row, pos in ((0, pa), (1, pb)) for x, y in combinations(pos, 2)]
+    pairs += [(2, y - x, 1) if x < y else (3, x - y, 1) for x in pa for y in pb]
+    dists = sorted({d for _, d, _ in pairs})
+    counts = np.zeros((4, len(dists)))
+    for row, d, n in pairs:
+        counts[row, dists.index(d)] += n
+    return np.array(dists, dtype=float), counts
 
 
 @dataclass(frozen=True)
 class LayoutConfiguration:
+    """Two atoms' coupling points, valid by construction (``LayoutError``
+    otherwise) and reduced once to the read-only pair-distance table of
+    ``_pair_table`` that every coefficient evaluation reads.  Equality,
+    hashing and repr use only the atoms and the tag."""
+
     atom_a: GiantAtom
     atom_b: GiantAtom
     preset_tag: Preset = Preset.CUSTOM
+    distances: np.ndarray = field(init=False, compare=False, repr=False)
+    pair_counts: np.ndarray = field(init=False, compare=False, repr=False)
 
-    @property
-    def all_positions(self) -> tuple[int, ...]:
-        return self.atom_a.positions + self.atom_b.positions
+    def __post_init__(self):
+        problems: list[str] = []
+        for atom in (self.atom_a, self.atom_b):
+            pos = atom.positions
+            if len(pos) != POINTS_PER_ATOM:
+                problems.append(f"atom {atom.label}: expected {POINTS_PER_ATOM} coupling points, got {len(pos)}")
+            if any(not isinstance(p, int) or isinstance(p, bool) or p < 0 for p in pos):
+                problems.append(f"atom {atom.label}: positions must be non-negative integers, got {pos}")
+            if any(q <= p for p, q in zip(pos, pos[1:])):
+                problems.append(f"atom {atom.label}: positions not strictly increasing: {pos}")
+        seen: dict[int, str] = {}
+        for atom in (self.atom_a, self.atom_b):
+            for p in atom.positions:
+                if p in seen:
+                    problems.append(f"duplicate position {p} shared by atoms {seen[p]} and {atom.label}")
+                else:
+                    seen[p] = atom.label
+        if problems:
+            raise LayoutError("; ".join(problems))
+        for name, table in zip(("distances", "pair_counts"), _pair_table(self.atom_a.positions, self.atom_b.positions)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+
+
+def _lattice_positions(positions) -> tuple:
+    # numpy integers become ints; anything else is kept as given, never
+    # truncated, for the layout check to judge (it rejects floats and bools)
+    return tuple(operator.index(p) if isinstance(p, np.integer) else p for p in positions)
 
 
 def make_layout(
@@ -75,10 +110,9 @@ def make_layout(
     positions_b: tuple[int, ...] | list[int],
     tag: Preset = Preset.CUSTOM,
 ) -> LayoutConfiguration:
-    """Build a layout from bare positions."""
-    atom_a = GiantAtom("a", tuple(CouplingPoint(int(p)) for p in positions_a))
-    atom_b = GiantAtom("b", tuple(CouplingPoint(int(p)) for p in positions_b))
-    return LayoutConfiguration(atom_a, atom_b, tag)
+    """Build a layout from bare positions; raises ``LayoutError`` if it is invalid."""
+    return LayoutConfiguration(GiantAtom("a", _lattice_positions(positions_a)),
+                               GiantAtom("b", _lattice_positions(positions_b)), tag)
 
 
 def make_preset(tag: Preset | str) -> LayoutConfiguration:
@@ -88,37 +122,6 @@ def make_preset(tag: Preset | str) -> LayoutConfiguration:
         raise ValueError("make_preset requires a named preset, not CUSTOM")
     pos_a, pos_b = PRESET_POSITIONS[tag]
     return make_layout(pos_a, pos_b, tag)
-
-
-def validate_layout(cfg: LayoutConfiguration) -> list[str]:
-    """Return a list of violations; an empty list means the layout is valid."""
-    problems: list[str] = []
-    for atom in (cfg.atom_a, cfg.atom_b):
-        n = len(atom.points)
-        if n != POINTS_PER_ATOM:
-            problems.append(f"atom {atom.label}: expected {POINTS_PER_ATOM} coupling points, got {n}")
-        pos = atom.positions
-        if any(not isinstance(p, int) or p < 0 for p in pos):
-            problems.append(f"atom {atom.label}: positions must be non-negative integers, got {pos}")
-        if any(q <= p for p, q in zip(pos, pos[1:])):
-            problems.append(f"atom {atom.label}: positions not strictly increasing: {pos}")
-    seen: dict[int, str] = {}
-    for atom in (cfg.atom_a, cfg.atom_b):
-        for p in atom.positions:
-            if p in seen:
-                problems.append(f"duplicate position {p} shared by atoms {seen[p]} and {atom.label}")
-            else:
-                seen[p] = atom.label
-    return problems
-
-
-def epsilon(x_a: int, x_b: int) -> int:
-    """Direction sign of a cross pair: +1 if x_a < x_b, 0 if equal, -1 otherwise."""
-    if x_a < x_b:
-        return 1
-    if x_a > x_b:
-        return -1
-    return 0
 
 
 @dataclass(frozen=True)

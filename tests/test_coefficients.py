@@ -224,11 +224,9 @@ def test_rate_overflow_is_a_named_error():
 
 
 def test_invalid_layout_rejected():
-    cfg = make_layout((0, 1, 2), (2, 3, 4))
-    with pytest.raises(LayoutError):
-        coefficients(cfg, 1.0, 0.5, 0.5)
-    with pytest.raises(LayoutError):
-        coefficients_nonchiral(cfg, 1.0, 1.0)
+    # an invalid layout cannot reach a coefficient call: it fails to construct
+    with pytest.raises(LayoutError, match="duplicate position 2 shared by atoms a and b"):
+        make_layout((0, 1, 2), (2, 3, 4))
 
 
 def test_bad_rates_rejected():

@@ -26,6 +26,7 @@ from giantatoms import (
     find_max,
     find_special_phases,
     make_preset,
+    propagate_closed,
     rates_from_chirality,
     sweep,
     trajectory,
@@ -250,6 +251,25 @@ def test_find_max_rejects_grid_sizes(kwargs):
     (name, _), = kwargs.items()
     with pytest.raises(ValueError, match=name):
         find_max(make_preset("separated"), CASCADE, INITIAL_EG, **kwargs)
+
+
+def test_find_max_rejects_reversed_phase_range():
+    with pytest.raises(ValueError, match="reversed"):
+        find_max(make_preset("separated"), NONCHIRAL, INITIAL_EG, (3.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["propagate_closed", "trajectory", "sweep"])
+def test_non_finite_times_rejected(entry, bad):
+    cfg = make_preset("fully_braided")
+    h = build_heff(coefficients(cfg, 1.0, 0.5, 0.5))
+    calls = {
+        "propagate_closed": lambda: propagate_closed(h, INITIAL_EG, bad),
+        "trajectory": lambda: trajectory(h, INITIAL_EG, [0.0, bad]),
+        "sweep": lambda: sweep(cfg, NONCHIRAL, INITIAL_EG, [0.5, 1.0], [0.0, bad]),
+    }
+    with pytest.raises(ValueError, match="finite"):
+        calls[entry]()
 
 
 def _swap(pattern):

@@ -1,20 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from giantatoms import (
     ChiralitySpec,
     InitialState,
+    LayoutError,
     Preset,
     PRESET_POSITIONS,
-    epsilon,
     make_layout,
     make_preset,
     rates_from_chirality,
-    validate_layout,
 )
-from giantatoms.model import CouplingPoint, GiantAtom, LayoutConfiguration
+from giantatoms.model import GiantAtom, LayoutConfiguration
 
 
 CANONICAL = {
@@ -47,39 +47,57 @@ def test_preset_table_is_canonical():
 
 
 def test_every_preset_validates_clean():
+    # a preset constructs, and its table holds all 3 x 3 ordered pairs within
+    # each atom and across them (forward plus backward)
     for tag in CANONICAL:
-        assert validate_layout(make_preset(tag)) == []
+        s_a, s_b, fw, bw = make_preset(tag).pair_counts.sum(axis=1)
+        assert (s_a, s_b, fw + bw) == (9.0, 9.0, 9.0)
 
 
 def test_validate_duplicate_position():
-    cfg = make_layout((0, 1, 2), (2, 3, 4))
-    report = validate_layout(cfg)
-    assert any("duplicate position 2" in line for line in report)
+    with pytest.raises(LayoutError, match="duplicate position 2"):
+        make_layout((0, 1, 2), (2, 3, 4))
 
 
 def test_validate_wrong_point_count():
-    atom_a = GiantAtom("a", (CouplingPoint(0), CouplingPoint(1)))
-    atom_b = GiantAtom("b", tuple(CouplingPoint(p) for p in (2, 3, 4)))
-    report = validate_layout(LayoutConfiguration(atom_a, atom_b))
-    assert any("expected 3 coupling points, got 2" in line for line in report)
+    with pytest.raises(LayoutError, match="expected 3 coupling points, got 2"):
+        LayoutConfiguration(GiantAtom("a", (0, 1)), GiantAtom("b", (2, 3, 4)))
 
 
 def test_validate_ordering_and_negative():
-    cfg = make_layout((2, 1, 0), (3, 4, 5))
-    assert any("strictly increasing" in line for line in validate_layout(cfg))
-    cfg = make_layout((-1, 0, 1), (2, 3, 4))
-    assert any("non-negative" in line for line in validate_layout(cfg))
+    with pytest.raises(LayoutError, match="strictly increasing"):
+        make_layout((2, 1, 0), (3, 4, 5))
+    with pytest.raises(LayoutError, match="non-negative"):
+        make_layout((-1, 0, 1), (2, 3, 4))
 
 
-def test_epsilon_examples():
-    assert epsilon(0, 1) == 1
-    assert epsilon(3, 3) == 0
-    assert epsilon(4, 1) == -1
+@pytest.mark.parametrize("pos_a", [(0, 1.5, 2.7), (0.0, 1.0, 2.0), (0, 1, True), (False, 1, 2)])
+def test_make_layout_rejects_non_integer_positions(pos_a):
+    # floats are never truncated to the lattice, and bools are not positions
+    with pytest.raises(LayoutError, match="positions must be non-negative integers"):
+        make_layout(pos_a, (3, 4, 5))
 
 
-@given(st.integers(-50, 50), st.integers(-50, 50))
-def test_epsilon_antisymmetric(x, y):
-    assert epsilon(x, y) == -epsilon(y, x)
+def test_make_layout_accepts_numpy_integers():
+    cfg = make_layout(np.arange(3), (np.int32(3), np.uint8(4), 5))
+    assert cfg == make_layout((0, 1, 2), (3, 4, 5))
+    assert all(type(p) is int for p in cfg.atom_a.positions + cfg.atom_b.positions)
+
+
+def test_equal_layouts_compare_and_hash_equal():
+    preset = make_preset("separated")
+    built = make_layout((0, 1, 2), (3, 4, 5), Preset.SEPARATED)
+    assert preset == built and hash(preset) == hash(built)
+    assert {preset: "x"}[built] == "x"
+    assert preset != make_layout((0, 1, 2), (3, 4, 5))
+    assert "distances" not in repr(preset)
+
+
+def test_pair_table_is_read_only():
+    cfg = make_preset("fully_nested")
+    for table in (cfg.distances, cfg.pair_counts):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_rates_examples():
