@@ -11,7 +11,9 @@ upstream, g = -i G_coll / 2, so m12 vanishes identically and an excitation
 starting on atom b can never flow back to atom a, while m21 stays finite and
 lets atom a drive atom b.  The decay matrix i(m - m^dagger) then equals
 [[G_a, conj(G_coll)], [G_coll, G_b]], whose positive semidefiniteness is the
-physicality condition enforced by build_heff.
+physicality condition; heff_entries, the one constructor of the entries,
+enforces it.  Times follow one rule too (_times): finite, >= 0 and, for a
+grid, non-empty and strictly increasing.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coefficients import CoefficientSet, check_dissipator_psd
+from .coefficients import CoefficientSet, psd_mask
 from .model import InitialState
 
 # |s t| at or below this uses the cos/sinc form of exp(-i m t) (exact at
@@ -42,10 +44,6 @@ class AmplitudePair:
     c_eg: complex
     c_ge: complex
 
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.c_eg) ** 2 + abs(self.c_ge) ** 2
-
 
 @dataclass(frozen=True, eq=False)
 class EffectiveHamiltonian:
@@ -59,13 +57,21 @@ class EffectiveHamiltonian:
 def heff_entries(da, db, ga, gb, gc, g):
     """Entries (m11, m12, m21, m22) of the effective matrix from the six
     coefficients, as scalars or arrays of one shape (layout in the module
-    docstring)."""
+    docstring).
+
+    Raises PhysicalityError unless the decay matrix is PSD (psd_mask) at
+    every point.
+    """
+    ok = psd_mask(da, db, ga, gb, gc, g)
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        a, b, c = (np.ravel(x)[i] for x in (ga, gb, gc))
+        raise PhysicalityError(f"decay matrix not PSD at {np.size(ok) - np.count_nonzero(ok)} of {np.size(ok)} "
+                               f"points, the first with G_a={a}, G_b={b}, G_coll={c}")
     return da - 0.5j * ga, np.conj(g) - 0.5j * np.conj(gc), g - 0.5j * gc, db - 0.5j * gb
 
 
 def build_heff(c: CoefficientSet) -> EffectiveHamiltonian:
-    if not check_dissipator_psd(c):
-        raise PhysicalityError(f"collective decay matrix not PSD for {c}")
     m11, m12, m21, m22 = heff_entries(c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g)
     return EffectiveHamiltonian(np.array([[m11, m12], [m21, m22]], dtype=complex))
 
@@ -160,18 +166,25 @@ def _evolve(m11, m12, m21, m22, c1, c2, t):
     return out1, out2
 
 
+def _times(name, t):
+    """t as a 1-d float array of times: raises ValueError unless they are
+    finite, >= 0, non-empty and strictly increasing."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)) or times[0] < 0 \
+            or np.any(np.diff(times) <= 0):
+        raise ValueError(f"{name} must be finite, >= 0 and, as a grid, non-empty and strictly increasing")
+    return times
+
+
 def _amplitude_curves(h: EffectiveHamiltonian, c0, times):
-    """Closed-form amplitudes over an array of times for one Hamiltonian."""
+    """Closed-form amplitudes over a float array of times for one Hamiltonian."""
     m = h.matrix
-    times = np.asarray(times, dtype=float)
     return _evolve(m[0, 0], m[0, 1], m[1, 0], m[1, 1], c0.c_eg, c0.c_ge, times)
 
 
 def propagate_closed(h: EffectiveHamiltonian, c0: InitialState | AmplitudePair, t: float) -> AmplitudePair:
     """Exact amplitudes at a finite time t >= 0."""
-    if not (0 <= t < math.inf):
-        raise ValueError(f"t must be finite and non-negative, got {t}")
-    c1, c2 = _amplitude_curves(h, c0, np.asarray([t]))
+    c1, c2 = _amplitude_curves(h, c0, _times("t", float(t)))
     return AmplitudePair(complex(c1[0]), complex(c2[0]))
 
 
@@ -248,10 +261,6 @@ class Trajectory:
     hamiltonian: EffectiveHamiltonian | None = None
     initial: InitialState | None = None
 
-    @property
-    def states(self) -> list[AmplitudePair]:
-        return [AmplitudePair(complex(a), complex(b)) for a, b in self.amplitudes]
-
 
 def trajectory(h: EffectiveHamiltonian, c0: InitialState, t_grid) -> Trajectory:
     """Concurrence trajectory on a finite, strictly increasing, non-negative grid.
@@ -259,9 +268,7 @@ def trajectory(h: EffectiveHamiltonian, c0: InitialState, t_grid) -> Trajectory:
     Every point is evaluated independently with the exact propagator, so the
     result carries no step-to-step accumulation and is order-independent.
     """
-    times = np.asarray(t_grid, dtype=float)
-    if times.size == 0 or not np.all(np.isfinite(times)) or times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("t_grid must be finite and strictly increasing with t_grid[0] >= 0")
+    times = _times("t_grid", t_grid)
     c1, c2 = _amplitude_curves(h, c0, times)
     return Trajectory(times, np.stack([c1, c2], axis=-1), concurrence_values(c1, c2), h, c0)
 

@@ -16,16 +16,16 @@ from itertools import combinations, count
 
 import numpy as np
 
-from .coefficients import _coefficient_arrays, coefficients, psd_mask
+from .coefficients import _coefficient_arrays, coefficients
 from .dynamics import (
     EffectiveHamiltonian,
     ModeClass,
     ModeReport,
-    PhysicalityError,
     AmplitudePair,
     Trajectory,
     _SINC_FORM_MAX_Z,
     _evolve,
+    _times,
     build_heff,
     concurrence_values,
     dark_modes,
@@ -53,9 +53,7 @@ _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _golden_max(f, a: float, b: float, tol: float = 1e-6) -> float:
     """Golden-section maximization of f on [a, b]: the midpoint of the final
-    bracket, of width at most tol."""
-    if b < a:
-        a, b = b, a
+    bracket, of width at most tol; needs a < b."""
     c = b - _GOLDEN_INV * (b - a)
     d = a + _GOLDEN_INV * (b - a)
     fc, fd = f(c), f(d)
@@ -78,12 +76,7 @@ def _golden_min(f, a: float, b: float, tol: float) -> float:
 def _m_components(cfg, gamma_r, gamma_l, phis):
     """Effective-matrix entries (m11, m12, m21, m22) over an array of phase
     shifts, PSD-checked."""
-    coeffs = _coefficient_arrays(cfg, phis, gamma_r, gamma_l)
-    ok = psd_mask(*coeffs)
-    if not np.all(ok):
-        bad = np.asarray(phis)[~ok]
-        raise PhysicalityError(f"decay matrix not PSD at phi={bad[:3]}...")
-    return heff_entries(*coeffs)
+    return heff_entries(*_coefficient_arrays(cfg, phis, gamma_r, gamma_l))
 
 
 # Phase rows per propagator block, of the exact grid and the uniform-t scan.
@@ -228,17 +221,17 @@ def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
     return build_heff(coefficients(cfg, phi, gamma_r, gamma_l))
 
 
-def _point_amplitudes(cfg, chirality, c0, phi, t):
-    """Exact amplitudes (c_eg, c_ge) at a single (phi, t) point, as
-    one-element arrays."""
+def _point_amplitudes(cfg, chirality, c0, phi, ts):
+    """Exact amplitudes (c_eg, c_ge) at phase phi and the float array of
+    times ts, as arrays."""
     gamma_r, gamma_l = rates_from_chirality(chirality)
     m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, np.asarray([phi]))
-    return _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, np.asarray([t], dtype=float))
+    return _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, ts)
 
 
 def evaluate_concurrence(cfg, chirality, c0, phi, t) -> float:
     """Concurrence of the evolved state at a single (phi, t) point."""
-    return float(concurrence_values(*_point_amplitudes(cfg, chirality, c0, phi, t))[0])
+    return float(concurrence_values(*_point_amplitudes(cfg, chirality, c0, phi, _times("t", float(t))))[0])
 
 
 @dataclass(frozen=True)
@@ -274,16 +267,9 @@ class SweepGrid:
 def sweep(cfg, chirality, c0, phi_grid, t_grid) -> SweepGrid:
     """Concurrence over the (phi, t) product grid."""
     phis = np.asarray(phi_grid, dtype=float)
-    ts = np.asarray(t_grid, dtype=float)
-    for name, grid in (("phi_grid", phis), ("t_grid", ts)):
-        if grid.size == 0:
-            raise ValueError(f"{name} must be non-empty")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError(f"{name} must be finite")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError(f"{name} must be strictly increasing")
-    if ts[0] < 0:
-        raise ValueError("t_grid must start at t >= 0")
+    if phis.size == 0 or not np.all(np.isfinite(phis)) or np.any(np.diff(phis) <= 0):
+        raise ValueError("phi_grid must be non-empty, finite and strictly increasing")
+    ts = _times("t_grid", t_grid)
     c = _concurrence_matrix(cfg, chirality, c0, phis, ts)
     meta = SweepMetadata(_layout_label(cfg), chirality.chi, chirality.gamma_total, _initial_label(c0))
     return SweepGrid(phis, ts, c, meta)
@@ -323,23 +309,23 @@ def find_max(
     phi_star may then be the mirror of the full scan's and c_max may differ
     from it in the last bits. Any other start or range scans every row.
     """
-    if not (t_horizon > 0):
-        raise ValueError("t_horizon must be positive")
+    _times("[0, t_horizon]", (0.0, t_horizon))
     if t_points < 2:
         raise ValueError(f"t_points must be at least 2, got {t_points}")
     if phi_points < 1:
         raise ValueError(f"phi_points must be at least 1, got {phi_points}")
     phi_lo, phi_hi = phi_range
-    if phi_hi < phi_lo:
-        raise ValueError(f"phi_range must not be reversed, got ({phi_lo}, {phi_hi})")
+    if not (-math.inf < phi_lo <= phi_hi < math.inf):
+        raise ValueError(f"phi_range must be finite and not reversed, got ({phi_lo}, {phi_hi})")
     phis = np.linspace(phi_lo, phi_hi, phi_points) if phi_hi > phi_lo else np.asarray([phi_lo])
     ts = np.linspace(0.0, t_horizon, t_points)
     mirrored = (c0.c_eg * c0.c_ge.conjugate()).imag == 0 and phi_lo + phi_hi == TWO_PI
     scanned = phis[: (phis.size + 1) // 2] if mirrored else phis
     i, j, grid_best = _concurrence_scan_uniform(cfg, chirality, c0, scanned, t_points, t_horizon / (t_points - 1))
 
-    def value(phi, t):
-        return evaluate_concurrence(cfg, chirality, c0, phi, t)
+    def cell(phi, t):
+        c1, c2 = _point_amplitudes(cfg, chirality, c0, phi, np.asarray([t]))
+        return MaxResult(float(concurrence_values(c1, c2)[0]), phi, t, AmplitudePair(complex(c1[0]), complex(c2[0])))
 
     phi_star, t_star = float(phis[i]), float(ts[j])
     t_lo = float(ts[max(j - 1, 0)])
@@ -349,14 +335,9 @@ def find_max(
     # with one phase there is nothing to alternate with: more rounds would
     # repeat the same t search
     for _ in range(3 if p_hi > p_lo else 1):
-        if t_hi > t_lo:
-            t_star = _golden_max(lambda t: value(phi_star, t), t_lo, t_hi, _MAX_REFINE_TOL)
+        t_star = _golden_max(lambda t: cell(phi_star, t).c_max, t_lo, t_hi, _MAX_REFINE_TOL)
         if p_hi > p_lo:
-            phi_star = _golden_max(lambda p: value(p, t_star), p_lo, p_hi, _MAX_REFINE_TOL)
-
-    def cell(phi, t):
-        c1, c2 = _point_amplitudes(cfg, chirality, c0, phi, t)
-        return MaxResult(float(concurrence_values(c1, c2)[0]), phi, t, AmplitudePair(complex(c1[0]), complex(c2[0])))
+            phi_star = _golden_max(lambda p: cell(p, t_star).c_max, p_lo, p_hi, _MAX_REFINE_TOL)
 
     best = cell(phi_star, t_star)
     return cell(float(phis[i]), float(ts[j])) if best.c_max < grid_best else best
@@ -379,6 +360,8 @@ def detect_steady(traj: Trajectory, window: float = 10.0, tol: float = 1e-3) -> 
     registering as plateaus.  The trajectory must extend at least one window
     beyond its start.
     """
+    if not (0 < window < math.inf and 0 < tol < math.inf):
+        raise ValueError(f"window and tol must be positive and finite, got window={window}, tol={tol}")
     t = traj.times
     c = traj.concurrence
     if t[-1] - t[0] < window:

@@ -156,6 +156,16 @@ def test_c07_quoted_peak_locations(calibration):
     report(7, "quoted peak locations", ok, ", ".join(details))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "find_max's alternating one-dimensional golden-section chains stall on a diagonal ridge: the fully "
+    "braided maxima read 0.9999974-0.9999979 where the true value is 1; mending it moves calibrate's "
+    "output by more than bench/oracles.py's CALIBRATION_REFERENCE_TOL = 1e-9, so it waits for a "
+    "benchmark change"))
+def test_fully_braided_maxima_reach_one(calibration):
+    values = calibration[0].assignments["fully_braided"].values
+    assert all(v >= 1 - 1e-7 for v in values.values()), values
+
+
 def test_c08_chirality_robustness():
     cfg = make_preset("fully_braided")
     times = np.linspace(0.0, 50.0, 2001)

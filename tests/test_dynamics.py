@@ -22,8 +22,8 @@ from giantatoms import (
     rates_from_chirality,
     trajectory,
 )
-from giantatoms.dynamics import _evolve, eigen_split
-from giantatoms.experiments import _m_components, all_orderings, layout_from_pattern
+from giantatoms.dynamics import _evolve, eigen_split, heff_entries
+from giantatoms.experiments import _m_components, _phase_residuals, all_orderings, layout_from_pattern
 
 SQRT3 = math.sqrt(3.0)
 ZERO_SET = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0j, 0j)
@@ -73,8 +73,17 @@ def test_build_heff_matches_array_path_bitwise(ordering_layouts):
 
 
 def test_build_heff_rejects_unphysical():
+    # |G_coll| > sqrt(G_a G_b): every route to the matrix entries runs the one check
+    bad = CoefficientSet(0, 0, 1.0, 1.0, 2.0 + 0j, 0j)
+    coeffs = (bad.delta_omega_a, bad.delta_omega_b, bad.gamma_a, bad.gamma_b, bad.gamma_coll, bad.g)
+    with pytest.raises(PhysicalityError, match="G_coll=.2"):
+        build_heff(bad)
     with pytest.raises(PhysicalityError):
-        build_heff(CoefficientSet(0, 0, 1.0, 1.0, 2.0 + 0j, 0j))
+        heff_entries(*coeffs)
+    with pytest.raises(PhysicalityError, match="1 of 2 points"):
+        heff_entries(*(np.array([0.0, x]) for x in coeffs))
+    with pytest.raises(PhysicalityError):
+        _phase_residuals(*coeffs, 1.0)
 
 
 def test_decay_matrix_psd():

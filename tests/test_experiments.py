@@ -258,18 +258,37 @@ def test_find_max_rejects_reversed_phase_range():
         find_max(make_preset("separated"), NONCHIRAL, INITIAL_EG, (3.0, 1.0))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("entry", ["propagate_closed", "trajectory", "sweep"])
+_TIME_ENTRIES = ["evaluate_concurrence", "propagate_closed", "trajectory", "sweep", "compare_initial_states",
+                 "chirality_scan", "find_max", "find_max_phi_range"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("entry", _TIME_ENTRIES)
 def test_non_finite_times_rejected(entry, bad):
-    cfg = make_preset("fully_braided")
-    h = build_heff(coefficients(cfg, 1.0, 0.5, 0.5))
+    # every time a study takes must be finite and >= 0 (and so must find_max's phase range be finite)
+    cfg = make_preset("separated")
+    spec = ChiralitySpec(1.0, 0.3)
+    h = build_heff(coefficients(cfg, 1.0, 0.65, 0.35))
+    small = {"phi_points": 3, "t_points": 5}
     calls = {
+        "evaluate_concurrence": lambda: evaluate_concurrence(cfg, spec, INITIAL_EG, 1.0, bad),
         "propagate_closed": lambda: propagate_closed(h, INITIAL_EG, bad),
-        "trajectory": lambda: trajectory(h, INITIAL_EG, [0.0, bad]),
-        "sweep": lambda: sweep(cfg, NONCHIRAL, INITIAL_EG, [0.5, 1.0], [0.0, bad]),
+        "trajectory": lambda: trajectory(h, INITIAL_EG, [bad, 2.0]),
+        "sweep": lambda: sweep(cfg, spec, INITIAL_EG, [0.5, 1.0], [bad, 2.0]),
+        "compare_initial_states": lambda: compare_initial_states(cfg, spec, [0.5, 1.0], [bad, 2.0]),
+        "chirality_scan": lambda: chirality_scan(cfg, 1.0, [0.3], INITIAL_EG, [bad, 2.0]),
+        "find_max": lambda: find_max(cfg, spec, INITIAL_EG, t_horizon=bad, **small),
+        "find_max_phi_range": lambda: find_max(cfg, spec, INITIAL_EG, (0.0, bad), **small),
     }
     with pytest.raises(ValueError, match="finite"):
         calls[entry]()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["window", "tol"])
+def test_detect_steady_rejects_bad_window_and_tol(name, bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        detect_steady(traj_for("separated", 0.0, t_max=20.0, n=41), **{name: bad})
 
 
 def _swap(pattern):
