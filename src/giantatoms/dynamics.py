@@ -63,7 +63,7 @@ def heff_entries(da, db, ga, gb, gc, g):
     every point.
     """
     ok = psd_mask(da, db, ga, gb, gc, g)
-    if not np.all(ok):
+    if not ok.all():
         i = int(np.argmin(ok))
         a, b, c = (np.ravel(x)[i] for x in (ga, gb, gc))
         raise PhysicalityError(f"decay matrix not PSD at {np.size(ok) - np.count_nonzero(ok)} of {np.size(ok)} "
@@ -167,12 +167,19 @@ def _evolve(m11, m12, m21, m22, c1, c2, t):
 
 
 def _times(name, t):
-    """t as a 1-d float array of times: raises ValueError unless they are
-    finite, >= 0, non-empty and strictly increasing."""
+    """t as a 1-d float array of times: raises ValueError, naming the first
+    value that breaks the rule, unless they are non-empty, finite, >= 0 and
+    strictly increasing."""
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)) or times[0] < 0 \
-            or np.any(np.diff(times) <= 0):
-        raise ValueError(f"{name} must be finite, >= 0 and, as a grid, non-empty and strictly increasing")
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"{name} must be a time or a non-empty 1-d grid of finite times, got shape {times.shape}")
+    ok = (times >= 0) & (times < math.inf)  # NaN fails both
+    ok[1:] &= times[1:] > times[:-1]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if times.size == 1:
+            raise ValueError(f"{name} must be finite and >= 0, got {times[0]}")
+        raise ValueError(f"{name} must be finite, >= 0 and strictly increasing, got {times[i]} at index {i}")
     return times
 
 

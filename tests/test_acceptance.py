@@ -162,6 +162,8 @@ def test_c07_quoted_peak_locations(calibration):
     "output by more than bench/oracles.py's CALIBRATION_REFERENCE_TOL = 1e-9, so it waits for a "
     "benchmark change"))
 def test_fully_braided_maxima_reach_one(calibration):
+    # each column reaches 1 (to RK4 at dt 1e-4: 0.9999999999997) at t = 2.267249, phi = 2pi/3 for chi 0 and
+    # pi/3 for chi 1; the bound leaves the refinement 1e-7 of slack
     values = calibration[0].assignments["fully_braided"].values
     assert all(v >= 1 - 1e-7 for v in values.values()), values
 

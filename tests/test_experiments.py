@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -258,30 +259,33 @@ def test_find_max_rejects_reversed_phase_range():
         find_max(make_preset("separated"), NONCHIRAL, INITIAL_EG, (3.0, 1.0))
 
 
-_TIME_ENTRIES = ["evaluate_concurrence", "propagate_closed", "trajectory", "sweep", "compare_initial_states",
-                 "chirality_scan", "find_max", "find_max_phi_range"]
+_GRID_ENTRIES = ["trajectory", "sweep", "compare_initial_states", "chirality_scan"]
+_TIME_ENTRIES = ["evaluate_concurrence", "propagate_closed", "find_max", "find_max_phi_range",
+                 *_GRID_ENTRIES, *(f"{e}_leading" for e in _GRID_ENTRIES)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("entry", _TIME_ENTRIES)
 def test_non_finite_times_rejected(entry, bad):
-    # every time a study takes must be finite and >= 0 (and so must find_max's phase range be finite)
+    # every time a study takes must be finite and >= 0, wherever it sits in a grid (and so must
+    # find_max's phase range be finite); the error names the bad value
     cfg = make_preset("separated")
     spec = ChiralitySpec(1.0, 0.3)
     h = build_heff(coefficients(cfg, 1.0, 0.65, 0.35))
     small = {"phi_points": 3, "t_points": 5}
+    grid = [bad, 2.0] if entry.endswith("_leading") else [0.0, bad]
     calls = {
         "evaluate_concurrence": lambda: evaluate_concurrence(cfg, spec, INITIAL_EG, 1.0, bad),
         "propagate_closed": lambda: propagate_closed(h, INITIAL_EG, bad),
-        "trajectory": lambda: trajectory(h, INITIAL_EG, [bad, 2.0]),
-        "sweep": lambda: sweep(cfg, spec, INITIAL_EG, [0.5, 1.0], [bad, 2.0]),
-        "compare_initial_states": lambda: compare_initial_states(cfg, spec, [0.5, 1.0], [bad, 2.0]),
-        "chirality_scan": lambda: chirality_scan(cfg, 1.0, [0.3], INITIAL_EG, [bad, 2.0]),
+        "trajectory": lambda: trajectory(h, INITIAL_EG, grid),
+        "sweep": lambda: sweep(cfg, spec, INITIAL_EG, [0.5, 1.0], grid),
+        "compare_initial_states": lambda: compare_initial_states(cfg, spec, [0.5, 1.0], grid),
+        "chirality_scan": lambda: chirality_scan(cfg, 1.0, [0.3], INITIAL_EG, grid),
         "find_max": lambda: find_max(cfg, spec, INITIAL_EG, t_horizon=bad, **small),
         "find_max_phi_range": lambda: find_max(cfg, spec, INITIAL_EG, (0.0, bad), **small),
     }
-    with pytest.raises(ValueError, match="finite"):
-        calls[entry]()
+    with pytest.raises(ValueError, match=f"finite.*got.*{re.escape(str(bad))}"):
+        calls[entry.removesuffix("_leading")]()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
