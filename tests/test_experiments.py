@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from giantatoms import (
     ChiralitySpec,
@@ -58,7 +59,7 @@ def test_golden_max_finds_peak():
     def f(u):
         return -(u - 0.3) ** 2
 
-    x = _golden_max(f, 0.0, 1.0)
+    x = _golden_max(f, 0.0, 1.0, 1e-6)
     assert x == pytest.approx(0.3, abs=1e-6)
     assert f(x) == pytest.approx(0.0, abs=1e-12)
 
@@ -149,35 +150,115 @@ def test_first_max_matches_argmax(matrix):
         assert np.array_equal(value, matrix[i, j], equal_nan=True)
 
 
+@pytest.mark.parametrize("matrix", _tie_matrices())
+def test_first_max_handles_blocks_of_different_widths(matrix):
+    # the pruned scan hands over each block's first columns only: a cell
+    # outside its block's prefix is absent, and the first-occurrence and NaN
+    # rules stay those of one argmax over the cells present
+    rng = np.random.default_rng(3)
+    for rows in (1, 2, 3, 5, 7):
+        for _ in range(8):
+            starts = range(0, matrix.shape[0], rows)
+            widths = rng.integers(1, matrix.shape[1] + 1, size=len(starts))
+            present = np.full(matrix.shape, -np.inf)
+            for lo, w in zip(starts, widths):
+                present[lo : lo + rows, :w] = matrix[lo : lo + rows, :w]
+            i, j = np.unravel_index(int(np.argmax(present)), matrix.shape)
+            row, col, value = _first_max(matrix[lo : lo + rows, :w] for lo, w in zip(starts, widths))
+            assert (row, col) == (i, j)
+            assert np.array_equal(value, matrix[i, j], equal_nan=True)
+
+
 def _scan(monkeypatch, chunk, cfg, spec, c0, phis, n_t):
-    """The scan's result at one block size, and the matrix its blocks form."""
+    """The scan's result at one block size, the matrix its blocks form and
+    its row envelope. The row cutoff is patched to the full width, so the
+    matrix holds every cell."""
     monkeypatch.setattr(experiments, "_ROW_BLOCK", chunk)
-    blocks = []
+    blocks, envelopes = [], []
 
     def keep(gen):
         return _first_max(blocks.append(b.copy()) or b for b in gen)
 
+    def full_width(envelope, incumbent, n_t, dt):
+        envelopes.append(envelope)
+        return np.full(phis.size, n_t)
+
     monkeypatch.setattr(experiments, "_first_max", keep)
+    monkeypatch.setattr(experiments, "_scan_widths", full_width)
     result = experiments._concurrence_scan_uniform(cfg, spec, c0, phis, n_t, 50.0 / (n_t - 1))
-    return result, np.concatenate(blocks)
+    return result, np.concatenate(blocks), envelopes[0]
 
 
-@pytest.mark.parametrize("pattern, chi, c0, n_t", [
+_SCANS = [
     ("abaabb", 0.37, InitialState(0.6, 0.8j), 4001),  # spectral rows only
     ("aaabbb", 1.0, INITIAL_EG, 401),  # the cascade: every row has s = 0
     ("aaabbb", 0.37, InitialState(0.6, 0.8j), 401),  # both kinds of row
     ("aaabbb", 1.0, INITIAL_EG, 4001),
     ("aaabbb", 0.0, InitialState(0.6, 0.8j), 4001),  # near-degenerate rows: series of different lengths
-])
+]
+
+
+@pytest.mark.parametrize("pattern, chi, c0, n_t", _SCANS)
 def test_scan_does_not_depend_on_block_size(monkeypatch, pattern, chi, c0, n_t):
     args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, np.linspace(0.0, 2 * math.pi, 101), n_t)
-    result, matrix = _scan(monkeypatch, experiments._ROW_BLOCK, *args)
+    result, matrix, _ = _scan(monkeypatch, experiments._ROW_BLOCK, *args)
     i, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
     assert result == (i, j, matrix[i, j])
     for chunk in (1, 7):
-        other, other_matrix = _scan(monkeypatch, chunk, *args)
+        other, other_matrix, _ = _scan(monkeypatch, chunk, *args)
         assert other == result
         assert other_matrix.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("pattern, chi, c0, n_t", _SCANS)
+def test_pruned_scan_computes_prefixes_of_the_full_scan(monkeypatch, pattern, chi, c0, n_t):
+    # the incumbent is the best cell of every row's first columns, and each
+    # block the pruned scan computes holds the full scan's first columns, bit
+    # for bit: a series row keeps the full horizon's term count
+    args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, np.linspace(0.0, 2 * math.pi, 101), n_t)
+    result, matrix, _ = _scan(monkeypatch, experiments._ROW_BLOCK, *args)
+    monkeypatch.undo()
+    blocks, incumbents = [], []
+    scan_widths = experiments._scan_widths
+
+    def keep(gen):
+        return _first_max(blocks.append(b.copy()) or b for b in gen)
+
+    def widths(envelope, incumbent, n_t, dt):
+        incumbents.append(incumbent)
+        return scan_widths(envelope, incumbent, n_t, dt)
+
+    monkeypatch.setattr(experiments, "_first_max", keep)
+    monkeypatch.setattr(experiments, "_scan_widths", widths)
+    assert experiments._concurrence_scan_uniform(*args, 50.0 / (n_t - 1)) == result
+    assert incumbents == [matrix[:, : experiments._INCUMBENT_COLUMNS].max()]
+    lo = 0
+    for block in blocks:
+        assert block.tobytes() == matrix[lo : lo + block.shape[0], : block.shape[1]].tobytes()
+        lo += block.shape[0]
+    assert lo == matrix.shape[0]
+    assert sum(block.size for block in blocks) < matrix.size
+
+
+def test_scan_widths_keep_every_column_a_maximum_could_hold():
+    # rows whose envelopes decay at rates 0, 1 and 2, a NaN row and a constant
+    # row; a column is cut only where bound * (1 + slack) < incumbent
+    rates = np.array([0.0, 1.0, 2.0, np.nan, 0.0])
+    scale = np.array([1.0, 1.0, 1.0, 1.0, 0.25])
+    n_t, dt = 501, 0.01
+
+    def envelope(t):
+        return scale * np.exp(-rates * t)
+
+    def widths(incumbent):
+        return list(experiments._scan_widths(envelope, incumbent, n_t, dt))
+
+    slack = 1.0 + experiments._ENVELOPE_SLACK
+    kept = [int(np.count_nonzero(np.exp(-r * np.arange(n_t) * dt) * slack >= 0.5)) for r in (1.0, 2.0)]
+    assert 1 < kept[1] < kept[0] < n_t
+    assert widths(0.5) == [n_t, *kept, n_t, 1]  # the NaN row keeps every column, the others at least one
+    assert widths(0.25 * slack)[4] == n_t  # a bound tied with the incumbent is kept
+    assert widths(np.nan) == [n_t] * 5
 
 
 def _row_kinds(cfg, spec, phis, t_max):
@@ -208,7 +289,7 @@ def test_scan_matches_exact_propagator_without_evolve(monkeypatch, pattern, chi,
         raise AssertionError("the scan called _evolve")
 
     monkeypatch.setattr(experiments, "_evolve", refuse)
-    _, matrix = _scan(monkeypatch, experiments._ROW_BLOCK, cfg, spec, c0, phis, n_t)
+    _, matrix, _ = _scan(monkeypatch, experiments._ROW_BLOCK, cfg, spec, c0, phis, n_t)
     assert np.max(np.abs(matrix - exact)) < 1e-11
 
 
@@ -230,7 +311,7 @@ def test_scan_matches_plain_expressions(monkeypatch):
     # of spectral rows
     cfg, spec, c0 = layout_from_pattern("abaabb"), ChiralitySpec(1.0, 0.37), InitialState(0.6, 0.8j)
     phis, n_t, dt = np.linspace(0.0, 2 * math.pi, 101), 4001, 50.0 / 4000
-    _, matrix = _scan(monkeypatch, experiments._ROW_BLOCK, cfg, spec, c0, phis, n_t)
+    _, matrix, _ = _scan(monkeypatch, experiments._ROW_BLOCK, cfg, spec, c0, phis, n_t)
 
     m11, m12, m21, m22 = experiments._m_components(cfg, *rates_from_chirality(spec), phis)
     mu, dd, s = eigen_split(m11, m12, m21, m22)
@@ -245,6 +326,71 @@ def test_scan_matches_plain_expressions(monkeypatch):
     c1 = ep * p1[:, None] + em * q1[:, None]
     c2 = ep * p2[:, None] + em * q2[:, None]
     assert matrix.tobytes() == (2.0 * np.abs(c1) * np.abs(c2)).tobytes()
+
+
+def _real_start(angle):
+    return InitialState(math.cos(angle), math.sin(angle))
+
+
+def _complex_start(v):
+    norm = math.hypot(*v)
+    return InitialState(complex(v[0], v[1]) / norm, complex(v[2], v[3]) / norm)
+
+
+_STARTS = st.one_of(
+    st.sampled_from([INITIAL_EG, INITIAL_GE]),
+    st.floats(0.0, 2 * math.pi).map(_real_start),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda v: math.hypot(*v) > 0.1).map(_complex_start),
+)
+# 41 rows over the whole range and the 21 default-grid rows around pi, where
+# abbaab at chi = 1 has degenerate, near-degenerate and spectral rows
+_ENVELOPE_PHIS = np.union1d(np.linspace(0.0, 2 * math.pi, 41), np.linspace(0.0, 2 * math.pi, 2001)[990:1011])
+
+
+@given(pattern=st.sampled_from(all_orderings()), chi=st.floats(0.0, 1.0), c0=_STARTS)
+@example(pattern="aaabbb", chi=1.0, c0=INITIAL_EG)  # degenerate rows only
+@example(pattern="aaabbb", chi=0.0, c0=InitialState(0.6, 0.8j))  # near-degenerate and dark (a- = 0) rows
+@example(pattern="abbaab", chi=1.0, c0=_real_start(2.0))  # all three kinds
+@settings(max_examples=30, deadline=None)
+def test_envelope_bounds_every_scan_cell(pattern, chi, c0):
+    # the pruning is sound only if each row's envelope lies above every cell
+    # the full scan computes in that row, within the slack, and never rises
+    cfg, spec, n_t = layout_from_pattern(pattern), ChiralitySpec(1.0, chi), 1001
+    with pytest.MonkeyPatch.context() as mp:
+        _, matrix, envelope = _scan(mp, experiments._ROW_BLOCK, cfg, spec, c0, _ENVELOPE_PHIS, n_t)
+    bound = envelope((np.arange(n_t) * (50.0 / (n_t - 1)))[:, None]).T
+    assert np.all(matrix <= bound * (1.0 + experiments._ENVELOPE_SLACK))
+    assert np.all(bound[:, 1:] <= bound[:, :-1] * (1.0 + 1e-12))
+
+
+_PRUNED_SEARCHES = [
+    ("aaabbb", 1.0, InitialState(0.6, 0.8)),  # the cascade tie: every row starts at its maximum
+    ("aaabbb", 0.0, INITIAL_EG),  # the maximum lies on the phi = 0 row, which has a dark mode (a- = 0)
+    ("bbaaab", 0.7388496187722705, InitialState(0.3485351275070701 + 0.6206217717157976j,
+                                                -0.005356172642051363 + 0.7023696980797246j)),
+]
+
+
+def test_pruned_search_matches_the_full_scan(monkeypatch):
+    # on the default grid the pruned scan finds the full scan's first maximum,
+    # so find_max returns the same result bit for bit, while it computes a
+    # small share of the cells
+    rng = np.random.default_rng(13)
+    searches = _PRUNED_SEARCHES + [(str(rng.choice(all_orderings())), float(rng.uniform(0.0, 1.0)), start)
+                                   for start in (_real_start(rng.uniform(0.0, 2 * math.pi)), _random_start(rng))]
+    scan_widths = experiments._scan_widths
+    computed = grid = 0
+    for pattern, chi, c0 in searches:
+        cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
+        widths = []
+        monkeypatch.setattr(experiments, "_scan_widths", lambda *args: widths.append(scan_widths(*args)) or widths[-1])
+        pruned = find_max(cfg, spec, c0)
+        monkeypatch.setattr(experiments, "_scan_widths", lambda *args: np.full(widths[0].size, 4001))
+        assert find_max(cfg, spec, c0) == pruned, (pattern, chi, c0)
+        w, rows = widths[0], experiments._ROW_BLOCK
+        computed += sum(w[lo : lo + rows].size * int(w[lo : lo + rows].max()) for lo in range(0, w.size, rows))
+        grid += w.size * 4001
+    assert computed < 0.25 * grid
 
 
 @pytest.mark.parametrize("kwargs", [{"t_points": 1}, {"t_points": 0}, {"phi_points": 0}])
