@@ -1,10 +1,12 @@
 """Parameter sweeps, extremum searches, steady-state and special-phase studies.
 
 Everything here is deterministic: sweep grids are evaluated with the exact
-propagator cell by cell (no accumulated state), searches are plain
-grid-plus-golden-section refinements whose winning points are re-evaluated
-exactly, and no randomness or threading is involved, so repeated runs
-produce identical results.
+propagator cell by cell (no accumulated state), searches are grid scans
+plus golden-section refinements whose winning points are re-evaluated
+exactly (a refinement evaluates the points of several steps in one array
+call, but compares them as the one-point-at-a-time search would), and no
+randomness or threading is involved, so repeated runs produce identical
+results.
 """
 from __future__ import annotations
 
@@ -49,28 +51,77 @@ from .model import (
 TWO_PI = 2.0 * math.pi
 
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps whose points find_max's refinement evaluates in one
+# call (_golden_max); a call costs far more than a point in it, and the
+# points grow as 2^steps (measured in CHANGES.md)
+_LOOK_AHEAD = 5
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    """Golden-section maximization of f on [a, b]: the midpoint of the final
-    bracket, of width at most tol; needs a < b."""
-    c = b - _GOLDEN_INV * (b - a)
+def _golden_step(bracket, left):
+    """One golden-section step: the bracket (a, b, c, d) after the comparison
+    f(c) > f(d) came out as left, and the point whose value it asks for."""
+    a, b, c, d = bracket
+    if left:
+        b, d = d, c
+        c = b - _GOLDEN_INV * (b - a)
+        return (a, b, c, d), c
+    a, c = c, d
     d = a + _GOLDEN_INV * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN_INV * (b - a)
-            fc = f(c)
+    return (a, b, c, d), d
+
+
+def _golden_max(f, a, b, tol, look_ahead=_LOOK_AHEAD):
+    """Golden-section maximization of f on [a, b]: the midpoint of the final
+    bracket, of width at most tol; needs a < b.
+
+    f maps a float array of points to their values, one for one. The search
+    reads the values of the one-point-at-a-time search's points, in its
+    order, and makes its comparisons on them, so it returns the same float;
+    it only fetches them in batches. When it needs a value it does not
+    hold, one call of f evaluates that point and every point the next
+    look_ahead - 1 steps could ask for, whichever way their comparisons fall:
+    2^look_ahead - 1 points at most. The first call holds the two interior
+    points and the points ahead of them. With look_ahead = 1 every later
+    call is one point.
+    """
+    def ahead(bracket, depth, path=()):
+        """(comparisons, point) of each point the next depth steps from
+        bracket can ask for, with the comparisons that lead to it."""
+        if depth == 0 or not bracket[1] - bracket[0] > tol:
+            return []
+        out = []
+        for left in (True, False):
+            after, x = _golden_step(bracket, left)
+            out.append((path + (left,), x))
+            out += ahead(after, depth - 1, path + (left,))
+        return out
+
+    def fetch(points, bracket):
+        """The values of points, and those of the points ahead of bracket."""
+        plan = ahead(bracket, look_ahead - 1)
+        values = f(np.array(points + [x for _, x in plan]))
+        return values[: len(points)], dict(zip([path for path, _ in plan], values[len(points) :]))
+
+    bracket = (a, b, b - _GOLDEN_INV * (b - a), a + _GOLDEN_INV * (b - a))
+    (fc, fd), known = fetch(list(bracket[2:]), bracket)
+    path = ()
+    while bracket[1] - bracket[0] > tol:
+        left = fc > fd
+        bracket, x = _golden_step(bracket, left)
+        path += (left,)
+        if path in known:
+            fx = known[path]
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN_INV * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            (fx,), known = fetch([x], bracket)
+            path = ()
+        fc, fd = (fx, fc) if left else (fd, fx)
+    return 0.5 * (bracket[0] + bracket[1])
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> float:
-    return _golden_max(lambda u: -f(u), a, b, tol)
+def _golden_min(f, a, b, tol):
+    """Golden-section minimization of the scalar function f, one point at a
+    time."""
+    return _golden_max(lambda us: [-f(u) for u in us], a, b, tol, look_ahead=1)
 
 
 def _m_components(cfg, gamma_r, gamma_l, phis):
@@ -190,18 +241,22 @@ def _row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max):
     return envelope
 
 
-def _scan_widths(envelope, incumbent, n_t, dt):
+def _scan_widths(envelope, incumbent, incumbent_row, n_t, dt):
     """Per phase row, how many leading time columns the scan computes: up to
     the last whose envelope, times 1 + _ENVELOPE_SLACK, is not below the
-    incumbent, and at least one. The envelope never rises with t, so those
-    columns are a prefix, found by bisection; a NaN bound or incumbent keeps
-    every column.
+    incumbent, and at least one. In the rows after incumbent_row, the first
+    row that holds the incumbent, the bound must be above it: a cell there
+    that ties the incumbent comes after it, so it cannot be the first
+    maximum. The envelope never rises with t, so the kept columns are a
+    prefix, found by bisection; a NaN bound or incumbent keeps every column.
     """
     lo = np.zeros(np.shape(envelope(0.0)), dtype=np.intp)  # columns before lo are kept
     hi = np.full_like(lo, n_t)  # columns from hi on are not
+    after = np.arange(lo.size) > incumbent_row
     for _ in range(int(n_t).bit_length()):
         mid = (lo + hi) // 2
-        keep = ~(envelope(mid * dt) * (1.0 + _ENVELOPE_SLACK) < incumbent)
+        bound = envelope(mid * dt) * (1.0 + _ENVELOPE_SLACK)
+        keep = ~np.where(after, bound <= incumbent, bound < incumbent)
         lo, hi = np.where(keep, np.minimum(mid + 1, hi), lo), np.where(keep, hi, mid)
     return np.maximum(lo, 1)
 
@@ -227,8 +282,9 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     The scan first computes every row's first _INCUMBENT_COLUMNS columns;
     their best cell is the incumbent. A row's envelope (_row_envelope)
     bounds its C from above and never rises with t, so the cells whose
-    bound, with slack, lies below the incumbent are the row's tail
-    (_scan_widths): none of them can hold a maximum. Each block is then
+    bound, with slack, lies below the incumbent, or only ties it in a row
+    after the incumbent's, are the row's tail (_scan_widths): none of them
+    can hold the first maximum. Each block is then
     computed from column 0 up to the last column any of its rows keeps. A
     prefix of a cumulative product has the bits of the same columns of the
     whole one (continuing one from a carried column does not always), so
@@ -299,8 +355,9 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
         return out
 
     k0 = min(n_t, _INCUMBENT_COLUMNS)
-    incumbent = np.max([block(lo, lo + size // k0, k0).max() for lo in range(0, phis.size, size // k0)])
-    widths = _scan_widths(_row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max), incumbent, n_t, dt)
+    row_best = np.concatenate([block(lo, lo + size // k0, k0).max(axis=1) for lo in range(0, phis.size, size // k0)])
+    row = int(np.argmax(row_best))  # the first row holding the incumbent, or a NaN
+    widths = _scan_widths(_row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max), row_best[row], row, n_t, dt)
     return _first_max(block(lo, lo + _ROW_BLOCK, int(widths[lo : lo + _ROW_BLOCK].max()))
                       for lo in range(0, phis.size, _ROW_BLOCK))
 
@@ -310,17 +367,23 @@ def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
     return build_heff(coefficients(cfg, phi, gamma_r, gamma_l))
 
 
-def _point_amplitudes(cfg, chirality, c0, phi, ts):
-    """Exact amplitudes (c_eg, c_ge) at phase phi and the float array of
-    times ts, as arrays."""
+def _point_amplitudes(cfg, chirality, c0, phis):
+    """Exact amplitudes (c_eg, c_ge) at the array of phases phis, as a
+    function of a float array of times broadcast against phis.
+
+    The effective matrix is built once, here; each call of the function is
+    one _evolve call. An element has the bits of the same point evaluated
+    alone (a point is one-element arrays), as every step is elementwise.
+    """
     gamma_r, gamma_l = rates_from_chirality(chirality)
-    m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, np.asarray([phi]))
-    return _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, ts)
+    m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
+    return lambda ts: _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, ts)
 
 
 def evaluate_concurrence(cfg, chirality, c0, phi, t) -> float:
     """Concurrence of the evolved state at a single (phi, t) point."""
-    return float(concurrence_values(*_point_amplitudes(cfg, chirality, c0, phi, _times("t", float(t))))[0])
+    ts = _times("t", float(t))
+    return float(concurrence_values(*_point_amplitudes(cfg, chirality, c0, [phi])(ts))[0])
 
 
 @dataclass(frozen=True)
@@ -390,8 +453,14 @@ def find_max(
     and phi inside the bracketing grid cells; the result never falls below
     the best coarse-grid sample. The scan skips the cells that lie under a
     decaying envelope below an early incumbent (_concurrence_scan_uniform),
-    92% of the default grids of calibrate_presets, and its result is the
-    full scan's, so the output is unchanged.
+    94% of the default grids of calibrate_presets, and its result is the
+    full scan's, so the output is unchanged. Each golden-section chain
+    fetches its values in batches (_golden_max, _LOOK_AHEAD steps ahead),
+    each batch one array evaluation: a t-chain builds the effective matrix
+    at its phase once and evolves each batch of times, a phi-chain builds
+    and evolves each batch of phases. Every point has the bits of its
+    one-point evaluation, so the chains visit and compare what the
+    one-point-at-a-time search would.
 
     The effective matrix obeys m(2pi - phi) = -conj(m(phi)), so C is
     symmetric under phi -> 2pi - phi when c0 is real up to a global phase
@@ -416,7 +485,7 @@ def find_max(
     i, j, grid_best = _concurrence_scan_uniform(cfg, chirality, c0, scanned, t_points, t_horizon / (t_points - 1))
 
     def cell(phi, t):
-        c1, c2 = _point_amplitudes(cfg, chirality, c0, phi, np.asarray([t]))
+        c1, c2 = _point_amplitudes(cfg, chirality, c0, [phi])(np.asarray([t]))
         return MaxResult(float(concurrence_values(c1, c2)[0]), phi, t, AmplitudePair(complex(c1[0]), complex(c2[0])))
 
     phi_star, t_star = float(phis[i]), float(ts[j])
@@ -427,9 +496,12 @@ def find_max(
     # with one phase there is nothing to alternate with: more rounds would
     # repeat the same t search
     for _ in range(3 if p_hi > p_lo else 1):
-        t_star = _golden_max(lambda t: cell(phi_star, t).c_max, t_lo, t_hi, _MAX_REFINE_TOL)
+        at_phi = _point_amplitudes(cfg, chirality, c0, [phi_star])
+        t_star = _golden_max(lambda t_batch: concurrence_values(*at_phi(t_batch)), t_lo, t_hi, _MAX_REFINE_TOL)
         if p_hi > p_lo:
-            phi_star = _golden_max(lambda p: cell(p, t_star).c_max, p_lo, p_hi, _MAX_REFINE_TOL)
+            at_t = np.asarray([t_star])
+            phi_star = _golden_max(lambda phi_batch: concurrence_values(
+                *_point_amplitudes(cfg, chirality, c0, phi_batch)(at_t)), p_lo, p_hi, _MAX_REFINE_TOL)
 
     best = cell(phi_star, t_star)
     return cell(float(phis[i]), float(ts[j])) if best.c_max < grid_best else best

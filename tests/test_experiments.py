@@ -34,7 +34,13 @@ from giantatoms import (
     trajectory,
 )
 from giantatoms import experiments
-from giantatoms.dynamics import _SINC_FORM_MAX_Z, _SINC_SERIES_MAX_Z, eigen_split, spectral_weights
+from giantatoms.dynamics import (
+    _SINC_FORM_MAX_Z,
+    _SINC_SERIES_MAX_Z,
+    concurrence_values,
+    eigen_split,
+    spectral_weights,
+)
 from giantatoms.experiments import (
     CALIBRATION_TARGETS,
     _count_peaks,
@@ -62,6 +68,75 @@ def test_golden_max_finds_peak():
     x = _golden_max(f, 0.0, 1.0, 1e-6)
     assert x == pytest.approx(0.3, abs=1e-6)
     assert f(x) == pytest.approx(0.0, abs=1e-12)
+
+
+def _golden_reference(f, a, b, tol):
+    """The plain golden-section search: one point at a time, f of a float."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv * (b - a)
+    d = a + inv * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+class _Logged:
+    """A value that logs, by point, every comparison the search makes on it."""
+
+    def __init__(self, x, value, log):
+        self.x, self.value, self.log = x, value, log
+
+    def __gt__(self, other):
+        self.log.append((self.x, other.x))
+        return self.value > other.value
+
+
+_GOLDEN_OBJECTIVES = {
+    "peak": lambda x: -(x - 0.3) ** 2,
+    "constant": lambda x: 1.0,  # every comparison a tie, fc == fd
+    "step": lambda x: float(math.floor(4.0 * x)),  # ties on the treads
+    "nan": lambda x: math.nan if 0.2 < x < 0.6 else math.cos(3.0 * x),
+    "multimodal": lambda x: math.sin(40.0 * x) * math.cos(7.0 * x),
+}
+# brackets 1e6, 7e6, 3, 1 and 0.4 times tol = 1e-6 wide: 29, 33, 3, 0 and 0 steps
+_GOLDEN_BRACKETS = [(0.0, 1.0), (-2.0, 5.0), (0.3, 0.3 + 3e-6), (0.25, 0.25 + 1e-6), (0.7, 0.7 + 4e-7)]
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_OBJECTIVES))
+def test_look_ahead_search_matches_the_sequential_search(name):
+    # every look-ahead reads the sequential search's values in its order: the
+    # same comparisons, on the same points, and the same result
+    g = _GOLDEN_OBJECTIVES[name]
+    for a, b in _GOLDEN_BRACKETS:
+        log, asked = [], []
+
+        def one(x):
+            asked.append(x)
+            return _Logged(x, g(x), log)
+
+        expected = _golden_reference(one, a, b, 1e-6)
+        for look_ahead in range(1, 7):
+            ahead_log, batches = [], []
+
+            def batch(xs):
+                batches.append(list(xs))
+                return [_Logged(x, g(x), ahead_log) for x in xs]
+
+            assert _golden_max(batch, a, b, 1e-6, look_ahead) == expected, (name, a, b, look_ahead)
+            assert ahead_log == log, (name, a, b, look_ahead)
+            evaluated = [x for xs in batches for x in xs]
+            assert set(asked) <= set(evaluated)
+            assert len(batches[0]) <= 2**look_ahead and all(len(xs) < 2**look_ahead for xs in batches[1:])
+            if look_ahead == 1:
+                assert evaluated == asked
 
 
 def test_sweep_decoupled_row_is_zero():
@@ -179,7 +254,7 @@ def _scan(monkeypatch, chunk, cfg, spec, c0, phis, n_t):
     def keep(gen):
         return _first_max(blocks.append(b.copy()) or b for b in gen)
 
-    def full_width(envelope, incumbent, n_t, dt):
+    def full_width(envelope, incumbent, incumbent_row, n_t, dt):
         envelopes.append(envelope)
         return np.full(phis.size, n_t)
 
@@ -224,14 +299,15 @@ def test_pruned_scan_computes_prefixes_of_the_full_scan(monkeypatch, pattern, ch
     def keep(gen):
         return _first_max(blocks.append(b.copy()) or b for b in gen)
 
-    def widths(envelope, incumbent, n_t, dt):
-        incumbents.append(incumbent)
-        return scan_widths(envelope, incumbent, n_t, dt)
+    def widths(envelope, incumbent, incumbent_row, n_t, dt):
+        incumbents.append((incumbent, incumbent_row))
+        return scan_widths(envelope, incumbent, incumbent_row, n_t, dt)
 
     monkeypatch.setattr(experiments, "_first_max", keep)
     monkeypatch.setattr(experiments, "_scan_widths", widths)
     assert experiments._concurrence_scan_uniform(*args, 50.0 / (n_t - 1)) == result
-    assert incumbents == [matrix[:, : experiments._INCUMBENT_COLUMNS].max()]
+    row_best = matrix[:, : experiments._INCUMBENT_COLUMNS].max(axis=1)
+    assert incumbents == [(row_best.max(), list(row_best).index(row_best.max()))]
     lo = 0
     for block in blocks:
         assert block.tobytes() == matrix[lo : lo + block.shape[0], : block.shape[1]].tobytes()
@@ -242,7 +318,8 @@ def test_pruned_scan_computes_prefixes_of_the_full_scan(monkeypatch, pattern, ch
 
 def test_scan_widths_keep_every_column_a_maximum_could_hold():
     # rows whose envelopes decay at rates 0, 1 and 2, a NaN row and a constant
-    # row; a column is cut only where bound * (1 + slack) < incumbent
+    # row; a column is cut only where bound * (1 + slack) < incumbent, or,
+    # after the incumbent's row, where it is <= incumbent
     rates = np.array([0.0, 1.0, 2.0, np.nan, 0.0])
     scale = np.array([1.0, 1.0, 1.0, 1.0, 0.25])
     n_t, dt = 501, 0.01
@@ -250,15 +327,19 @@ def test_scan_widths_keep_every_column_a_maximum_could_hold():
     def envelope(t):
         return scale * np.exp(-rates * t)
 
-    def widths(incumbent):
-        return list(experiments._scan_widths(envelope, incumbent, n_t, dt))
+    def widths(incumbent, incumbent_row=4):
+        return list(experiments._scan_widths(envelope, incumbent, incumbent_row, n_t, dt))
 
     slack = 1.0 + experiments._ENVELOPE_SLACK
     kept = [int(np.count_nonzero(np.exp(-r * np.arange(n_t) * dt) * slack >= 0.5)) for r in (1.0, 2.0)]
     assert 1 < kept[1] < kept[0] < n_t
-    assert widths(0.5) == [n_t, *kept, n_t, 1]  # the NaN row keeps every column, the others at least one
-    assert widths(0.25 * slack)[4] == n_t  # a bound tied with the incumbent is kept
-    assert widths(np.nan) == [n_t] * 5
+    for row in (4, -1):
+        assert widths(0.5, row) == [n_t, *kept, n_t, 1]  # the NaN row keeps every column, the others at least one
+        assert widths(np.nan, row) == [n_t] * 5
+    assert widths(0.25 * slack)[4] == n_t  # a bound tied with the incumbent is kept up to its row
+    assert widths(0.25 * slack, 3)[4] == 1  # and cut after it: a later tie is not the first maximum
+    assert widths(slack, 0) == [n_t, 1, 1, n_t, 1]  # the incumbent's own row keeps its tie
+    assert widths(slack, -1) == [1, 1, 1, n_t, 1]
 
 
 def _row_kinds(cfg, spec, phis, t_max):
@@ -365,6 +446,7 @@ def test_envelope_bounds_every_scan_cell(pattern, chi, c0):
 
 _PRUNED_SEARCHES = [
     ("aaabbb", 1.0, InitialState(0.6, 0.8)),  # the cascade tie: every row starts at its maximum
+    ("aaabbb", 1.0, INITIAL_GE),  # C = 0 everywhere: the rows after the first are cut at their ties
     ("aaabbb", 0.0, INITIAL_EG),  # the maximum lies on the phi = 0 row, which has a dark mode (a- = 0)
     ("bbaaab", 0.7388496187722705, InitialState(0.3485351275070701 + 0.6206217717157976j,
                                                 -0.005356172642051363 + 0.7023696980797246j)),
@@ -693,6 +775,77 @@ def test_evaluate_concurrence_matches_sweep():
         grid = sweep(cfg, spec, c0, phis, ts).c_matrix
         for i, j in zip(rng.integers(0, phis.size, 30), rng.integers(0, ts.size, 30)):
             assert evaluate_concurrence(cfg, spec, c0, phis[i], ts[j]) == grid[i, j], (pattern, chi, i, j)
+
+
+def test_point_batches_equal_points_alone():
+    # the array evaluator that find_max's refinement calls gives each (phi, t)
+    # of a batch the bits of evaluate_concurrence at that point alone, over
+    # batches of phases at one time, of times at one phase, and of pairs
+    rng = np.random.default_rng(17)
+    near_pi = np.linspace(0.0, 2 * math.pi, 2001)[995:1006]  # abbaab at chi = 1: degenerate and near-degenerate
+    cases = [("aaabbb", 1.0, INITIAL_EG), ("aaabbb", 1.0, InitialState(0.6, 0.8j)),  # the cascade: s = 0
+             ("abbaab", 1.0, _real_start(2.0)), ("abaabb", 0.37, _random_start(rng)), ("bbaaab", 0.74, INITIAL_GE)]
+    branches = set()
+    for pattern, chi, c0 in cases:
+        cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
+        phis = np.concatenate([rng.uniform(0.0, 2 * math.pi, 10), near_pi])
+        ts = np.concatenate([[0.0, 1e-9, 1e-3], rng.uniform(0.0, 0.5, 6), rng.uniform(0.0, 50.0, 12)])
+        _, _, s = eigen_split(*experiments._m_components(cfg, *rates_from_chirality(spec), phis))
+        z = np.abs(np.multiply.outer(s, ts))  # _evolve's branch at (phi, t)
+        kinds = {"series": z < _SINC_SERIES_MAX_Z, "sinc": (z >= _SINC_SERIES_MAX_Z) & (z <= _SINC_FORM_MAX_Z),
+                 "spectral": z > _SINC_FORM_MAX_Z}
+        branches |= {kind for kind, hit in kinds.items() if hit.any()}
+
+        def alone(p, t):
+            c1, c2 = experiments._point_amplitudes(cfg, spec, c0, [p])(np.asarray([t]))
+            assert float(concurrence_values(c1, c2)[0]) == evaluate_concurrence(cfg, spec, c0, p, t)
+            return [complex(c1[0]), complex(c2[0])]
+
+        for t in rng.choice(ts, 4):
+            batch = experiments._point_amplitudes(cfg, spec, c0, phis)(np.asarray([t]))
+            assert np.array(batch).T.tolist() == [alone(p, t) for p in phis], (pattern, t)
+        for p in rng.choice(phis, 4):
+            batch = experiments._point_amplitudes(cfg, spec, c0, [p])(ts)
+            assert np.array(batch).T.tolist() == [alone(p, t) for t in ts], (pattern, p)
+        pairs = rng.choice(ts, phis.size)
+        batch = experiments._point_amplitudes(cfg, spec, c0, phis)(pairs)
+        assert np.array(batch).T.tolist() == [alone(p, t) for p, t in zip(phis, pairs)], pattern
+    assert branches == {"series", "sinc", "spectral"}
+
+
+# find_max results on the default grid, float hex of (c_max, phi_star, t_star,
+# c_eg, c_ge): a change to the refinement that moves a bit shows here
+_PINNED_SEARCHES = [
+    ("ababab", 0.0, INITIAL_EG, {}, ("0x1.ffffb061798d6p-1", "0x1.0c1ca77943572p+1", "0x1.22148fee5cde4p+1",
+                                     "0x1.161899ee75f88p-2", "-0x1.4e8a5ec02f59cp-1",
+                                     "-0x1.4e14e104cc80ep-1", "-0x1.15b713bc9bfc1p-2")),
+    ("aaabbb", 1.0, INITIAL_EG, {}, ("0x1.78b56362cef39p-1", "0x1.922a11b280fcap+1", "0x1.00000345d39c8p+0",
+                                     "0x1.368b2fd3b3d80p-1", "0x1.515084fc6e741p-36",
+                                     "0x1.368b269236ea0p-1", "0x1.2da57479431dep-11")),
+    ("aaabbb", 1.0, INITIAL_GE, {}, ("0x0.0p+0", "0x1.9bb798e7c5d7ep-9", "0x1.99962253cf741p-7",
+                                     "0x0.0p+0", "0x0.0p+0", "0x1.e3ff003109726p-1", "-0x1.3758d74a15c83p-13")),
+    ("abbaab", 0.6, InitialState(0.6, 0.8j), {}, ("0x1.f9da173f72fefp-1", "0x1.c530c50711873p-1",
+                                                  "0x1.4f571e24d77f4p-5", "0x1.5fb0d8cf01cd5p-1",
+                                                  "-0x1.6b5fab793e88fp-7", "0x1.14b7c79bfde76p-6",
+                                                  "0x1.7010f2343ab1cp-1")),
+    ("bbaaab", 0.7388496187722705, InitialState(0.3485351275070701 + 0.6206217717157976j,
+                                                -0.005356172642051363 + 0.7023696980797246j), {},
+     ("0x1.fff80c773f42ep-1", "0x1.0be8534f05f62p+1", "0x1.2cccc7812b06cp+0", "0x1.6b65b2bc87553p-1",
+      "0x1.d00494748f694p-6", "0x1.3265db423f218p-1", "0x1.7b6dc83a54baap-2")),
+    # calibrate_presets' peak check of the chosen partially braided ordering
+    ("aababb", 0.0, INITIAL_EG, {"phi_range": (11 * math.pi / 25, 11 * math.pi / 25), "phi_points": 1},
+     ("0x1.85f2d7f7824c4p-1", "0x1.61de768dfd5c3p+0", "0x1.5d9174a959b18p-1", "0x1.4dd3e49cd92cdp-1",
+      "-0x1.2d127e6d93a97p-3", "-0x1.209edf14ba0b0p-2", "-0x1.fb09790ed96ecp-2")),
+]
+
+
+@pytest.mark.parametrize("pattern, chi, c0, kwargs, expected", _PINNED_SEARCHES,
+                         ids=["fully-braided", "cascade-eg", "cascade-ge", "complex-start", "complex-random", "peak"])
+def test_find_max_results_keep_their_bits(pattern, chi, c0, kwargs, expected):
+    res = find_max(layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, **kwargs)
+    a = res.amplitudes_at_max
+    got = (res.c_max, res.phi_star, res.t_star, a.c_eg.real, a.c_eg.imag, a.c_ge.real, a.c_ge.imag)
+    assert tuple(float(x).hex() for x in got) == expected
 
 
 @pytest.mark.parametrize("pattern, chi, c0", [
