@@ -6,11 +6,15 @@ plus golden-section refinements whose winning points are re-evaluated
 exactly (a refinement evaluates the points of several steps in one array
 call, but compares them as the one-point-at-a-time search would), and no
 randomness or threading is involved, so repeated runs produce identical
-results.
+results. calibrate_presets runs its independent searches on a pool of
+forked processes: each worker runs the same find_max on the same inputs
+with the same code, and the results are placed by job, not by arrival, so
+the table is the one a sequential loop builds.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -460,7 +464,9 @@ def find_max(
     at its phase once and evolves each batch of times, a phi-chain builds
     and evolves each batch of phases. Every point has the bits of its
     one-point evaluation, so the chains visit and compare what the
-    one-point-at-a-time search would.
+    one-point-at-a-time search would. The rounds stop early once a
+    phi-chain returns the phase its round started from: the next round
+    would get the same inputs and return the same floats.
 
     The effective matrix obeys m(2pi - phi) = -conj(m(phi)), so C is
     symmetric under phi -> 2pi - phi when c0 is real up to a global phase
@@ -500,8 +506,11 @@ def find_max(
         t_star = _golden_max(lambda t_batch: concurrence_values(*at_phi(t_batch)), t_lo, t_hi, _MAX_REFINE_TOL)
         if p_hi > p_lo:
             at_t = np.asarray([t_star])
-            phi_star = _golden_max(lambda phi_batch: concurrence_values(
+            phi_start, phi_star = phi_star, _golden_max(lambda phi_batch: concurrence_values(
                 *_point_amplitudes(cfg, chirality, c0, phi_batch)(at_t)), p_lo, p_hi, _MAX_REFINE_TOL)
+            # the same bits back: every later round would repeat this one
+            if phi_star.hex() == phi_start.hex():
+                break
 
     best = cell(phi_star, t_star)
     return cell(float(phis[i]), float(ts[j])) if best.c_max < grid_best else best
@@ -847,6 +856,14 @@ _TIE_TOL = 1e-6
 _SWAP_LABELS = str.maketrans("ab", "ba")
 
 
+def _search_job(pattern, gamma_total, chi, initial_label, t_horizon, phi_points, t_points) -> float:
+    """One value-table search of calibrate_presets, from plain values so a
+    pool worker can run it."""
+    c0 = INITIAL_EG if initial_label == "eg" else INITIAL_GE
+    return find_max(layout_from_pattern(pattern), ChiralitySpec(gamma_total, chi), c0,
+                    t_horizon=t_horizon, phi_points=phi_points, t_points=t_points).c_max
+
+
 def calibrate_presets(
     gamma_total: float = 1.0,
     t_horizon: float = 50.0,
@@ -865,20 +882,32 @@ def calibrate_presets(
     searched; its twin's row is the same values with the eg and ge columns
     exchanged. Every search starts from eg or ge over the full phase range,
     so find_max scans half the phase rows.
+
+    The 40 value-table searches share no state, so they run on a pool of
+    forked processes, one per CPU this process may use (at most one per
+    search); the results come back in job order and each is the float the
+    same find_max call returns in this process. A search's exception is
+    raised here. The forked workers inherit this process's modules as they
+    stand, warning filters included. The peak checks run in this process.
+    Needs the "fork" start method and os.sched_getaffinity (Linux).
     """
+    import multiprocessing  # here only: importing the package should not pay for it
+
+    orderings = all_orderings()
+    searched = [p for p in orderings if p < p.translate(_SWAP_LABELS)]
+    # columns in the order of ConfigTargets.bands(): nonchiral eg, ge, chiral eg, ge
+    jobs = [(pattern, gamma_total, chi, label, t_horizon, phi_points, t_points)
+            for pattern in searched for chi in (0.0, 1.0) for label in ("eg", "ge")]
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        values = pool.starmap(_search_job, jobs, chunksize=1)
+    rows = {pattern: tuple(values[4 * k : 4 * k + 4]) for k, pattern in enumerate(searched)}
     value_table: dict[str, tuple[float, float, float, float]] = {}
-    for pattern in all_orderings():
-        twin = value_table.get(pattern.translate(_SWAP_LABELS))
-        if twin is not None:
-            value_table[pattern] = (twin[1], twin[0], twin[3], twin[2])
-            continue
-        cfg = layout_from_pattern(pattern)
-        # columns in the order of ConfigTargets.bands(): nonchiral eg, ge, chiral eg, ge
-        value_table[pattern] = tuple(
-            find_max(cfg, ChiralitySpec(gamma_total, chi), c0,
-                     t_horizon=t_horizon, phi_points=phi_points, t_points=t_points).c_max
-            for chi in (0.0, 1.0) for c0 in (INITIAL_EG, INITIAL_GE)
-        )
+    for pattern in orderings:
+        if pattern not in rows:
+            ne, ng, ce, cg = rows[pattern.translate(_SWAP_LABELS)]
+            rows[pattern] = (ng, ne, cg, ce)
+        value_table[pattern] = rows[pattern]
 
     assignments: dict[str, ConfigCalibration] = {}
     for preset, tg in CALIBRATION_TARGETS.items():

@@ -848,6 +848,27 @@ def test_find_max_results_keep_their_bits(pattern, chi, c0, kwargs, expected):
     assert tuple(float(x).hex() for x in got) == expected
 
 
+def test_find_max_stops_when_a_round_repeats(monkeypatch):
+    # the cascade's concurrence does not depend on phi, so round 2's phi-chain
+    # returns the phase round 2 started from: round 3 would repeat round 2
+    calls = []
+
+    def spy(f, a, b, tol, *args):
+        calls.append((a, b, _golden_max(f, a, b, tol, *args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(experiments, "_golden_max", spy)
+    res = find_max(layout_from_pattern("aaabbb"), CASCADE, INITIAL_EG, phi_points=101, t_points=201)
+    assert len(calls) == 4
+    assert calls[:2] == calls[2:]
+    # the bits found with all three rounds run
+    a = res.amplitudes_at_max
+    got = (res.c_max, res.phi_star, res.t_star, a.c_eg.real, a.c_eg.imag, a.c_ge.real, a.c_ge.imag)
+    assert tuple(float(x).hex() for x in got) == (
+        "0x1.78b56362cef38p-1", "0x1.921fb54442d19p+1", "0x1.0000000000000p+0", "0x1.368b2fc6f960ap-1",
+        "0x0.0p+0", "0x1.368b2fc6f960ap-1", "0x1.43f39b6d446bcp-50")
+
+
 @pytest.mark.parametrize("pattern, chi, c0", [
     ("ababab", 0.0, INITIAL_EG),
     ("aaabbb", 1.0, INITIAL_EG),
@@ -929,6 +950,23 @@ def test_calibration_checks_each_ordering_peak_once(monkeypatch):
     assert result.assignments["fully_nested"].peaks_ok
     nested = [p for p in all_orderings() if experiments._name_consistent(Preset.FULLY_NESTED, p)]
     assert sorted(checked) == sorted(layout_from_pattern(p).atom_a.positions for p in nested)
+
+
+def test_calibration_pool_matches_in_process_searches():
+    grid = {"phi_points": 101, "t_points": 201}
+    table = calibrate_presets(**grid).value_table
+    expected = {}
+    for pattern in all_orderings():
+        if _swap(pattern) in expected:
+            ne, ng, ce, cg = expected[_swap(pattern)]
+            expected[pattern] = (ng, ne, cg, ce)
+        else:
+            expected[pattern] = tuple(
+                find_max(layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, **grid).c_max
+                for chi in (0.0, 1.0) for c0 in (INITIAL_EG, INITIAL_GE))
+    assert {p: [v.hex() for v in row] for p, row in table.items()} == \
+        {p: [v.hex() for v in row] for p, row in expected.items()}
+    assert list(table) == all_orderings()
 
 
 def test_calibration_targets_shape():

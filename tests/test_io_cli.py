@@ -497,6 +497,42 @@ def test_cli_numerical_failure_exit_3(monkeypatch, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("error, code", [(PhysicalityError, 3), (ValueError, 1)])
+def test_calibration_worker_error_reaches_the_caller(monkeypatch, tmp_path, error, code):
+    # the value-table searches run in forked workers, which inherit the patch
+    import os
+
+    from giantatoms import calibrate_presets, experiments
+
+    def search(cfg, chirality, c0, *args, **kwargs):
+        if cfg.atom_a.positions == (0, 2, 4):
+            raise error(f"synthetic failure in process {os.getpid()}")
+        return MaxResult(0.5, 0.0, 0.0, None)
+
+    monkeypatch.setattr(experiments, "find_max", search)
+    with pytest.raises(error, match="synthetic failure in process") as caught:
+        calibrate_presets()
+    assert type(caught.value) is error
+    assert str(caught.value) != f"synthetic failure in process {os.getpid()}"
+    assert cli_main(["calibrate", "--out", str(tmp_path / "calibration.csv")]) == code
+    assert not (tmp_path / "calibration.csv").exists()
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # every CLI start imports the package; only calibrate needs the pool
+    import os
+    import subprocess
+    import sys
+
+    import giantatoms
+
+    src = os.path.dirname(os.path.dirname(giantatoms.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import giantatoms.io_cli, sys; print('multiprocessing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_cli_stdout_output(capsysbinary):
     code = cli_main(["coeffs", "--preset", "separated", "--phi", "1.0"])
     assert code == 0
