@@ -4,9 +4,9 @@ Everything here is deterministic: sweep grids are evaluated with the exact
 propagator cell by cell (no accumulated state), searches are grid scans
 plus golden-section refinements whose winning points are re-evaluated
 exactly (a refinement evaluates the points of several steps in one array
-call, but compares them as the one-point-at-a-time search would), and no
-randomness or threading is involved, so repeated runs produce identical
-results. calibrate_presets runs its independent searches on a pool of
+call, but compares them as the one-point-at-a-time search would; the
+special-phase refinement calls its grid's evaluator), and no randomness or
+threading is involved, so repeated runs produce identical results. calibrate_presets runs its independent searches on a pool of
 forked processes: each worker runs the same find_max on the same inputs
 with the same code, and the results are placed by job, not by arrival, so
 the table is the one a sequential loop builds.
@@ -55,8 +55,8 @@ from .model import (
 TWO_PI = 2.0 * math.pi
 
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
-# Golden-section steps whose points find_max's refinement evaluates in one
-# call (_golden_max); a call costs far more than a point in it, and the
+# Golden-section steps whose points a refinement chain (_golden_max)
+# evaluates in one call; a call costs far more than a point in it, and the
 # points grow as 2^steps (measured in CHANGES.md)
 _LOOK_AHEAD = 5
 
@@ -74,7 +74,7 @@ def _golden_step(bracket, left):
     return (a, b, c, d), d
 
 
-def _golden_max(f, a, b, tol, look_ahead=_LOOK_AHEAD):
+def _golden_max(f, a, b, tol):
     """Golden-section maximization of f on [a, b]: the midpoint of the final
     bracket, of width at most tol; needs a < b.
 
@@ -83,10 +83,9 @@ def _golden_max(f, a, b, tol, look_ahead=_LOOK_AHEAD):
     order, and makes its comparisons on them, so it returns the same float;
     it only fetches them in batches. When it needs a value it does not
     hold, one call of f evaluates that point and every point the next
-    look_ahead - 1 steps could ask for, whichever way their comparisons fall:
-    2^look_ahead - 1 points at most. The first call holds the two interior
-    points and the points ahead of them. With look_ahead = 1 every later
-    call is one point.
+    _LOOK_AHEAD - 1 steps could ask for, whichever way their comparisons
+    fall: 2^_LOOK_AHEAD - 1 points at most. The first call holds the two
+    interior points and the points ahead of them.
     """
     def ahead(bracket, depth, path=()):
         """(comparisons, point) of each point the next depth steps from
@@ -102,7 +101,7 @@ def _golden_max(f, a, b, tol, look_ahead=_LOOK_AHEAD):
 
     def fetch(points, bracket):
         """The values of points, and those of the points ahead of bracket."""
-        plan = ahead(bracket, look_ahead - 1)
+        plan = ahead(bracket, _LOOK_AHEAD - 1)
         values = f(np.array(points + [x for _, x in plan]))
         return values[: len(points)], dict(zip([path for path, _ in plan], values[len(points) :]))
 
@@ -120,12 +119,6 @@ def _golden_max(f, a, b, tol, look_ahead=_LOOK_AHEAD):
             path = ()
         fc, fd = (fx, fc) if left else (fd, fx)
     return 0.5 * (bracket[0] + bracket[1])
-
-
-def _golden_min(f, a, b, tol):
-    """Golden-section minimization of the scalar function f, one point at a
-    time."""
-    return _golden_max(lambda us: [-f(u) for u in us], a, b, tol, look_ahead=1)
 
 
 def _m_components(cfg, gamma_r, gamma_l, phis):
@@ -581,9 +574,11 @@ def _candidate_runs(mask):
     return runs
 
 
-# find_special_phases: phase grid size, golden-section bracket width, and the
-# residual a refined phase must fall below (also |g|/gamma for a
-# decoherence-free phase to count as interacting)
+# find_special_phases: phase grid size, golden-section bracket width (the
+# refinement reads the grid's evaluator in batches; a decoherence-free or
+# dark-state phase is located only to about sqrt(eps), see
+# find_special_phases), and the residual a refined phase must fall below
+# (also |g|/gamma for a decoherence-free phase to count as interacting)
 _PHASE_GRID_POINTS = 100_000
 _PHASE_REFINE_TOL = 1e-10
 _PHASE_COEF_TOL = 1e-9
@@ -614,39 +609,41 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
     """Locate phases where the pair decouples, interacts without decay, or
     hosts a dark state overlapping the initial state.
 
-    Scans phi in [0, 2*pi), then refines each candidate by golden-section
-    minimization of its kind's residual down to a bracket of 1e-10.
+    Scans phi in [0, 2*pi) and refines each candidate by golden-section
+    minimization of its kind's residual, reading the scan's evaluator
+    (_phase_residuals on phase arrays) in batches. Decoherence-free and
+    dark-state phases are quadratic zeros, located to about sqrt(eps)
+    (7.4e-8 measured) in their roundoff basin, not to the 1e-10 bracket.
     """
     gamma_r, gamma_l = rates_from_chirality(chirality)
     gamma = chirality.gamma_total
     phis = np.linspace(0.0, TWO_PI, _PHASE_GRID_POINTS, endpoint=False)
-    on_grid = _phase_residuals(*_coefficient_arrays(cfg, phis, gamma_r, gamma_l), gamma)[0]
+
+    def residuals_at(phi_batch):
+        return _phase_residuals(*_coefficient_arrays(cfg, phi_batch, gamma_r, gamma_l), gamma)
+
+    on_grid = residuals_at(phis)[0]
     dphi = phis[1] - phis[0]
-
-    def at(phi):
-        c = coefficients(cfg, phi, gamma_r, gamma_l)
-        return _phase_residuals(c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g, gamma)
-
     found: list[SpecialPhase] = []
     for kind in PhaseKind:
         for lo_i, hi_i in _candidate_runs(on_grid[kind] < 1e-4):
             i_min = lo_i + int(np.argmin(on_grid[kind][lo_i : hi_i + 1]))
-            phi_star = _golden_min(lambda p: at(p)[0][kind], phis[i_min] - dphi, phis[i_min] + dphi,
-                                   _PHASE_REFINE_TOL)
+            phi_star = _golden_max(lambda phi_batch: -residuals_at(phi_batch)[0][kind], phis[i_min] - dphi,
+                                   phis[i_min] + dphi, _PHASE_REFINE_TOL)
             phi_star %= TWO_PI
             if TWO_PI - phi_star < 1e-9:
                 phi_star = 0.0
             if any(abs(phi_star - sp.phi) < 1e-6 or abs(abs(phi_star - sp.phi) - TWO_PI) < 1e-6 for sp in found):
                 continue
-            residuals, g_abs, decay = at(phi_star)
-            if residuals[kind] >= _PHASE_COEF_TOL:
+            residuals, g_abs, decay = residuals_at([phi_star])
+            if residuals[kind][0] >= _PHASE_COEF_TOL:
                 continue
-            if kind is PhaseKind.DECOHERENCE_FREE and g_abs < _PHASE_COEF_TOL * gamma:
+            if kind is PhaseKind.DECOHERENCE_FREE and g_abs[0] < _PHASE_COEF_TOL * gamma:
                 continue
             if kind is PhaseKind.DARK_STATE:
                 # a dark state needs finite dissipation to stand out against; points
                 # in the flat halo of a decoupling phase are not separate roots
-                if decay < 1e-6 * gamma:
+                if decay[0] < 1e-6 * gamma:
                     continue
                 report = dark_modes(_heff_at(cfg, chirality, phi_star), initial)
                 if not (report.classification is ModeClass.STEADY_PLATEAU and report.dark_overlap > 1e-6):

@@ -111,7 +111,7 @@ _GOLDEN_BRACKETS = [(0.0, 1.0), (-2.0, 5.0), (0.3, 0.3 + 3e-6), (0.25, 0.25 + 1e
 
 
 @pytest.mark.parametrize("name", list(_GOLDEN_OBJECTIVES))
-def test_look_ahead_search_matches_the_sequential_search(name):
+def test_look_ahead_search_matches_the_sequential_search(name, monkeypatch):
     # every look-ahead reads the sequential search's values in its order: the
     # same comparisons, on the same points, and the same result
     g = _GOLDEN_OBJECTIVES[name]
@@ -124,13 +124,14 @@ def test_look_ahead_search_matches_the_sequential_search(name):
 
         expected = _golden_reference(one, a, b, 1e-6)
         for look_ahead in range(1, 7):
+            monkeypatch.setattr(experiments, "_LOOK_AHEAD", look_ahead)
             ahead_log, batches = [], []
 
             def batch(xs):
                 batches.append(list(xs))
                 return [_Logged(x, g(x), ahead_log) for x in xs]
 
-            assert _golden_max(batch, a, b, 1e-6, look_ahead) == expected, (name, a, b, look_ahead)
+            assert _golden_max(batch, a, b, 1e-6) == expected, (name, a, b, look_ahead)
             assert ahead_log == log, (name, a, b, look_ahead)
             evaluated = [x for xs in batches for x in xs]
             assert set(asked) <= set(evaluated)
@@ -693,6 +694,61 @@ def test_special_phases_meet_their_conditions(preset, chi, coefficient_oracle):
         mirror = (2 * math.pi - sp.phi) % (2 * math.pi)
         assert any(q.kind is sp.kind and min(abs(q.phi - mirror), 2 * math.pi - abs(q.phi - mirror)) < 1e-6
                    for q in phases)
+
+
+def test_special_phase_refinement_reads_the_grid_evaluator(monkeypatch):
+    # the objective each refinement chain reads gives a batch of grid phases
+    # the bits of the full grid at the same indices, alone or in batches of
+    # any size, near the chain's bracket and anywhere on the grid
+    rng = np.random.default_rng(23)
+    phis = np.linspace(0.0, 2 * math.pi, experiments._PHASE_GRID_POINTS, endpoint=False)
+    chains, covered = [], set()
+
+    def spy(f, a, b, tol):
+        # the objective reads the loop's kind, so check it while the chain runs
+        kind = kinds[len(chains)]
+        i = int(np.argmin(np.abs(phis - 0.5 * (a + b))))
+        idx = np.concatenate([np.arange(i - 40, i + 41) % phis.size, rng.integers(0, phis.size, 200)])
+        batches = [idx] + [idx[lo : lo + 31] for lo in range(0, idx.size, 31)] + [[j] for j in idx[::20]]
+        for batch in batches:
+            assert np.asarray(f(phis[batch])).tolist() == (-grid[kind][batch]).tolist(), (pattern, chi, kind)
+        chains.append(kind)
+        return _golden_max(f, a, b, tol)
+
+    monkeypatch.setattr(experiments, "_golden_max", spy)
+    for pattern, chi in [("aaabbb", 0.0), ("ababab", 0.0), ("ababab", 1.0), ("abbaab", 0.37),
+                         ("aababb", 1.0), ("aabbba", 0.37)]:
+        cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
+        grid = experiments._phase_residuals(
+            *experiments._coefficient_arrays(cfg, phis, *rates_from_chirality(spec)), 1.0)[0]
+        # one chain per candidate run, in find_special_phases' order
+        kinds = [kind for kind in PhaseKind for _ in experiments._candidate_runs(grid[kind] < 1e-4)]
+        chains.clear()
+        find_special_phases(cfg, spec)
+        assert chains == kinds, (pattern, chi)
+        covered |= set(kinds)
+    assert covered == set(PhaseKind)
+
+
+# per-kind special-phase counts (decoupled, decoherence-free, dark state) of
+# every ordering from eg at chi 0 and chi 1
+_SPECIAL_PHASE_COUNTS = {
+    "aaabbb": [(2, 0, 4), (2, 0, 0)], "aababb": [(0, 0, 8), (0, 0, 6)], "aabbab": [(0, 0, 2), (0, 0, 4)],
+    "aabbba": [(2, 0, 2), (2, 0, 0)], "abaabb": [(0, 0, 2), (0, 0, 4)], "ababab": [(0, 4, 2), (0, 4, 0)],
+    "ababba": [(0, 0, 2), (0, 0, 4)], "abbaab": [(0, 0, 10), (0, 0, 8)], "abbaba": [(0, 0, 2), (0, 0, 4)],
+    "abbbaa": [(2, 0, 2), (2, 0, 0)], "baaabb": [(2, 0, 2), (2, 0, 0)], "baabab": [(0, 0, 2), (0, 0, 4)],
+    "baabba": [(0, 0, 10), (0, 0, 8)], "babaab": [(0, 0, 2), (0, 0, 4)], "bababa": [(0, 4, 2), (0, 4, 0)],
+    "babbaa": [(0, 0, 2), (0, 0, 4)], "bbaaab": [(2, 0, 2), (2, 0, 0)], "bbaaba": [(0, 0, 2), (0, 0, 4)],
+    "bbabaa": [(0, 0, 8), (0, 0, 6)], "bbbaaa": [(2, 0, 4), (2, 0, 0)],
+}
+
+
+def test_special_phase_counts_are_pinned():
+    assert sorted(_SPECIAL_PHASE_COUNTS) == sorted(all_orderings())
+    for pattern, expected in _SPECIAL_PHASE_COUNTS.items():
+        for chi, counts in zip((0.0, 1.0), expected):
+            phases = find_special_phases(layout_from_pattern(pattern), ChiralitySpec(1.0, chi))
+            assert tuple(sum(p.kind is kind for p in phases) for kind in PhaseKind) == counts, (pattern, chi)
 
 
 def test_chirality_scan_overlap_and_peaks():
