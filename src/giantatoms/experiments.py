@@ -6,10 +6,10 @@ plus golden-section refinements whose winning points are re-evaluated
 exactly (a refinement evaluates the points of several steps in one array
 call, but compares them as the one-point-at-a-time search would; the
 special-phase refinement calls its grid's evaluator), and no randomness or
-threading is involved, so repeated runs produce identical results. calibrate_presets runs its independent searches on a pool of
-forked processes: each worker runs the same find_max on the same inputs
-with the same code, and the results are placed by job, not by arrival, so
-the table is the one a sequential loop builds.
+threading is involved, so repeated runs produce identical results.
+calibrate_presets runs its searches on a pool of forked processes, each the
+same find_max on the same inputs with the same code, and places the results
+by job, not by arrival: the table is the one a sequential loop builds.
 """
 from __future__ import annotations
 
@@ -127,10 +127,9 @@ def _m_components(cfg, gamma_r, gamma_l, phis):
     return heff_entries(*_coefficient_arrays(cfg, phis, gamma_r, gamma_l))
 
 
-# Phase rows per propagator block, of the exact grid and the uniform-t scan.
-# A scan block's complex work arrays take rows x times x 16 bytes, 1 MB at
-# the default 4001 times: they stay near the cache and the peak memory stays
-# small (a measured sweep of block sizes is in CHANGES.md).
+# Phase rows per block of the exact grid (_concurrence_matrix): 1 MB per
+# complex temporary at 4001 times keeps them near the cache and the peak
+# memory small (a measured sweep of block sizes is in CHANGES.md).
 _ROW_BLOCK = 16
 
 
@@ -146,23 +145,13 @@ def _concurrence_matrix(cfg, chirality, c0, phis, ts):
     return out
 
 
-def _first_max(blocks):
-    """np.argmax over the cells of 2-D blocks of consecutive rows, as (row,
-    col, value), holding one block at a time.
-
-    Each block's argmax is its first maximum (or first NaN), and np.argmax
-    over the winners' values, taken in block order, keeps the first of
-    those: the same cell, first occurrence and NaN rules as one argmax over
-    the whole matrix. A block may hold fewer leading columns than another;
-    the cells it leaves out count as absent.
-    """
-    winners = []
-    lo = 0
-    for block in blocks:
-        i, j = divmod(int(np.argmax(block)), block.shape[1])
-        winners.append((lo + i, j, float(block[i, j])))
-        lo += block.shape[0]
-    return winners[int(np.argmax([v for _, _, v in winners]))]
+def _row_first_max(cells, rows, cols, values):
+    """Each row's first maximum (or first NaN) over the 2-D cells, written as
+    column and value to cols and values at rows. np.argmax over the values
+    then keeps the first row's: one np.argmax's cell over all the cells."""
+    j = np.argmax(cells, axis=1)
+    cols[rows] = j
+    values[rows] = cells[np.arange(j.size), j]
 
 
 # Taylor coefficients of cos z and sinc z = sin z / z in w = z^2, up to the
@@ -197,6 +186,9 @@ def _even_series(coef, w_max, w, h):
 # the cells a later, higher one would prune (measured in CHANGES.md).
 _ENVELOPE_SLACK = 1e-6
 _INCUMBENT_COLUMNS = 32
+# Cells per scan block (at least one row): 256 kB per complex work array,
+# four rows of 4001 times; other budgets measured slower (CHANGES.md).
+_SCAN_CELLS = 2**14
 
 
 def _row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max):
@@ -276,25 +268,26 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     for locating extrema; anything that matters gets re-evaluated with the
     exact propagator.
 
-    The scan first computes every row's first _INCUMBENT_COLUMNS columns;
-    their best cell is the incumbent. A row's envelope (_row_envelope)
-    bounds its C from above and never rises with t, so the cells whose
-    bound, with slack, lies below the incumbent, or only ties it in a row
-    after the incumbent's, are the row's tail (_scan_widths): none of them
-    can hold the first maximum. Each block is then
-    computed from column 0 up to the last column any of its rows keeps. A
-    prefix of a cumulative product has the bits of the same columns of the
-    whole one (continuing one from a carried column does not always), so
-    every computed cell has the bits of the full scan's, every cell equal to
-    the maximum is computed, and the first maximum is the full scan's.
+    The scan first keeps each row's first maximum over its first
+    _INCUMBENT_COLUMNS columns (_row_first_max); the best is the incumbent.
+    A row's envelope (_row_envelope) bounds its C from above and never rises
+    with t, so the cells whose bound, with slack, lies below the incumbent,
+    or only ties it in a row after the incumbent's, are the row's tail
+    (_scan_widths): none of them can hold the first maximum. Only the rows
+    that keep more columns are computed again, from column 0, and their
+    first maxima replace the incumbent pass's. A prefix of a cumulative
+    product has the bits of the same columns of the whole one (continuing
+    one from a carried column does not always), so every computed cell has
+    the bits of the full scan's, every cell equal to the maximum is
+    computed, and the first of the rows' first maxima is the full scan's.
 
-    Blocks of _ROW_BLOCK phase rows are computed one at a time into work
-    arrays allocated once per call (fresh memory for every temporary of
-    every block costs page faults that outweigh the arithmetic); a block of
-    fewer columns uses the front of each as one contiguous array, and the
-    incumbent pass fills them with as many rows as fit. No row's value
-    depends on the rows that share its block. The spectral rows use the
-    ufuncs, in their order, of the plain expressions.
+    Blocks of at most _SCAN_CELLS cells (rows x columns) go one at a time
+    into the front of work arrays allocated once per call (fresh memory for
+    every temporary of every block costs page faults that outweigh the
+    arithmetic): consecutive rows in the incumbent pass, then the wide rows
+    widest first, each block as wide as its widest row; the extra columns
+    lie under their rows' envelopes. No row's value depends on its block
+    mates; the spectral rows use the plain expressions' ufuncs, in order.
     """
     gamma_r, gamma_l = rates_from_chirality(chirality)
     m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
@@ -308,8 +301,9 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
 
     ts = np.arange(n_t) * dt
     t_sq, i_t = ts * ts, 1j * ts
-    size = min(_ROW_BLOCK, phis.size) * n_t
+    size = max(_SCAN_CELLS, n_t)
     work = [np.empty(size, dtype=complex) for _ in range(4)] + [np.empty(size) for _ in range(3)]
+    cols, values = np.empty(phis.size, dtype=np.intp), np.empty(phis.size)
 
     def geometric(rate, sq, dest):
         """e^{-i rate t} over the block's time columns, per row, into dest."""
@@ -317,14 +311,13 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
         sq[:, 1:] = np.exp(-1j * rate * dt)[:, None]
         return np.cumprod(sq, axis=1, out=dest)
 
-    def block(lo, hi, width):
-        """C over rows lo to hi and their first width columns."""
-        sl = slice(lo, hi)
-        n = mu[sl].size
-        seq, ep, em, tmp, out, mag1, mag2 = (x[: n * width].reshape(n, width) for x in work)
-        rows = np.flatnonzero(spectral[sl])
-        if rows.size:
-            k, idx = rows.size, lo + rows
+    def block(rows, width):
+        """Each row's first maximum of C over its first width columns."""
+        seq, ep, em, tmp, out, mag1, mag2 = (x[: rows.size * width].reshape(rows.size, width) for x in work)
+        kinds = spectral[rows]
+        at = np.flatnonzero(kinds)
+        if at.size:
+            k, idx = at.size, rows[at]
             p1, q1, p2, q2 = weights[:, idx]
             sq, e_p, e_m, t_k, r1, r2 = seq[:k], ep[:k], em[:k], tmp[:k], mag1[:k], mag2[:k]
             geometric(mu[idx] + s[idx], sq, e_p)
@@ -332,10 +325,10 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
             # c1 = e_p p1 + e_m q1 into sq, c2 = e_p p2 + e_m q2 into e_p
             np.add(np.multiply(e_p, p1[:, None], out=sq), np.multiply(e_m, q1[:, None], out=t_k), out=sq)
             np.add(np.multiply(e_p, p2[:, None], out=e_p), np.multiply(e_m, q2[:, None], out=t_k), out=e_p)
-            out[rows] = concurrence_values(sq, e_p, (r1, r2))
-        rows = np.flatnonzero(~spectral[sl])
-        if rows.size:
-            k, idx = rows.size, lo + rows
+            out[at] = concurrence_values(sq, e_p, (r1, r2))
+        at = np.flatnonzero(~kinds)
+        if at.size:
+            k, idx = at.size, rows[at]
             sq, cz, its, t_k, r1, r2 = seq[:k], ep[:k], em[:k], tmp[:k], mag1[:k], mag2[:k]
             sr = s[idx]
             w_max = (np.abs(sr) * t_max) ** 2
@@ -348,15 +341,21 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
             np.multiply(phase, its, out=its)
             np.subtract(np.multiply(cz, c0.c_eg, out=sq), np.multiply(its, d1[idx][:, None], out=t_k), out=sq)
             np.subtract(np.multiply(cz, c0.c_ge, out=cz), np.multiply(its, d2[idx][:, None], out=its), out=cz)
-            out[rows] = concurrence_values(sq, cz, (r1, r2))
-        return out
+            out[at] = concurrence_values(sq, cz, (r1, r2))
+        _row_first_max(out, rows, cols, values)
 
     k0 = min(n_t, _INCUMBENT_COLUMNS)
-    row_best = np.concatenate([block(lo, lo + size // k0, k0).max(axis=1) for lo in range(0, phis.size, size // k0)])
-    row = int(np.argmax(row_best))  # the first row holding the incumbent, or a NaN
-    widths = _scan_widths(_row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max), row_best[row], row, n_t, dt)
-    return _first_max(block(lo, lo + _ROW_BLOCK, int(widths[lo : lo + _ROW_BLOCK].max()))
-                      for lo in range(0, phis.size, _ROW_BLOCK))
+    for rows in np.split(np.arange(phis.size), range(size // k0, phis.size, size // k0)):
+        block(rows, k0)
+    row = int(np.argmax(values))  # the first row holding the incumbent, or a NaN
+    widths = _scan_widths(_row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max), values[row], row, n_t, dt)
+    wide = np.flatnonzero(widths > k0)
+    wide = wide[np.argsort(-widths[wide], kind="stable")]
+    while wide.size:
+        rows, wide = np.split(wide, [size // widths[wide[0]]])
+        block(rows, int(widths[rows[0]]))
+    i = int(np.argmax(values))
+    return i, int(cols[i]), float(values[i])
 
 
 def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
@@ -448,18 +447,19 @@ def find_max(
 
     Coarse grid scan followed by alternating golden-section refinement in t
     and phi inside the bracketing grid cells; the result never falls below
-    the best coarse-grid sample. The scan skips the cells that lie under a
-    decaying envelope below an early incumbent (_concurrence_scan_uniform),
-    94% of the default grids of calibrate_presets, and its result is the
-    full scan's, so the output is unchanged. Each golden-section chain
-    fetches its values in batches (_golden_max, _LOOK_AHEAD steps ahead),
-    each batch one array evaluation: a t-chain builds the effective matrix
-    at its phase once and evolves each batch of times, a phi-chain builds
-    and evolves each batch of phases. Every point has the bits of its
-    one-point evaluation, so the chains visit and compare what the
-    one-point-at-a-time search would. The rounds stop early once a
-    phi-chain returns the phase its round started from: the next round
-    would get the same inputs and return the same floats.
+    the best coarse-grid sample. The scan skips the cells under a decaying
+    envelope below an early incumbent, 95% of calibrate_presets' default
+    grids, computing the rest in blocks of a cell budget, each row once past
+    the incumbent's (_concurrence_scan_uniform); its result is the full
+    scan's, so the output is unchanged. Each golden-section chain fetches
+    its values in batches (_golden_max, _LOOK_AHEAD steps ahead), each batch
+    one array evaluation: a t-chain builds the effective matrix at its phase
+    once and evolves each batch of times, a phi-chain builds and evolves
+    each batch of phases. Every point has the bits of its one-point
+    evaluation, so the chains visit and compare what the one-point-at-a-time
+    search would. The rounds stop early once a phi-chain returns the phase
+    its round started from: the next round would get the same inputs and
+    return the same floats.
 
     The effective matrix obeys m(2pi - phi) = -conj(m(phi)), so C is
     symmetric under phi -> 2pi - phi when c0 is real up to a global phase

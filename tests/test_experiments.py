@@ -44,8 +44,8 @@ from giantatoms.dynamics import (
 from giantatoms.experiments import (
     CALIBRATION_TARGETS,
     _count_peaks,
-    _first_max,
     _golden_max,
+    _row_first_max,
     all_orderings,
     layout_from_pattern,
 )
@@ -217,52 +217,81 @@ def _tie_matrices():
             np.random.default_rng(2).integers(0, 3, size=(7, 5)).astype(float)]
 
 
+def _reduce_rows(matrix, blocks):
+    """The scan's result, (row, col, value), when _row_first_max takes each
+    (rows, width) of blocks, the rows' first width columns of matrix."""
+    cols, values = np.full(matrix.shape[0], -1), np.full(matrix.shape[0], np.nan)
+    for rows, width in blocks:
+        _row_first_max(matrix[rows, :width], rows, cols, values)
+    i = int(np.argmax(values))
+    return i, int(cols[i]), float(values[i])
+
+
 @pytest.mark.parametrize("matrix", _tie_matrices())
-def test_first_max_matches_argmax(matrix):
+def test_row_first_max_matches_argmax(matrix):
+    # the rows' first maxima, reduced by one argmax over rows, keep the cell of
+    # one argmax over the matrix, in whatever order the row blocks come
     i, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
+    rng = np.random.default_rng(4)
     for rows in (1, 2, 3, 5, 7):
-        row, col, value = _first_max(matrix[lo : lo + rows] for lo in range(0, matrix.shape[0], rows))
-        assert (row, col) == (i, j)
-        assert np.array_equal(value, matrix[i, j], equal_nan=True)
-
-
-@pytest.mark.parametrize("matrix", _tie_matrices())
-def test_first_max_handles_blocks_of_different_widths(matrix):
-    # the pruned scan hands over each block's first columns only: a cell
-    # outside its block's prefix is absent, and the first-occurrence and NaN
-    # rules stay those of one argmax over the cells present
-    rng = np.random.default_rng(3)
-    for rows in (1, 2, 3, 5, 7):
-        for _ in range(8):
-            starts = range(0, matrix.shape[0], rows)
-            widths = rng.integers(1, matrix.shape[1] + 1, size=len(starts))
-            present = np.full(matrix.shape, -np.inf)
-            for lo, w in zip(starts, widths):
-                present[lo : lo + rows, :w] = matrix[lo : lo + rows, :w]
-            i, j = np.unravel_index(int(np.argmax(present)), matrix.shape)
-            row, col, value = _first_max(matrix[lo : lo + rows, :w] for lo, w in zip(starts, widths))
+        for order in (np.arange(7), np.arange(7)[::-1], rng.permutation(7)):
+            blocks = [(order[lo : lo + rows], matrix.shape[1]) for lo in range(0, 7, rows)]
+            row, col, value = _reduce_rows(matrix, blocks)
             assert (row, col) == (i, j)
             assert np.array_equal(value, matrix[i, j], equal_nan=True)
 
 
-def _scan(monkeypatch, chunk, cfg, spec, c0, phis, n_t):
-    """The scan's result at one block size, the matrix its blocks form and
-    its row envelope. The row cutoff is patched to the full width, so the
-    matrix holds every cell."""
-    monkeypatch.setattr(experiments, "_ROW_BLOCK", chunk)
-    blocks, envelopes = [], []
+@pytest.mark.parametrize("matrix", _tie_matrices())
+def test_row_first_max_handles_rows_of_different_widths(matrix):
+    # a row computed to fewer columns than another leaves its other cells out:
+    # the first-occurrence and NaN rules stay those of one argmax over the
+    # cells present, whichever rows share a block
+    rng = np.random.default_rng(3)
+    for rows in (1, 2, 3, 5, 7):
+        for _ in range(8):
+            order = rng.permutation(matrix.shape[0])
+            blocks = [(order[lo : lo + rows], int(rng.integers(1, matrix.shape[1] + 1)))
+                      for lo in range(0, matrix.shape[0], rows)]
+            present = np.full(matrix.shape, -np.inf)
+            for block_rows, width in blocks:
+                present[block_rows, :width] = matrix[block_rows, :width]
+            i, j = np.unravel_index(int(np.argmax(present)), matrix.shape)
+            row, col, value = _reduce_rows(matrix, blocks)
+            assert (row, col) == (i, j)
+            assert np.array_equal(value, matrix[i, j], equal_nan=True)
 
-    def keep(gen):
-        return _first_max(blocks.append(b.copy()) or b for b in gen)
+
+def _spy_blocks(monkeypatch):
+    """Record (rows, cells) of every block the scan reduces, in order."""
+    blocks = []
+    reduce = experiments._row_first_max
+
+    def keep(cells, rows, cols, values):
+        blocks.append((rows.copy(), cells.copy()))
+        reduce(cells, rows, cols, values)
+
+    monkeypatch.setattr(experiments, "_row_first_max", keep)
+    return blocks
+
+
+def _scan(monkeypatch, cells, cfg, spec, c0, phis, n_t):
+    """The scan's result at one cell budget, the matrix of every cell and its
+    row envelope. The row cutoff is patched to the full width, so after the
+    incumbent pass the scan computes every row again at full width; those
+    blocks form the matrix."""
+    assert n_t > experiments._INCUMBENT_COLUMNS
+    monkeypatch.setattr(experiments, "_SCAN_CELLS", cells)
+    blocks, envelopes = _spy_blocks(monkeypatch), []
 
     def full_width(envelope, incumbent, incumbent_row, n_t, dt):
         envelopes.append(envelope)
         return np.full(phis.size, n_t)
 
-    monkeypatch.setattr(experiments, "_first_max", keep)
     monkeypatch.setattr(experiments, "_scan_widths", full_width)
     result = experiments._concurrence_scan_uniform(cfg, spec, c0, phis, n_t, 50.0 / (n_t - 1))
-    return result, np.concatenate(blocks), envelopes[0]
+    full = [(rows, block) for rows, block in blocks if block.shape[1] == n_t]
+    assert np.array_equal(np.concatenate([rows for rows, _ in full]), np.arange(phis.size))
+    return result, np.concatenate([block for _, block in full]), envelopes[0]
 
 
 _SCANS = [
@@ -276,12 +305,14 @@ _SCANS = [
 
 @pytest.mark.parametrize("pattern, chi, c0, n_t", _SCANS)
 def test_scan_does_not_depend_on_block_size(monkeypatch, pattern, chi, c0, n_t):
+    # cell budgets of one row, the default and all 101 rows give every cell
+    # and the first maximum the same bits
     args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, np.linspace(0.0, 2 * math.pi, 101), n_t)
-    result, matrix, _ = _scan(monkeypatch, experiments._ROW_BLOCK, *args)
+    result, matrix, _ = _scan(monkeypatch, experiments._SCAN_CELLS, *args)
     i, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
     assert result == (i, j, matrix[i, j])
-    for chunk in (1, 7):
-        other, other_matrix, _ = _scan(monkeypatch, chunk, *args)
+    for cells in (n_t, 101 * n_t):
+        other, other_matrix, _ = _scan(monkeypatch, cells, *args)
         assert other == result
         assert other_matrix.tobytes() == matrix.tobytes()
 
@@ -289,32 +320,26 @@ def test_scan_does_not_depend_on_block_size(monkeypatch, pattern, chi, c0, n_t):
 @pytest.mark.parametrize("pattern, chi, c0, n_t", _SCANS)
 def test_pruned_scan_computes_prefixes_of_the_full_scan(monkeypatch, pattern, chi, c0, n_t):
     # the incumbent is the best cell of every row's first columns, and each
-    # block the pruned scan computes holds the full scan's first columns, bit
+    # row the pruned scan computes holds the full scan's first columns, bit
     # for bit: a series row keeps the full horizon's term count
     args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, np.linspace(0.0, 2 * math.pi, 101), n_t)
-    result, matrix, _ = _scan(monkeypatch, experiments._ROW_BLOCK, *args)
+    result, matrix, _ = _scan(monkeypatch, experiments._SCAN_CELLS, *args)
     monkeypatch.undo()
-    blocks, incumbents = [], []
+    blocks, incumbents = _spy_blocks(monkeypatch), []
     scan_widths = experiments._scan_widths
-
-    def keep(gen):
-        return _first_max(blocks.append(b.copy()) or b for b in gen)
 
     def widths(envelope, incumbent, incumbent_row, n_t, dt):
         incumbents.append((incumbent, incumbent_row))
         return scan_widths(envelope, incumbent, incumbent_row, n_t, dt)
 
-    monkeypatch.setattr(experiments, "_first_max", keep)
     monkeypatch.setattr(experiments, "_scan_widths", widths)
     assert experiments._concurrence_scan_uniform(*args, 50.0 / (n_t - 1)) == result
     row_best = matrix[:, : experiments._INCUMBENT_COLUMNS].max(axis=1)
     assert incumbents == [(row_best.max(), list(row_best).index(row_best.max()))]
-    lo = 0
-    for block in blocks:
-        assert block.tobytes() == matrix[lo : lo + block.shape[0], : block.shape[1]].tobytes()
-        lo += block.shape[0]
-    assert lo == matrix.shape[0]
-    assert sum(block.size for block in blocks) < matrix.size
+    for rows, block in blocks:
+        for row, cells in zip(rows, block):
+            assert cells.tobytes() == matrix[row, : cells.size].tobytes()
+    assert sum(block.size for _, block in blocks) < matrix.size
 
 
 def test_scan_widths_keep_every_column_a_maximum_could_hold():
@@ -371,7 +396,7 @@ def test_scan_matches_exact_propagator_without_evolve(monkeypatch, pattern, chi,
         raise AssertionError("the scan called _evolve")
 
     monkeypatch.setattr(experiments, "_evolve", refuse)
-    _, matrix, _ = _scan(monkeypatch, experiments._ROW_BLOCK, cfg, spec, c0, phis, n_t)
+    _, matrix, _ = _scan(monkeypatch, experiments._SCAN_CELLS, cfg, spec, c0, phis, n_t)
     assert np.max(np.abs(matrix - exact)) < 1e-11
 
 
@@ -393,7 +418,7 @@ def test_scan_matches_plain_expressions(monkeypatch):
     # of spectral rows
     cfg, spec, c0 = layout_from_pattern("abaabb"), ChiralitySpec(1.0, 0.37), InitialState(0.6, 0.8j)
     phis, n_t, dt = np.linspace(0.0, 2 * math.pi, 101), 4001, 50.0 / 4000
-    _, matrix, _ = _scan(monkeypatch, experiments._ROW_BLOCK, cfg, spec, c0, phis, n_t)
+    _, matrix, _ = _scan(monkeypatch, experiments._SCAN_CELLS, cfg, spec, c0, phis, n_t)
 
     m11, m12, m21, m22 = experiments._m_components(cfg, *rates_from_chirality(spec), phis)
     mu, dd, s = eigen_split(m11, m12, m21, m22)
@@ -439,7 +464,7 @@ def test_envelope_bounds_every_scan_cell(pattern, chi, c0):
     # the full scan computes in that row, within the slack, and never rises
     cfg, spec, n_t = layout_from_pattern(pattern), ChiralitySpec(1.0, chi), 1001
     with pytest.MonkeyPatch.context() as mp:
-        _, matrix, envelope = _scan(mp, experiments._ROW_BLOCK, cfg, spec, c0, _ENVELOPE_PHIS, n_t)
+        _, matrix, envelope = _scan(mp, experiments._SCAN_CELLS, cfg, spec, c0, _ENVELOPE_PHIS, n_t)
     bound = envelope((np.arange(n_t) * (50.0 / (n_t - 1)))[:, None]).T
     assert np.all(matrix <= bound * (1.0 + experiments._ENVELOPE_SLACK))
     assert np.all(bound[:, 1:] <= bound[:, :-1] * (1.0 + 1e-12))
@@ -465,15 +490,36 @@ def test_pruned_search_matches_the_full_scan(monkeypatch):
     computed = grid = 0
     for pattern, chi, c0 in searches:
         cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
-        widths = []
+        widths, blocks = [], _spy_blocks(monkeypatch)
         monkeypatch.setattr(experiments, "_scan_widths", lambda *args: widths.append(scan_widths(*args)) or widths[-1])
         pruned = find_max(cfg, spec, c0)
+        computed += sum(block.size for _, block in blocks)
+        grid += widths[0].size * 4001
         monkeypatch.setattr(experiments, "_scan_widths", lambda *args: np.full(widths[0].size, 4001))
         assert find_max(cfg, spec, c0) == pruned, (pattern, chi, c0)
-        w, rows = widths[0], experiments._ROW_BLOCK
-        computed += sum(w[lo : lo + rows].size * int(w[lo : lo + rows].max()) for lo in range(0, w.size, rows))
-        grid += w.size * 4001
     assert computed < 0.25 * grid
+
+
+def test_pruned_search_computes_no_cell_twice(monkeypatch):
+    # the incumbent pass computes every row's first 32 columns once; only the
+    # rows that keep more columns are computed again, each once and to at
+    # least its width, in blocks within the cell budget, widest first
+    scan_widths = experiments._scan_widths
+    k0 = experiments._INCUMBENT_COLUMNS
+    for pattern, chi, c0 in _PRUNED_SEARCHES:
+        widths, blocks = [], _spy_blocks(monkeypatch)
+        monkeypatch.setattr(experiments, "_scan_widths", lambda *args: widths.append(scan_widths(*args)) or widths[-1])
+        find_max(layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0)
+        w = widths[0]
+        incumbent_pass = [rows for rows, block in blocks if block.shape[1] == k0]
+        assert np.array_equal(np.concatenate(incumbent_pass), np.arange(w.size))
+        again = blocks[len(incumbent_pass) :]
+        assert all(block.shape[1] > k0 and block.size <= experiments._SCAN_CELLS for _, block in again)
+        rows = np.concatenate([rows for rows, _ in again])
+        assert sorted(rows) == list(np.flatnonzero(w > k0)), (pattern, chi, c0)
+        for block_rows, block in again:
+            assert block.shape[1] == w[block_rows].max()
+        assert list(w[rows]) == sorted(w[rows], reverse=True)
 
 
 @pytest.mark.parametrize("kwargs", [{"t_points": 1}, {"t_points": 0}, {"phi_points": 0}])
