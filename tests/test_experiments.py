@@ -228,7 +228,7 @@ def _reduce_rows(matrix, blocks):
 
 
 @pytest.mark.parametrize("matrix", _tie_matrices())
-def test_row_first_max_matches_argmax(matrix):
+def test_first_max_matches_argmax(matrix):
     # the rows' first maxima, reduced by one argmax over rows, keep the cell of
     # one argmax over the matrix, in whatever order the row blocks come
     i, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
@@ -242,7 +242,7 @@ def test_row_first_max_matches_argmax(matrix):
 
 
 @pytest.mark.parametrize("matrix", _tie_matrices())
-def test_row_first_max_handles_rows_of_different_widths(matrix):
+def test_first_max_handles_blocks_of_different_widths(matrix):
     # a row computed to fewer columns than another leaves its other cells out:
     # the first-occurrence and NaN rules stay those of one argmax over the
     # cells present, whichever rows share a block
