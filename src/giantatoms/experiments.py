@@ -7,6 +7,9 @@ exactly (a refinement evaluates the points of several steps in one array
 call, but compares them as the one-point-at-a-time search would; the
 special-phase refinement calls its grid's evaluator), and no randomness or
 threading is involved, so repeated runs produce identical results.
+Every effective matrix comes from one array route, _m_components, over an
+array of phases: the sweep's blocks, the searches, and the one-phase matrix
+of _heff_at alike, so a phase has the same bits wherever it is evaluated.
 calibrate_presets runs its searches on a pool of forked processes, each the
 same find_max on the same inputs with the same code, and places the results
 by job, not by arrival: the table is the one a sequential loop builds.
@@ -22,7 +25,7 @@ from itertools import combinations, count
 
 import numpy as np
 
-from .coefficients import _coefficient_arrays, coefficients
+from .coefficients import _coefficient_arrays
 from .dynamics import (
     EffectiveHamiltonian,
     ModeClass,
@@ -32,7 +35,6 @@ from .dynamics import (
     _SINC_FORM_MAX_Z,
     _evolve,
     _times,
-    build_heff,
     concurrence_values,
     dark_modes,
     eigen_split,
@@ -127,21 +129,15 @@ def _m_components(cfg, gamma_r, gamma_l, phis):
     return heff_entries(*_coefficient_arrays(cfg, phis, gamma_r, gamma_l))
 
 
-# Phase rows per block of the exact grid (_concurrence_matrix): 1 MB per
-# complex temporary at 4001 times keeps them near the cache and the peak
-# memory small (a measured sweep of block sizes is in CHANGES.md).
-_ROW_BLOCK = 16
-
-
 def _concurrence_matrix(cfg, chirality, c0, phis, ts):
-    """Exact concurrence over phis x ts, _ROW_BLOCK phase rows at a time."""
-    gamma_r, gamma_l = rates_from_chirality(chirality)
-    m = _m_components(cfg, gamma_r, gamma_l, phis)
+    """Exact concurrence over phis x ts: one _point_amplitudes evaluation per
+    block of phase rows, as many as the scan's cell budget (_SCAN_CELLS)
+    holds, and at least one. No row's value depends on its block mates."""
     out = np.empty((phis.size, ts.size), dtype=float)
-    for lo in range(0, phis.size, _ROW_BLOCK):
-        m11, m12, m21, m22 = (x[lo : lo + _ROW_BLOCK, None] for x in m)
-        c1, c2 = _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, ts[None, :])
-        out[lo : lo + _ROW_BLOCK] = concurrence_values(c1, c2)
+    rows = max(1, _SCAN_CELLS // ts.size)
+    for lo in range(0, phis.size, rows):
+        at = _point_amplitudes(cfg, chirality, c0, phis[lo : lo + rows, None])
+        out[lo : lo + rows] = concurrence_values(*at(ts[None, :]))
     return out
 
 
@@ -187,7 +183,8 @@ def _even_series(coef, w_max, w, h):
 _ENVELOPE_SLACK = 1e-6
 _INCUMBENT_COLUMNS = 32
 # Cells per scan block (at least one row): 256 kB per complex work array,
-# four rows of 4001 times; other budgets measured slower (CHANGES.md).
+# four rows of 4001 times; other budgets measured slower (CHANGES.md). The
+# sweep's blocks (_concurrence_matrix) take the same budget.
 _SCAN_CELLS = 2**14
 
 
@@ -359,8 +356,9 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
 
 
 def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
-    gamma_r, gamma_l = rates_from_chirality(chirality)
-    return build_heff(coefficients(cfg, phi, gamma_r, gamma_l))
+    """The effective matrix at one phase, from the array route (_m_components):
+    the bits of that phase's element of any phase array."""
+    return EffectiveHamiltonian(np.array(_m_components(cfg, *rates_from_chirality(chirality), [phi])).reshape(2, 2))
 
 
 def _point_amplitudes(cfg, chirality, c0, phis):
@@ -559,19 +557,9 @@ class SpecialPhase:
 
 
 def _candidate_runs(mask):
-    """Contiguous index runs where mask is true."""
+    """Contiguous index runs (first, last) where mask is true."""
     idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    runs = []
-    start = prev = idx[0]
-    for k in idx[1:]:
-        if k != prev + 1:
-            runs.append((start, prev))
-            start = k
-        prev = k
-    runs.append((start, prev))
-    return runs
+    return [(run[0], run[-1]) for run in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if run.size]
 
 
 # find_special_phases: phase grid size, golden-section bracket width (the

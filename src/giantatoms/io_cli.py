@@ -24,7 +24,8 @@ target, computed and residual columns.
 Each flag is the text of one config field, named by a command's --help and
 checked with the --config document it overrides, so it accepts exactly what
 that field accepts; its value is the next token, even one starting with "-".
-find-max scans t over [0, time.stop] (time.start = 0) on a 4001-point grid.
+find-max and calibrate scan t over [0, time.stop] (time.start = 0) on a
+4001-point grid.
 
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
 error, numerical overflow or a grid too large to allocate, 2 I/O error, 3
@@ -42,8 +43,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, coefficients
-from .dynamics import PhysicalityError, Trajectory, build_heff, trajectory
+from .coefficients import CoefficientSet, _coefficient_arrays
+from .dynamics import PhysicalityError, Trajectory, trajectory
 from .experiments import (
     CalibrationResult,
     ChiralityScanResult,
@@ -52,6 +53,7 @@ from .experiments import (
     SpecialPhase,
     SweepGrid,
     TWO_PI,
+    _heff_at,
     calibrate_presets,
     chirality_scan,
     compare_initial_states,
@@ -588,22 +590,22 @@ def _phi_grid(spec: ExperimentSpec) -> np.ndarray:
 
 
 def _run_command(command: str, spec: ExperimentSpec):
+    if command in ("find-max", "calibrate") and spec.time.start != 0:
+        raise ConfigValidationError("time.start", f"{command} scans t from 0 to time.stop; must be 0")
     if command == "calibrate":
         return calibrate_presets(gamma_total=spec.gamma, t_horizon=spec.time.stop)
     cfg = spec.layout()
     chirality = spec.chirality()
-    gamma_r, gamma_l = rates_from_chirality(chirality)
 
     if command == "coeffs":
-        return [(float(p), coefficients(cfg, float(p), gamma_r, gamma_l)) for p in _phi_grid(spec)]
+        phis = _phi_grid(spec)
+        columns = (x.tolist() for x in _coefficient_arrays(cfg, phis, *rates_from_chirality(chirality)))
+        return [(p, CoefficientSet(*c)) for p, *c in zip(phis.tolist(), *columns)]
     if command == "evolve":
-        h = build_heff(coefficients(cfg, _scalar_phi(spec), gamma_r, gamma_l))
-        return trajectory(h, spec.initial_state(), spec.time.linspace())
+        return trajectory(_heff_at(cfg, chirality, _scalar_phi(spec)), spec.initial_state(), spec.time.linspace())
     if command == "sweep":
         return sweep(cfg, chirality, spec.initial_state(), _phi_grid(spec), spec.time.linspace())
     if command == "find-max":
-        if spec.time.start != 0:
-            raise ConfigValidationError("time.start", "find-max scans t from 0 to time.stop; must be 0")
         phi = spec.phi
         phi_range = (phi.start, phi.stop) if isinstance(phi, GridRange) else (phi, phi)
         phi_points = phi.count if isinstance(phi, GridRange) else 1

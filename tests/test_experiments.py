@@ -408,7 +408,7 @@ def test_sweep_does_not_depend_on_block_size(monkeypatch, pattern, chi):
             np.linspace(0.0, 2 * math.pi, 101), np.linspace(0.0, 50.0, 401))
     grid = sweep(*args).c_matrix
     for rows in (1, 101):
-        monkeypatch.setattr(experiments, "_ROW_BLOCK", rows)
+        monkeypatch.setattr(experiments, "_SCAN_CELLS", rows * 401)
         assert sweep(*args).c_matrix.tobytes() == grid.tobytes()
 
 

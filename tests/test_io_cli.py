@@ -21,13 +21,14 @@ from giantatoms import (
     Trajectory,
     build_heff,
     cli_main,
+    coefficients,
     parse_experiment_config,
     render_svg_heatmap,
     serialize_results,
     serialize_spec,
     trajectory,
 )
-from giantatoms.experiments import ConfigCalibration, SweepGrid, SweepMetadata
+from giantatoms.experiments import ConfigCalibration, SweepGrid, SweepMetadata, layout_from_pattern
 from giantatoms.io_cli import (
     ConfigSyntaxError,
     ConfigValidationError,
@@ -37,6 +38,7 @@ from giantatoms.io_cli import (
     _spec_from_args,
     _spec_from_document,
 )
+from giantatoms.model import ChiralitySpec, rates_from_chirality
 
 TAU = 2 * math.pi
 ZERO_SET = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0j, 0j)
@@ -486,12 +488,11 @@ def test_cli_unreadable_config_exit_2(tmp_path):
 
 
 def test_cli_numerical_failure_exit_3(monkeypatch, tmp_path):
-    import giantatoms.io_cli as io_cli
+    # a decay matrix reported unphysical: heff_entries raises, as it would for
+    # a real PSD failure
+    import giantatoms.dynamics as dynamics
 
-    def boom(*args, **kwargs):
-        raise PhysicalityError("synthetic failure")
-
-    monkeypatch.setattr(io_cli, "build_heff", boom)
+    monkeypatch.setattr(dynamics, "psd_mask", lambda *coefs: np.zeros(np.shape(coefs[0]), dtype=bool))
     code = cli_main(["evolve", "--preset", "separated", "--phi", "1.0",
                      "--out", str(tmp_path / "x.csv")])
     assert code == 3
@@ -519,7 +520,8 @@ def test_calibration_worker_error_reaches_the_caller(monkeypatch, tmp_path, erro
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # every CLI start imports the package; only calibrate needs the pool
+    # every CLI start imports the package; only calibrate needs the pool, and
+    # scipy is not a declared dependency
     import os
     import subprocess
     import sys
@@ -528,9 +530,10 @@ def test_cli_import_leaves_multiprocessing_out():
 
     src = os.path.dirname(os.path.dirname(giantatoms.__file__))
     out = subprocess.run(
-        [sys.executable, "-c", "import giantatoms.io_cli, sys; print('multiprocessing' in sys.modules)"],
+        [sys.executable, "-c",
+         "import giantatoms.io_cli, sys; print('multiprocessing' in sys.modules, 'scipy' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"
 
 
 def test_cli_stdout_output(capsysbinary):
@@ -588,9 +591,32 @@ def test_cli_flag_value_may_start_with_dash(capsysbinary, args):
     assert capsysbinary.readouterr().out == spaced
 
 
-def test_cli_find_max_rejects_time_start(capsys):
-    assert cli_main(["find-max", "--preset", "separated", "--t", "5:50:11"]) == 1
-    assert "invalid field 'time.start'" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["find-max", "calibrate"])
+def test_cli_scans_from_zero_reject_time_start(capsysbinary, tmp_path, command):
+    # both commands scan t over [0, time.stop]; another start is an error,
+    # not a silent [0, time.stop] scan
+    out = tmp_path / "x.csv"
+    assert cli_main([command, "--preset", "separated", "--t", "5:20:11"]) == 1
+    assert cli_main([command, "--preset", "separated", "--t", "5:20:11", "--out", str(out)]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert b"invalid field 'time.start'" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pattern", ["aaabbb", "ababab", "abbbaa", "aabbab"])
+@pytest.mark.parametrize("chi", [0.0, 0.37, 1.0])
+def test_cli_coeffs_rows_equal_one_phase_calls(capsysbinary, pattern, chi):
+    # coeffs evaluates its whole phase grid in one array call; every row must
+    # hold the bits of that phase evaluated alone
+    cfg = layout_from_pattern(pattern)
+    phis = np.linspace(0.0, TAU, 401)
+    gr, gl = rates_from_chirality(ChiralitySpec(1.0, chi))
+    expected = serialize_results([(float(p), coefficients(cfg, float(p), gr, gl)) for p in phis])
+    layout = [f"--layout-a={','.join(map(str, cfg.atom_a.positions))}",
+              f"--layout-b={','.join(map(str, cfg.atom_b.positions))}"]
+    assert cli_main(["coeffs", *layout, "--chi", repr(chi), "--phi", f"0:{TAU!r}:401"]) == 0
+    assert capsysbinary.readouterr().out == expected
 
 
 # counts whose allocation is refused at once: 10**21 exceeds the index
