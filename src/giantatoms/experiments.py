@@ -7,9 +7,6 @@ exactly (a refinement evaluates the points of several steps in one array
 call, but compares them as the one-point-at-a-time search would; the
 special-phase refinement calls its grid's evaluator), and no randomness or
 threading is involved, so repeated runs produce identical results.
-Every effective matrix comes from one array route, _m_components, over an
-array of phases: the sweep's blocks, the searches, and the one-phase matrix
-of _heff_at alike, so a phase has the same bits wherever it is evaluated.
 calibrate_presets runs its searches on a pool of forked processes, each the
 same find_max on the same inputs with the same code, and places the results
 by job, not by arrival: the table is the one a sequential loop builds.
@@ -25,7 +22,7 @@ from itertools import combinations, count
 
 import numpy as np
 
-from .coefficients import _coefficient_arrays
+from .coefficients import _coefficient_arrays, coefficients
 from .dynamics import (
     EffectiveHamiltonian,
     ModeClass,
@@ -35,6 +32,7 @@ from .dynamics import (
     _SINC_FORM_MAX_Z,
     _evolve,
     _times,
+    build_heff,
     concurrence_values,
     dark_modes,
     eigen_split,
@@ -130,14 +128,16 @@ def _m_components(cfg, gamma_r, gamma_l, phis):
 
 
 def _concurrence_matrix(cfg, chirality, c0, phis, ts):
-    """Exact concurrence over phis x ts: one _point_amplitudes evaluation per
-    block of phase rows, as many as the scan's cell budget (_SCAN_CELLS)
-    holds, and at least one. No row's value depends on its block mates."""
+    """Exact concurrence over phis x ts, in blocks of as many phase rows as
+    the scan's cell budget (_SCAN_CELLS) holds, and at least one."""
+    gamma_r, gamma_l = rates_from_chirality(chirality)
+    m = _m_components(cfg, gamma_r, gamma_l, phis)
     out = np.empty((phis.size, ts.size), dtype=float)
     rows = max(1, _SCAN_CELLS // ts.size)
     for lo in range(0, phis.size, rows):
-        at = _point_amplitudes(cfg, chirality, c0, phis[lo : lo + rows, None])
-        out[lo : lo + rows] = concurrence_values(*at(ts[None, :]))
+        m11, m12, m21, m22 = (x[lo : lo + rows, None] for x in m)
+        c1, c2 = _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, ts[None, :])
+        out[lo : lo + rows] = concurrence_values(c1, c2)
     return out
 
 
@@ -356,9 +356,7 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
 
 
 def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
-    """The effective matrix at one phase, from the array route (_m_components):
-    the bits of that phase's element of any phase array."""
-    return EffectiveHamiltonian(np.array(_m_components(cfg, *rates_from_chirality(chirality), [phi])).reshape(2, 2))
+    return build_heff(coefficients(cfg, phi, *rates_from_chirality(chirality)))
 
 
 def _point_amplitudes(cfg, chirality, c0, phis):
