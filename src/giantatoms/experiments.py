@@ -7,8 +7,9 @@ exactly (a refinement evaluates the points of several steps in one array
 call, but compares them as the one-point-at-a-time search would; the
 special-phase refinement calls its grid's evaluator), and no randomness or
 threading is involved, so repeated runs produce identical results.
-calibrate_presets runs its searches on a pool of forked processes, each the
-same find_max on the same inputs with the same code, and places the results
+calibrate_presets searches each symmetry orbit of its value table once (label
+swap, and waveguide reversal at chi = 0) on a pool of forked processes, each
+the same find_max on the same inputs with the same code, and places the results
 by job, not by arrival: the table is the one a sequential loop builds.
 """
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations, count
+from itertools import combinations, count, product
 
 import numpy as np
 
@@ -839,7 +840,7 @@ _TIE_TOL = 1e-6
 _SWAP_LABELS = str.maketrans("ab", "ba")
 
 
-def _search_job(pattern, gamma_total, chi, initial_label, t_horizon, phi_points, t_points) -> float:
+def _search_job(pattern, initial_label, chi, gamma_total, t_horizon, phi_points, t_points) -> float:
     """One value-table search of calibrate_presets, from plain values so a
     pool worker can run it."""
     c0 = INITIAL_EG if initial_label == "eg" else INITIAL_GE
@@ -860,13 +861,14 @@ def calibrate_presets(
     from the preset default is reported via matches_default=False, and a
     score above 0.02 flags the assignment as unresolved.
 
-    Swapping the atom labels maps ordering p with an eg start onto swap(p)
-    with a ge start, so only the first ordering of each swap pair is
-    searched; its twin's row is the same values with the eg and ge columns
-    exchanged. Every search starts from eg or ge over the full phase range,
-    so find_max scans half the phase rows.
+    Each value-table cell (p, chi, start) reads the search of the smallest
+    (ordering, start) in its orbit: swap(p) from the other start and, at
+    chi = 0 only, p[::-1] from the same start. Reversing the waveguide
+    exchanges the forward and backward pair sums, which keeps the
+    coefficients' bits only where gamma_R == gamma_L. Each search starts from
+    eg or ge over the full phase range, so find_max scans half the phase rows.
 
-    The 40 value-table searches share no state, so they run on a pool of
+    The 30 value-table searches share no state, so they run on a pool of
     forked processes, one per CPU this process may use (at most one per
     search); the results come back in job order and each is the float the
     same find_max call returns in this process. A search's exception is
@@ -877,24 +879,22 @@ def calibrate_presets(
     import multiprocessing  # here only: importing the package should not pay for it
 
     orderings = all_orderings()
-    searched = [p for p in orderings if p < p.translate(_SWAP_LABELS)]
     # columns in the order of ConfigTargets.bands(): nonchiral eg, ge, chiral eg, ge
-    jobs = [(pattern, gamma_total, chi, label, t_horizon, phi_points, t_points)
-            for pattern in searched for chi in (0.0, 1.0) for label in ("eg", "ge")]
-    workers = min(len(os.sched_getaffinity(0)), len(jobs))
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        values = pool.starmap(_search_job, jobs, chunksize=1)
-    rows = {pattern: tuple(values[4 * k : 4 * k + 4]) for k, pattern in enumerate(searched)}
-    value_table: dict[str, tuple[float, float, float, float]] = {}
-    for pattern in orderings:
-        if pattern not in rows:
-            ne, ng, ce, cg = rows[pattern.translate(_SWAP_LABELS)]
-            rows[pattern] = (ng, ne, cg, ce)
-        value_table[pattern] = rows[pattern]
+    columns = [(chi, label) for chi in (0.0, 1.0) for label in ("eg", "ge")]
+    job_of = {}
+    for p, (chi, label) in product(orderings, columns):
+        orbit = [(p, label), (p.translate(_SWAP_LABELS), label[::-1])]  # label[::-1] swaps eg and ge
+        if chi == 0.0:
+            orbit += [(q[::-1], start) for q, start in orbit]
+        job_of[p, chi, label] = (*min(orbit), chi, gamma_total, t_horizon, phi_points, t_points)
+    jobs = list(dict.fromkeys(job_of.values()))
+    with multiprocessing.get_context("fork").Pool(min(len(os.sched_getaffinity(0)), len(jobs))) as pool:
+        found = dict(zip(jobs, pool.starmap(_search_job, jobs, chunksize=1)))
+    value_table = {p: tuple(found[job_of[p, chi, label]] for chi, label in columns) for p in orderings}
 
     assignments: dict[str, ConfigCalibration] = {}
     for preset, tg in CALIBRATION_TARGETS.items():
-        candidates = [p for p in all_orderings() if _name_consistent(preset, p)]
+        candidates = [p for p in orderings if _name_consistent(preset, p)]
         scored = []
         for pattern in candidates:
             vals = value_table[pattern]
