@@ -37,6 +37,8 @@ from .model import LayoutConfiguration
 
 @dataclass(frozen=True)
 class CoefficientSet:
+    """Lamb shifts, individual and collective decay rates and exchange coupling of the two atoms at one phase."""
+
     delta_omega_a: float
     delta_omega_b: float
     gamma_a: float

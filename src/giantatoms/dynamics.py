@@ -41,12 +41,16 @@ class PhysicalityError(ValueError):
 
 @dataclass(frozen=True)
 class AmplitudePair:
+    """Amplitudes of the two single-excitation states |eg> and |ge>."""
+
     c_eg: complex
     c_ge: complex
 
 
 @dataclass(frozen=True, eq=False)
 class EffectiveHamiltonian:
+    """The 2x2 non-Hermitian effective matrix of the single-excitation dynamics."""
+
     matrix: np.ndarray  # (2, 2) complex
 
     @property
@@ -262,6 +266,8 @@ def propagate_numeric_batch(matrices, amps0, t_checkpoints, dt):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
+    """Amplitudes and concurrence on a time grid, with the matrix and start they came from."""
+
     times: np.ndarray        # (N,)
     amplitudes: np.ndarray   # (N, 2) complex
     concurrence: np.ndarray  # (N,)
@@ -288,6 +294,8 @@ class ModeClass(Enum):
 
 @dataclass(frozen=True)
 class ModeReport:
+    """Decay spectrum class and long-time concurrence prediction of dark_modes."""
+
     eigenvalues: tuple[complex, complex]
     classification: ModeClass
     predicted_c_ss: float | None  # None when undefined (persistent oscillation)

@@ -176,12 +176,19 @@ def _even_series(coef, w_max, w, h):
     return h
 
 
-# The search scan's pruning (_scan_widths): a cell is skipped only when its
-# row's envelope, times 1 + _ENVELOPE_SLACK, is below the incumbent, the best
-# cell of every row's first _INCUMBENT_COLUMNS columns. The slack stands far
-# above the scan's O(n_t eps) drift. A short incumbent prefix costs less than
-# the cells a later, higher one would prune (measured in CHANGES.md).
+# The search scan's pruning (_scan_widths): a cell is skipped only when a
+# bound on its row, times 1 + _ENVELOPE_SLACK, is below the incumbent: the
+# row's envelope (_row_envelope), or on a spectral row the envelope leaves
+# wide its state norm (_row_norm). The incumbent starts as the best cell of
+# every row's first _INCUMBENT_COLUMNS columns, and the rows not yet computed
+# are cut again each time a computed row takes it over. The slack stands far
+# above the scan's O(n_t eps) drift; the norm adds an absolute margin of
+# _NORM_ROUNDOFF (|p| + |q|)^2, far above the few eps (|p| + |q|)^2 its
+# closed form's cancellation leaves. A short incumbent prefix costs less than
+# the cells a later, higher one would prune (measured in CHANGES.md). On
+# calibrate_presets' default grids the scan computes 1.9% of the cells.
 _ENVELOPE_SLACK = 1e-6
+_NORM_ROUNDOFF = 2.0**-40
 _INCUMBENT_COLUMNS = 32
 # Cells per scan block (at least one row): 256 kB per complex work array,
 # four rows of 4001 times; other budgets measured slower (CHANGES.md). The
@@ -211,6 +218,7 @@ def _row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max):
         # e^{alpha u} (a + b u) peaks at u = -1/alpha - a/b; it only grows when alpha >= 0
         peaks = [np.where(alpha < 0, -1.0 / alpha - a / b, t_max) for a, b in series]
     spectral_terms = [(np.abs(weights[0]), np.abs(weights[1])), (np.abs(weights[2]), np.abs(weights[3]))]
+    mixed = not spectral.all()  # a cut of spectral rows only skips the series form
 
     def held(rate, t):
         """The supremum of e^{rate u} over u in [t, t_max]."""
@@ -218,33 +226,75 @@ def _row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max):
 
     @np.errstate(all="ignore")
     def envelope(t):
+        h_plus, h_minus = held(a_plus, t), held(a_minus, t)
         bound = 2.0
         for (p, q), (a, b), peak in zip(spectral_terms, series, peaks):
-            u = np.minimum(np.fmax(t, peak), t_max)  # fmax: a NaN peak (a = b = 0) is not a peak
-            series_bound = np.exp(alpha * u) * (a + b * u)
-            bound = bound * np.where(spectral, p * held(a_plus, t) + q * held(a_minus, t), series_bound)
+            amplitude = p * h_plus + q * h_minus
+            if mixed:
+                u = np.minimum(np.fmax(t, peak), t_max)  # fmax: a NaN peak (a = b = 0) is not a peak
+                amplitude = np.where(spectral, amplitude, np.exp(alpha * u) * (a + b * u))
+            bound = bound * amplitude
         return bound
 
     return envelope
 
 
-def _scan_widths(envelope, incumbent, incumbent_row, n_t, dt):
-    """Per phase row, how many leading time columns the scan computes: up to
-    the last whose envelope, times 1 + _ENVELOPE_SLACK, is not below the
-    incumbent, and at least one. In the rows after incumbent_row, the first
-    row that holds the incumbent, the bound must be above it: a cell there
-    that ties the incumbent comes after it, so it cannot be the first
-    maximum. The envelope never rises with t, so the kept columns are a
-    prefix, found by bisection; a NaN bound or incumbent keeps every column.
+def _row_norm(mu, s, weights, rise, t_max):
+    """Per spectral row of the scan, a bound on C at t and after, as a
+    function of t: the state norm N = |c_1|^2 + |c_2|^2 with a margin for
+    roundoff.
+
+    C = 2 |c_1| |c_2| <= N, and dN/dt = -c^H Gamma c with Gamma the decay
+    matrix, so N never rises where Gamma is PSD. psd_mask lets the lowest
+    eigenvalue of Gamma fall to about -1e-12 times the coefficient scale;
+    with rise its negation where positive, N grows at most by e^{rise t}, so
+    the bound takes e^{rise t_max} N. With the spectral weights,
+    c_k = p_k e^{-i(mu+s)t} + q_k e^{-i(mu-s)t}, so
+    N(t) = (P y+ + |R| cos(2 Re(s) t - arg R) y-) y+ + Q y-^2 with
+    y+- = e^{Im(mu +- s) t}, P = |p_1|^2 + |p_2|^2, Q = |q_1|^2 + |q_2|^2 and
+    R = 2 (p_1 q_1* + p_2 q_2*).
+    Near |s| t_max = _SINC_FORM_MAX_Z the weights grow as 1/|s| and the terms
+    cancel to N <= 1, leaving an absolute error of a few eps (|p| + |q|)^2,
+    which the slack relative to N need not cover: the margin adds
+    _NORM_ROUNDOFF (|p| + |q|)^2.
     """
-    lo = np.zeros(np.shape(envelope(0.0)), dtype=np.intp)  # columns before lo are kept
-    hi = np.full_like(lo, n_t)  # columns from hi on are not
-    after = np.arange(lo.size) > incumbent_row
-    for _ in range(int(n_t).bit_length()):
+    p1, q1, p2, q2 = weights
+    hold = np.exp(rise * t_max)
+    big, small = hold * (np.abs(p1) ** 2 + np.abs(p2) ** 2), hold * (np.abs(q1) ** 2 + np.abs(q2) ** 2)
+    cross = hold * 2.0 * (p1 * np.conj(q1) + p2 * np.conj(q2))
+    swing, phase = np.abs(cross), np.angle(cross)
+    rates, beat = ((mu + s).imag, (mu - s).imag), 2.0 * s.real
+    roundoff = _NORM_ROUNDOFF * ((np.abs(p1) + np.abs(q1)) ** 2 + (np.abs(p2) + np.abs(q2)) ** 2)
+
+    @np.errstate(all="ignore")
+    def norm(t):
+        y_plus, y_minus = (np.exp(rate * t) for rate in rates)
+        wave = swing * np.cos(beat * t - phase)
+        return (big * y_plus + wave * y_minus) * y_plus + small * y_minus * y_minus + roundoff
+
+    return norm
+
+
+def _scan_widths(bound, rows, incumbent, incumbent_row, n_t, dt):
+    """For each phase row in rows, how many of its first n_t time columns (a
+    count, or one per row) the scan computes: up to the last whose bound,
+    times 1 + _ENVELOPE_SLACK, is not below the incumbent, and at least one.
+    In the rows after incumbent_row, the first row that holds the incumbent,
+    the bound must be above it: a cell there that ties the incumbent comes
+    after it, so it cannot be the first maximum. bound(t) takes one time per
+    row of rows and bounds each row's cells at t and after; it never rises
+    with t, up to roundoff, so the kept columns are a prefix, found by
+    bisection, and each cut column's bound covers every column after it. A
+    NaN bound or incumbent keeps every column.
+    """
+    hi = np.array(np.broadcast_to(n_t, rows.shape), dtype=np.intp)  # columns from hi on are not kept
+    lo = np.zeros_like(hi)  # columns before lo are
+    after = rows > incumbent_row
+    for _ in range(int(hi.max(initial=0)).bit_length()):
         mid = (lo + hi) // 2
-        bound = envelope(mid * dt) * (1.0 + _ENVELOPE_SLACK)
-        keep = ~np.where(after, bound <= incumbent, bound < incumbent)
-        lo, hi = np.where(keep, np.minimum(mid + 1, hi), lo), np.where(keep, hi, mid)
+        scaled = bound(mid * dt) * (1.0 + _ENVELOPE_SLACK)
+        cut = np.where(after, scaled <= incumbent, scaled < incumbent)
+        lo, hi = np.where(cut, lo, np.minimum(mid + 1, hi)), np.where(cut, mid, hi)
     return np.maximum(lo, 1)
 
 
@@ -268,16 +318,24 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
 
     The scan first keeps each row's first maximum over its first
     _INCUMBENT_COLUMNS columns (_row_first_max); the best is the incumbent.
-    A row's envelope (_row_envelope) bounds its C from above and never rises
-    with t, so the cells whose bound, with slack, lies below the incumbent,
-    or only ties it in a row after the incumbent's, are the row's tail
-    (_scan_widths): none of them can hold the first maximum. Only the rows
-    that keep more columns are computed again, from column 0, and their
-    first maxima replace the incumbent pass's. A prefix of a cumulative
-    product has the bits of the same columns of the whole one (continuing
-    one from a carried column does not always), so every computed cell has
-    the bits of the full scan's, every cell equal to the maximum is
-    computed, and the first of the rows' first maxima is the full scan's.
+    Two bounds on a row's C never rise with t: its envelope (_row_envelope),
+    and on a spectral row its state norm N = |c_1|^2 + |c_2|^2 (_row_norm),
+    which stays tight where the envelope's two terms cancel. So the cells
+    whose bound, with slack, lies below the incumbent, or only ties it in a
+    row after the incumbent's, are the row's tail (_scan_widths): none of
+    them can hold the first maximum. The envelope cuts every row, then the
+    norm cuts the spectral rows left wide. Only the rows that keep more
+    columns are computed again, from column 0, and their first maxima
+    replace the incumbent pass's. Whenever that moves the incumbent to
+    another row, the rows not yet computed are cut again by both bounds
+    against it, under its row's tie rule. The incumbent never falls, so each
+    cut drops only cells that cannot be the first maximum. A prefix of a
+    cumulative product has the bits of the same columns of the whole one
+    (continuing one from a carried column does not always), so every
+    computed cell has the bits of the full scan's, every cell equal to the
+    maximum is computed, and the first of the rows' first maxima is the full
+    scan's. On calibrate_presets' default grids the scan computes 1.9% of the
+    cells (CHANGES.md).
 
     Blocks of at most _SCAN_CELLS cells (rows x columns) go one at a time
     into the front of work arrays allocated once per call (fresh memory for
@@ -296,6 +354,9 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     spectral = np.abs(s) * t_max > _SINC_FORM_MAX_Z
     weights = np.zeros((4, phis.size), dtype=complex)  # (p1, q1, p2, q2), on spectral rows only
     weights[:, spectral] = spectral_weights(s[spectral], c0.c_eg, c0.c_ge, d1[spectral], d2[spectral])
+    # how fast roundoff in the decay matrix lets N rise: minus its lowest eigenvalue, where positive
+    ga, gb = -2.0 * m11.imag, -2.0 * m22.imag
+    rise = np.maximum(np.hypot(0.5 * (ga - gb), np.abs(m21 - np.conj(m12))) - 0.5 * (ga + gb), 0.0)
 
     ts = np.arange(n_t) * dt
     t_sq, i_t = ts * ts, 1j * ts
@@ -345,13 +406,37 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     k0 = min(n_t, _INCUMBENT_COLUMNS)
     for rows in np.split(np.arange(phis.size), range(size // k0, phis.size, size // k0)):
         block(rows, k0)
+    widths = np.full(phis.size, n_t)
+
+    def envelope(rows):
+        return _row_envelope(mu[rows], s[rows], c0, d1[rows], d2[rows], weights[:, rows], spectral[rows], t_max)
+
+    def norm(rows):
+        return _row_norm(mu[rows], s[rows], weights[:, rows], rise[rows], t_max)
+
+    def cut(rows, bound):
+        """Narrow the rows' widths under bound(rows) against the incumbent."""
+        if rows.size:
+            widths[rows] = _scan_widths(bound(rows), rows, values[row], row, widths[rows], dt)
+
+    def narrow(rows):
+        """Cut the rows by their envelope, then the spectral ones left wide
+        by their state norm; the rows still wider than the incumbent pass,
+        widest first."""
+        cut(rows, envelope)
+        rows = rows[widths[rows] > k0]
+        cut(rows[spectral[rows]], norm)
+        rows = rows[widths[rows] > k0]
+        return rows[np.argsort(-widths[rows], kind="stable")]
+
     row = int(np.argmax(values))  # the first row holding the incumbent, or a NaN
-    widths = _scan_widths(_row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max), values[row], row, n_t, dt)
-    wide = np.flatnonzero(widths > k0)
-    wide = wide[np.argsort(-widths[wide], kind="stable")]
+    wide = narrow(np.arange(phis.size))
     while wide.size:
         rows, wide = np.split(wide, [size // widths[wide[0]]])
         block(rows, int(widths[rows[0]]))
+        if int(np.argmax(values)) != row:
+            row = int(np.argmax(values))
+            wide = narrow(wide)
     i = int(np.argmax(values))
     return i, int(cols[i]), float(values[i])
 
@@ -381,6 +466,8 @@ def evaluate_concurrence(cfg, chirality, c0, phi, t) -> float:
 
 @dataclass(frozen=True)
 class SweepMetadata:
+    """Labels of a sweep's layout, rates and start."""
+
     layout_label: str
     chi: float
     gamma: float
@@ -403,6 +490,8 @@ def _initial_label(c0: InitialState) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
+    """Concurrence over a phase x time product grid, with its axes and labels."""
+
     phi_values: np.ndarray
     t_values: np.ndarray
     c_matrix: np.ndarray  # shape (len(phi), len(t))
@@ -425,6 +514,8 @@ _MAX_REFINE_TOL = 1e-6  # find_max: golden-section bracket width in t and phi
 
 @dataclass(frozen=True)
 class MaxResult:
+    """The largest concurrence find_max found, where, and the amplitudes there."""
+
     c_max: float
     phi_star: float
     t_star: float
@@ -444,11 +535,14 @@ def find_max(
 
     Coarse grid scan followed by alternating golden-section refinement in t
     and phi inside the bracketing grid cells; the result never falls below
-    the best coarse-grid sample. The scan skips the cells under a decaying
-    envelope below an early incumbent, 95% of calibrate_presets' default
-    grids, computing the rest in blocks of a cell budget, each row once past
-    the incumbent's (_concurrence_scan_uniform); its result is the full
-    scan's, so the output is unchanged. Each golden-section chain fetches
+    the best coarse-grid sample. The scan skips the cells whose row bounds,
+    a decaying envelope and on spectral rows the state norm, lie below the
+    incumbent, which starts as the best of every row's first columns and is
+    raised by each row computed past them, with the rows not yet computed cut
+    again each time it moves: 98% of calibrate_presets' default grids. It
+    computes the rest in blocks of a cell budget, each row once past the
+    incumbent's (_concurrence_scan_uniform); its result is the full scan's,
+    so the output is unchanged. Each golden-section chain fetches
     its values in batches (_golden_max, _LOOK_AHEAD steps ahead), each batch
     one array evaluation: a t-chain builds the effective matrix at its phase
     once and evolves each batch of times, a phi-chain builds and evolves
@@ -508,6 +602,8 @@ def find_max(
 
 @dataclass(frozen=True)
 class SteadyStateReport:
+    """Whether and where a trajectory settles on a plateau, and its mode analysis."""
+
     is_steady: bool
     c_ss: float
     settle_time: float
@@ -551,6 +647,8 @@ class PhaseKind(Enum):
 
 @dataclass(frozen=True)
 class SpecialPhase:
+    """A phase shift at which the coefficients meet one of the PhaseKind conditions."""
+
     phi: float
     kind: PhaseKind
 
@@ -642,6 +740,8 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
 
 @dataclass(frozen=True, eq=False)
 class ChiralityScanResult:
+    """Trajectories at one phase over a chirality grid, with their peak counts."""
+
     phi: float
     gamma_total: float
     chis: tuple[float, ...]
@@ -681,6 +781,8 @@ def chirality_scan(cfg, phi, chi_values, c0, t_grid, gamma_total: float = 1.0) -
 
 @dataclass(frozen=True, eq=False)
 class InitialStateComparison:
+    """Sweeps from eg and from ge and their largest pointwise difference."""
+
     grid_eg: SweepGrid
     grid_ge: SweepGrid
     max_abs_diff: float
@@ -699,6 +801,8 @@ def compare_initial_states(cfg, chirality, phi_grid, t_grid) -> InitialStateComp
 
 @dataclass(frozen=True)
 class TargetBand:
+    """A closed interval [lo, hi] a calibrated maximum should fall in."""
+
     lo: float
     hi: float
 
@@ -723,6 +827,8 @@ class PeakConstraint:
 
 @dataclass(frozen=True)
 class ConfigTargets:
+    """The four maximum-concurrence bands and the peak constraints of one named configuration."""
+
     nonchiral_eg: TargetBand
     nonchiral_ge: TargetBand
     chiral_eg: TargetBand
@@ -813,6 +919,8 @@ def _name_consistent(preset: Preset, pattern: str) -> bool:
 
 @dataclass(frozen=True)
 class ConfigCalibration:
+    """The ordering assigned to one named configuration, with its score and values."""
+
     pattern: str
     positions_a: tuple[int, ...]
     positions_b: tuple[int, ...]
@@ -826,6 +934,8 @@ class ConfigCalibration:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """Assignments of orderings to the named configurations, and the value table they were scored on."""
+
     assignments: dict[str, ConfigCalibration]
     value_table: dict[str, tuple[float, float, float, float]]
 

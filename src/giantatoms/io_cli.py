@@ -120,6 +120,8 @@ def _emit_json(value) -> str:
 
 @dataclass(frozen=True)
 class GridRange:
+    """A grid start:stop:count, as the CLI and config documents write it."""
+
     start: float
     stop: float
     count: int

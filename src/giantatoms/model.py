@@ -44,6 +44,8 @@ class LayoutError(ValueError):
 
 @dataclass(frozen=True)
 class GiantAtom:
+    """One giant atom: its label and the lattice positions of its coupling points."""
+
     label: str  # "a" or "b"
     positions: tuple[int, ...]
 

@@ -275,23 +275,25 @@ def _spy_blocks(monkeypatch):
 
 
 def _scan(monkeypatch, cells, cfg, spec, c0, phis, n_t):
-    """The scan's result at one cell budget, the matrix of every cell and its
-    row envelope. The row cutoff is patched to the full width, so after the
-    incumbent pass the scan computes every row again at full width; those
-    blocks form the matrix."""
+    """The scan's result at one cell budget, the matrix of every cell and the
+    scan's cuts, each a bound with its rows: the first is every row's
+    envelope, the second the spectral rows' state norm. The row cutoff is
+    patched to the full width, so no cut narrows a row: after the incumbent
+    pass the scan computes every row again at full width; those blocks form
+    the matrix."""
     assert n_t > experiments._INCUMBENT_COLUMNS
     monkeypatch.setattr(experiments, "_SCAN_CELLS", cells)
-    blocks, envelopes = _spy_blocks(monkeypatch), []
+    blocks, cuts = _spy_blocks(monkeypatch), []
 
-    def full_width(envelope, incumbent, incumbent_row, n_t, dt):
-        envelopes.append(envelope)
-        return np.full(phis.size, n_t)
+    def full_width(bound, rows, incumbent, incumbent_row, n_t, dt):
+        cuts.append((bound, rows))
+        return np.full(rows.size, n_t)
 
     monkeypatch.setattr(experiments, "_scan_widths", full_width)
     result = experiments._concurrence_scan_uniform(cfg, spec, c0, phis, n_t, 50.0 / (n_t - 1))
     full = [(rows, block) for rows, block in blocks if block.shape[1] == n_t]
     assert np.array_equal(np.concatenate([rows for rows, _ in full]), np.arange(phis.size))
-    return result, np.concatenate([block for _, block in full]), envelopes[0]
+    return result, np.concatenate([block for _, block in full]), cuts
 
 
 _SCANS = [
@@ -328,14 +330,19 @@ def test_pruned_scan_computes_prefixes_of_the_full_scan(monkeypatch, pattern, ch
     blocks, incumbents = _spy_blocks(monkeypatch), []
     scan_widths = experiments._scan_widths
 
-    def widths(envelope, incumbent, incumbent_row, n_t, dt):
+    def widths(bound, rows, incumbent, incumbent_row, n_t, dt):
         incumbents.append((incumbent, incumbent_row))
-        return scan_widths(envelope, incumbent, incumbent_row, n_t, dt)
+        return scan_widths(bound, rows, incumbent, incumbent_row, n_t, dt)
 
     monkeypatch.setattr(experiments, "_scan_widths", widths)
     assert experiments._concurrence_scan_uniform(*args, 50.0 / (n_t - 1)) == result
     row_best = matrix[:, : experiments._INCUMBENT_COLUMNS].max(axis=1)
-    assert incumbents == [(row_best.max(), list(row_best).index(row_best.max()))]
+    assert incumbents[0] == (row_best.max(), list(row_best).index(row_best.max()))
+    # a later cut is against a higher incumbent: the best computed cell of a
+    # row that the scan computed again, once that row's first maximum took over
+    for (before, _), (incumbent, incumbent_row) in zip(incumbents, incumbents[1:]):
+        assert incumbent >= before
+        assert incumbent in matrix[incumbent_row]
     for rows, block in blocks:
         for row, cells in zip(rows, block):
             assert cells.tobytes() == matrix[row, : cells.size].tobytes()
@@ -354,7 +361,7 @@ def test_scan_widths_keep_every_column_a_maximum_could_hold():
         return scale * np.exp(-rates * t)
 
     def widths(incumbent, incumbent_row=4):
-        return list(experiments._scan_widths(envelope, incumbent, incumbent_row, n_t, dt))
+        return list(experiments._scan_widths(envelope, np.arange(5), incumbent, incumbent_row, n_t, dt))
 
     slack = 1.0 + experiments._ENVELOPE_SLACK
     kept = [int(np.count_nonzero(np.exp(-r * np.arange(n_t) * dt) * slack >= 0.5)) for r in (1.0, 2.0)]
@@ -366,6 +373,19 @@ def test_scan_widths_keep_every_column_a_maximum_could_hold():
     assert widths(0.25 * slack, 3)[4] == 1  # and cut after it: a later tie is not the first maximum
     assert widths(slack, 0) == [n_t, 1, 1, n_t, 1]  # the incumbent's own row keeps its tie
     assert widths(slack, -1) == [1, 1, 1, n_t, 1]
+    # a cut of some rows, in any order, gives each the width it has in a cut
+    # of all: the tie rule goes by row number, not by place in the cut
+    for rows in map(np.array, ([4, 0, 2], [3, 1], [2])):
+        def bound(t):
+            return scale[rows] * np.exp(-rates[rows] * t)
+
+        for incumbent, incumbent_row in ((0.5, 4), (0.25 * slack, 3), (slack, 0), (slack, -1)):
+            some = experiments._scan_widths(bound, rows, incumbent, incumbent_row, n_t, dt)
+            assert list(some) == [widths(incumbent, incumbent_row)[r] for r in rows]
+            # a row given fewer columns keeps at most those
+            limits = np.array([7, 300, 1000])[: rows.size]
+            fewer = experiments._scan_widths(bound, rows, incumbent, incumbent_row, limits, dt)
+            assert list(fewer) == list(np.minimum(some, limits))
 
 
 def _row_kinds(cfg, spec, phis, t_max):
@@ -464,10 +484,111 @@ def test_envelope_bounds_every_scan_cell(pattern, chi, c0):
     # the full scan computes in that row, within the slack, and never rises
     cfg, spec, n_t = layout_from_pattern(pattern), ChiralitySpec(1.0, chi), 1001
     with pytest.MonkeyPatch.context() as mp:
-        _, matrix, envelope = _scan(mp, experiments._SCAN_CELLS, cfg, spec, c0, _ENVELOPE_PHIS, n_t)
+        _, matrix, cuts = _scan(mp, experiments._SCAN_CELLS, cfg, spec, c0, _ENVELOPE_PHIS, n_t)
+    envelope, rows = cuts[0]
+    assert np.array_equal(rows, np.arange(_ENVELOPE_PHIS.size))
     bound = envelope((np.arange(n_t) * (50.0 / (n_t - 1)))[:, None]).T
     assert np.all(matrix <= bound * (1.0 + experiments._ENVELOPE_SLACK))
     assert np.all(bound[:, 1:] <= bound[:, :-1] * (1.0 + 1e-12))
+
+
+def _threshold_phase(cfg, spec, t_max):
+    """The phase, on a fine grid, of the spectral row nearest the form switch
+    |s| t_max = _SINC_FORM_MAX_Z: the largest spectral weights (they grow as
+    1/|s|) and the deepest cancellation between the two exponential terms."""
+    phis = np.linspace(0.0, 2 * math.pi, 20001)
+    _, _, s = eigen_split(*experiments._m_components(cfg, *rates_from_chirality(spec), phis))
+    z = np.abs(s) * t_max
+    return phis[np.argmin(np.where(z > _SINC_FORM_MAX_Z, z, np.inf))]
+
+
+@given(pattern=st.sampled_from(all_orderings()), chi=st.floats(0.0, 1.0), c0=_STARTS)
+@example(pattern="abbaab", chi=1.0, c0=_real_start(2.0))  # rows on both sides of the form switch
+@example(pattern="aaabbb", chi=0.0, c0=InitialState(0.6, 0.8j))  # near-degenerate and dark (a- = 0) rows
+@settings(max_examples=30, deadline=None)
+def test_state_norm_bounds_every_later_scan_cell(pattern, chi, c0):
+    """The state norm N(t_j), times 1 + _ENVELOPE_SLACK, must lie at or above
+    every cell at columns j and after in each spectral row, and the norm's cut
+    against any incumbent, a tiny one included, must leave only cells below
+    it.
+
+    Error model. N never rises where the decay matrix is PSD; psd_mask lets
+    its lowest eigenvalue fall to about -1e-12 times the coefficient scale,
+    so N may rise by a factor of about 1 + 1e-12 scale t, and _row_norm holds
+    it at e^{rise t_max} N for the rise the row's matrix allows. The closed
+    form adds terms of size up to (|p| + |q|)^2 that cancel down to N <= 1,
+    which leaves an absolute error of about eps (|p| + |q|)^2; next to the
+    form switch (_threshold_phase) the weights are largest, and where N is
+    small the slack relative to N does not cover that error, so _row_norm
+    adds the absolute margin _NORM_ROUNDOFF (|p| + |q|)^2. The scan's own
+    drift, O(n_t eps) relative per amplitude, moves a cell by at most about
+    sqrt(N) n_t eps (|p| + |q|), within the relative slack wherever N is
+    above about 1e-12 (|p| + |q|)^2 and within the margin below it. The
+    bound is evaluated inside the closure under np.errstate, so an overflow
+    there is no RuntimeWarning.
+    """
+    cfg, spec, n_t, t_max = layout_from_pattern(pattern), ChiralitySpec(1.0, chi), 1001, 50.0
+    phis = np.union1d(_ENVELOPE_PHIS, [_threshold_phase(cfg, spec, t_max)])
+    with pytest.MonkeyPatch.context() as mp:
+        _, matrix, cuts = _scan(mp, experiments._SCAN_CELLS, cfg, spec, c0, phis, n_t)
+    _, _, s = eigen_split(*experiments._m_components(cfg, *rates_from_chirality(spec), phis))
+    spectral = np.flatnonzero(np.abs(s) * t_max > _SINC_FORM_MAX_Z)
+    if not spectral.size:
+        return
+    norm, rows = cuts[1]
+    assert np.array_equal(rows, spectral)
+    ts = np.arange(n_t) * (t_max / (n_t - 1))
+    bound = norm(ts[:, None]).T * (1.0 + experiments._ENVELOPE_SLACK)
+    later = np.maximum.accumulate(matrix[spectral, ::-1], axis=1)[:, ::-1]  # the best cell at j and after
+    assert np.all(later <= bound)
+    for incumbent in (1e-300, 1e-12, float(np.median(matrix)), float(matrix.max())):
+        widths = experiments._scan_widths(norm, rows, incumbent, -1, n_t, t_max / (n_t - 1))
+        assert all(np.all(cells[width:] < incumbent) for cells, width in zip(matrix[spectral], widths))
+
+
+def _nan_row(monkeypatch, row):
+    """Make one phase row of the scan NaN: its effective matrix entries."""
+    m_components = experiments._m_components
+
+    def with_nan(*args):
+        m = [x.copy() for x in m_components(*args)]
+        m[0][row] = np.nan
+        return m
+
+    monkeypatch.setattr(experiments, "_m_components", with_nan)
+
+
+@pytest.mark.parametrize("nan_row", [None, 600], ids=["ties", "nan-row"])
+def test_rising_incumbent_keeps_the_full_scans_first_maximum(monkeypatch, nan_row):
+    # after a wide block the incumbent can move to another row; the rows not
+    # yet computed are then cut again under that row's tie rule. In the
+    # cascade from eg every row reaches the same maximum, so each later row
+    # ties the incumbent; a NaN row's NaN is the first maximum. Either way the
+    # pruned scan returns the full scan's (row, col, value), bit for bit
+    cfg, spec = layout_from_pattern("aaabbb"), CASCADE
+    phis, n_t = np.linspace(0.0, 2 * math.pi, 2001)[:1001], 4001
+    if nan_row is not None:
+        _nan_row(monkeypatch, nan_row)
+    full, matrix, _ = _scan(monkeypatch, experiments._SCAN_CELLS, cfg, spec, INITIAL_EG, phis, n_t)
+    i, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
+    assert full[:2] == (i, j) and np.array_equal(full[2], matrix[i, j], equal_nan=True)
+    monkeypatch.undo()
+    if nan_row is not None:
+        _nan_row(monkeypatch, nan_row)
+    scan_widths, incumbent_rows = experiments._scan_widths, []
+
+    def widths(bound, rows, incumbent, incumbent_row, n_t, dt):
+        incumbent_rows.append(incumbent_row)
+        return scan_widths(bound, rows, incumbent, incumbent_row, n_t, dt)
+
+    monkeypatch.setattr(experiments, "_scan_widths", widths)
+    pruned = experiments._concurrence_scan_uniform(cfg, spec, INITIAL_EG, phis, n_t, 50.0 / (n_t - 1))
+    assert pruned[:2] == full[:2]
+    assert np.array_equal(pruned[2], full[2], equal_nan=True)
+    if nan_row is None:
+        assert len(set(incumbent_rows)) > 1  # the incumbent moved, and the rows left were cut again
+    else:
+        assert set(incumbent_rows) == {nan_row}  # a NaN incumbent cuts nothing
 
 
 _PRUNED_SEARCHES = [
@@ -476,41 +597,52 @@ _PRUNED_SEARCHES = [
     ("aaabbb", 0.0, INITIAL_EG),  # the maximum lies on the phi = 0 row, which has a dark mode (a- = 0)
     ("bbaaab", 0.7388496187722705, InitialState(0.3485351275070701 + 0.6206217717157976j,
                                                 -0.005356172642051363 + 0.7023696980797246j)),
+    ("aabbba", 0.0, INITIAL_GE),  # a calibration search whose incumbent moves: the rows left are cut again
 ]
+
+
+# computed cells of each search in test_pruned_search_matches_the_full_scan
+_PRUNED_SEARCH_CELLS = [153421, 36033, 315509, 112044, 141113, 32032, 65517]
 
 
 def test_pruned_search_matches_the_full_scan(monkeypatch):
     # on the default grid the pruned scan finds the full scan's first maximum,
     # so find_max returns the same result bit for bit, while it computes a
-    # small share of the cells
+    # small share of the cells: the exact counts are pinned, so a change that
+    # prunes less fails here rather than only running slower
     rng = np.random.default_rng(13)
     searches = _PRUNED_SEARCHES + [(str(rng.choice(all_orderings())), float(rng.uniform(0.0, 1.0)), start)
                                    for start in (_real_start(rng.uniform(0.0, 2 * math.pi)), _random_start(rng))]
     scan_widths = experiments._scan_widths
-    computed = grid = 0
+    computed, grid = [], 0
     for pattern, chi, c0 in searches:
         cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
         widths, blocks = [], _spy_blocks(monkeypatch)
         monkeypatch.setattr(experiments, "_scan_widths", lambda *args: widths.append(scan_widths(*args)) or widths[-1])
         pruned = find_max(cfg, spec, c0)
-        computed += sum(block.size for _, block in blocks)
+        computed.append(sum(block.size for _, block in blocks))
         grid += widths[0].size * 4001
-        monkeypatch.setattr(experiments, "_scan_widths", lambda *args: np.full(widths[0].size, 4001))
+        monkeypatch.setattr(experiments, "_scan_widths", lambda bound, rows, *args: np.full(rows.size, 4001))
         assert find_max(cfg, spec, c0) == pruned, (pattern, chi, c0)
-    assert computed < 0.25 * grid
+    assert computed == _PRUNED_SEARCH_CELLS
+    assert sum(computed) < 0.25 * grid
 
 
 def test_pruned_search_computes_no_cell_twice(monkeypatch):
     # the incumbent pass computes every row's first 32 columns once; only the
-    # rows that keep more columns are computed again, each once and to at
-    # least its width, in blocks within the cell budget, widest first
+    # rows that keep more columns, after every cut, are computed again, each
+    # once and to at least its width, in blocks within the cell budget, widest
+    # first
     scan_widths = experiments._scan_widths
     k0 = experiments._INCUMBENT_COLUMNS
     for pattern, chi, c0 in _PRUNED_SEARCHES:
-        widths, blocks = [], _spy_blocks(monkeypatch)
-        monkeypatch.setattr(experiments, "_scan_widths", lambda *args: widths.append(scan_widths(*args)) or widths[-1])
+        cuts, blocks = [], _spy_blocks(monkeypatch)
+        monkeypatch.setattr(experiments, "_scan_widths",
+                            lambda bound, rows, *args: cuts.append((rows, scan_widths(bound, rows, *args))) or cuts[-1][1])
         find_max(layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0)
-        w = widths[0]
+        w = np.full(cuts[0][0].size, 4001)  # each row's narrowest cut
+        for rows, cut in cuts:
+            w[rows] = np.minimum(w[rows], cut)
         incumbent_pass = [rows for rows, block in blocks if block.shape[1] == k0]
         assert np.array_equal(np.concatenate(incumbent_pass), np.arange(w.size))
         again = blocks[len(incumbent_pass) :]
