@@ -320,7 +320,8 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     _INCUMBENT_COLUMNS columns (_row_first_max); the best is the incumbent.
     Two bounds on a row's C never rise with t: its envelope (_row_envelope),
     and on a spectral row its state norm N = |c_1|^2 + |c_2|^2 (_row_norm),
-    which stays tight where the envelope's two terms cancel. So the cells
+    which stays tight where an amplitude's two exponential terms cancel and
+    the envelope, adding their sizes, does not. So the cells
     whose bound, with slack, lies below the incumbent, or only ties it in a
     row after the incumbent's, are the row's tail (_scan_widths): none of
     them can hold the first maximum. The envelope cuts every row, then the

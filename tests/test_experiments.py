@@ -637,8 +637,12 @@ def test_pruned_search_computes_no_cell_twice(monkeypatch):
     k0 = experiments._INCUMBENT_COLUMNS
     for pattern, chi, c0 in _PRUNED_SEARCHES:
         cuts, blocks = [], _spy_blocks(monkeypatch)
-        monkeypatch.setattr(experiments, "_scan_widths",
-                            lambda bound, rows, *args: cuts.append((rows, scan_widths(bound, rows, *args))) or cuts[-1][1])
+
+        def widths(bound, rows, *args):
+            cuts.append((rows, scan_widths(bound, rows, *args)))
+            return cuts[-1][1]
+
+        monkeypatch.setattr(experiments, "_scan_widths", widths)
         find_max(layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0)
         w = np.full(cuts[0][0].size, 4001)  # each row's narrowest cut
         for rows, cut in cuts:
