@@ -301,7 +301,7 @@ def _scan_widths(bound, rows, incumbent, incumbent_row, n_t, dt):
 def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     """First maximum (row, col, value) of the concurrence over
     phis x (0, dt, 2dt, ...): fast search-grade scan that skips the cells
-    under a decaying envelope, with the full scan's result.
+    under two decaying bounds, with the full scan's result.
 
     Exploits the uniform time grid: every exponential is a geometric
     sequence, built by cumulative products instead of per-cell exp calls.
@@ -321,16 +321,16 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     Two bounds on a row's C never rise with t: its envelope (_row_envelope),
     and on a spectral row its state norm N = |c_1|^2 + |c_2|^2 (_row_norm),
     which stays tight where an amplitude's two exponential terms cancel and
-    the envelope, adding their sizes, does not. So the cells
-    whose bound, with slack, lies below the incumbent, or only ties it in a
-    row after the incumbent's, are the row's tail (_scan_widths): none of
-    them can hold the first maximum. The envelope cuts every row, then the
-    norm cuts the spectral rows left wide. Only the rows that keep more
-    columns are computed again, from column 0, and their first maxima
-    replace the incumbent pass's. Whenever that moves the incumbent to
-    another row, the rows not yet computed are cut again by both bounds
-    against it, under its row's tie rule. The incumbent never falls, so each
-    cut drops only cells that cannot be the first maximum. A prefix of a
+    the envelope, adding their sizes, does not. So the cells whose bound,
+    with slack, lies below the incumbent, or only ties it in a row after the
+    incumbent's, are the row's tail (_scan_widths): none of them can hold the
+    first maximum. The envelope cuts every row, then the norm cuts the
+    spectral rows left wide. Only the rows that keep more columns are
+    computed again, from column 0, and their first maxima replace the
+    incumbent pass's. Whenever that moves the incumbent to another row, the
+    rows not yet computed are cut again by both bounds against it, under its
+    row's tie rule. The incumbent never falls, so each cut drops only cells
+    that cannot be the first maximum. A prefix of a
     cumulative product has the bits of the same columns of the whole one
     (continuing one from a carried column does not always), so every
     computed cell has the bits of the full scan's, every cell equal to the
