@@ -46,6 +46,7 @@ from .model import (
     InitialState,
     INITIAL_EG,
     INITIAL_GE,
+    INITIAL_STATES,
     LayoutConfiguration,
     Preset,
     PRESET_POSITIONS,
@@ -79,45 +80,44 @@ def _golden_max(f, a, b, tol):
     """Golden-section maximization of f on [a, b]: the midpoint of the final
     bracket, of width at most tol; needs a < b.
 
-    f maps a float array of points to their values, one for one. The search
-    reads the values of the one-point-at-a-time search's points, in its
-    order, and makes its comparisons on them, so it returns the same float;
-    it only fetches them in batches. When it needs a value it does not
+    f maps a float array of points to their values, one for one, and is
+    pointwise: a point's value does not depend on the points it is evaluated
+    with, so equal floats have equal values. The search is the
+    one-point-at-a-time search, which makes the same comparisons on the same
+    values and returns the same float; it only fetches the values in
+    batches, and keeps them by point. When it needs a value it does not
     hold, one call of f evaluates that point and every point the next
     _LOOK_AHEAD - 1 steps could ask for, whichever way their comparisons
     fall: 2^_LOOK_AHEAD - 1 points at most. The first call holds the two
     interior points and the points ahead of them.
     """
-    def ahead(bracket, depth, path=()):
-        """(comparisons, point) of each point the next depth steps from
-        bracket can ask for, with the comparisons that lead to it."""
+    def ahead(bracket, depth):
+        """The points the next depth steps from bracket can ask for."""
         if depth == 0 or not bracket[1] - bracket[0] > tol:
             return []
         out = []
         for left in (True, False):
             after, x = _golden_step(bracket, left)
-            out.append((path + (left,), x))
-            out += ahead(after, depth - 1, path + (left,))
+            out += [x] + ahead(after, depth - 1)
         return out
 
+    values = {}
+
     def fetch(points, bracket):
-        """The values of points, and those of the points ahead of bracket."""
-        plan = ahead(bracket, _LOOK_AHEAD - 1)
-        values = f(np.array(points + [x for _, x in plan]))
-        return values[: len(points)], dict(zip([path for path, _ in plan], values[len(points) :]))
+        """The values of points; one call of f evaluates those not held yet
+        and the points ahead of bracket."""
+        missing = [x for x in points if x not in values]
+        if missing:
+            batch = missing + ahead(bracket, _LOOK_AHEAD - 1)
+            values.update(zip(batch, f(np.array(batch))))
+        return [values[x] for x in points]
 
     bracket = (a, b, b - _GOLDEN_INV * (b - a), a + _GOLDEN_INV * (b - a))
-    (fc, fd), known = fetch(list(bracket[2:]), bracket)
-    path = ()
+    fc, fd = fetch(list(bracket[2:]), bracket)
     while bracket[1] - bracket[0] > tol:
         left = fc > fd
         bracket, x = _golden_step(bracket, left)
-        path += (left,)
-        if path in known:
-            fx = known[path]
-        else:
-            (fx,), known = fetch([x], bracket)
-            path = ()
+        (fx,) = fetch([x], bracket)
         fc, fd = (fx, fc) if left else (fd, fx)
     return 0.5 * (bracket[0] + bracket[1])
 
@@ -183,10 +183,10 @@ def _even_series(coef, w_max, w, h):
 # every row's first _INCUMBENT_COLUMNS columns, and the rows not yet computed
 # are cut again each time a computed row takes it over. The slack stands far
 # above the scan's O(n_t eps) drift; the norm adds an absolute margin of
-# _NORM_ROUNDOFF (|p| + |q|)^2, far above the few eps (|p| + |q|)^2 its
-# closed form's cancellation leaves. A short incumbent prefix costs less than
-# the cells a later, higher one would prune (measured in CHANGES.md). On
-# calibrate_presets' default grids the scan computes 1.9% of the cells.
+# _NORM_ROUNDOFF (|p| + |q|)^2, far above the few eps (|p| + |q|)^2 that
+# its amplitudes' cancelling terms leave. A short incumbent prefix costs less
+# than the cells a later, higher one would prune (measured in CHANGES.md).
+# On calibrate_presets' default grids the scan computes 1.9% of the cells.
 _ENVELOPE_SLACK = 1e-6
 _NORM_ROUNDOFF = 2.0**-40
 _INCUMBENT_COLUMNS = 32
@@ -248,29 +248,21 @@ def _row_norm(mu, s, weights, rise, t_max):
     matrix, so N never rises where Gamma is PSD. psd_mask lets the lowest
     eigenvalue of Gamma fall to about -1e-12 times the coefficient scale;
     with rise its negation where positive, N grows at most by e^{rise t}, so
-    the bound takes e^{rise t_max} N. With the spectral weights,
-    c_k = p_k e^{-i(mu+s)t} + q_k e^{-i(mu-s)t}, so
-    N(t) = (P y+ + |R| cos(2 Re(s) t - arg R) y-) y+ + Q y-^2 with
-    y+- = e^{Im(mu +- s) t}, P = |p_1|^2 + |p_2|^2, Q = |q_1|^2 + |q_2|^2 and
-    R = 2 (p_1 q_1* + p_2 q_2*).
-    Near |s| t_max = _SINC_FORM_MAX_Z the weights grow as 1/|s| and the terms
-    cancel to N <= 1, leaving an absolute error of a few eps (|p| + |q|)^2,
-    which the slack relative to N need not cover: the margin adds
-    _NORM_ROUNDOFF (|p| + |q|)^2.
+    the bound takes e^{rise t_max} N, with the amplitudes of the spectral
+    blocks, c_k = p_k e^{-i(mu+s)t} + q_k e^{-i(mu-s)t}.
+    Near |s| t_max = _SINC_FORM_MAX_Z the weights grow as 1/|s| and the two
+    terms cancel to |c_k| <= 1, leaving an absolute error of a few
+    eps (|p| + |q|)^2 in N, which the slack relative to N need not cover:
+    the margin adds _NORM_ROUNDOFF (|p| + |q|)^2.
     """
     p1, q1, p2, q2 = weights
     hold = np.exp(rise * t_max)
-    big, small = hold * (np.abs(p1) ** 2 + np.abs(p2) ** 2), hold * (np.abs(q1) ** 2 + np.abs(q2) ** 2)
-    cross = hold * 2.0 * (p1 * np.conj(q1) + p2 * np.conj(q2))
-    swing, phase = np.abs(cross), np.angle(cross)
-    rates, beat = ((mu + s).imag, (mu - s).imag), 2.0 * s.real
     roundoff = _NORM_ROUNDOFF * ((np.abs(p1) + np.abs(q1)) ** 2 + (np.abs(p2) + np.abs(q2)) ** 2)
 
     @np.errstate(all="ignore")
     def norm(t):
-        y_plus, y_minus = (np.exp(rate * t) for rate in rates)
-        wave = swing * np.cos(beat * t - phase)
-        return (big * y_plus + wave * y_minus) * y_plus + small * y_minus * y_minus + roundoff
+        e_plus, e_minus = np.exp(-1j * (mu + s) * t), np.exp(-1j * (mu - s) * t)
+        return hold * (np.abs(p1 * e_plus + q1 * e_minus) ** 2 + np.abs(p2 * e_plus + q2 * e_minus) ** 2) + roundoff
 
     return norm
 
@@ -482,11 +474,7 @@ def _layout_label(cfg: LayoutConfiguration) -> str:
 
 
 def _initial_label(c0: InitialState) -> str:
-    if c0 == INITIAL_EG:
-        return "eg"
-    if c0 == INITIAL_GE:
-        return "ge"
-    return "custom"
+    return next((label for label, state in INITIAL_STATES.items() if c0 == state), "custom")
 
 
 @dataclass(frozen=True, eq=False)
@@ -954,8 +942,7 @@ _SWAP_LABELS = str.maketrans("ab", "ba")
 def _search_job(pattern, initial_label, chi, gamma_total, t_horizon, phi_points, t_points) -> float:
     """One value-table search of calibrate_presets, from plain values so a
     pool worker can run it."""
-    c0 = INITIAL_EG if initial_label == "eg" else INITIAL_GE
-    return find_max(layout_from_pattern(pattern), ChiralitySpec(gamma_total, chi), c0,
+    return find_max(layout_from_pattern(pattern), ChiralitySpec(gamma_total, chi), INITIAL_STATES[initial_label],
                     t_horizon=t_horizon, phi_points=phi_points, t_points=t_points).c_max
 
 
@@ -991,7 +978,7 @@ def calibrate_presets(
 
     orderings = all_orderings()
     # columns in the order of ConfigTargets.bands(): nonchiral eg, ge, chiral eg, ge
-    columns = [(chi, label) for chi in (0.0, 1.0) for label in ("eg", "ge")]
+    columns = [(chi, label) for chi in (0.0, 1.0) for label in INITIAL_STATES]
     job_of = {}
     for p, (chi, label) in product(orderings, columns):
         orbit = [(p, label), (p.translate(_SWAP_LABELS), label[::-1])]  # label[::-1] swaps eg and ge
@@ -1019,7 +1006,7 @@ def calibrate_presets(
         def peaks_pass(pattern):
             cfg = layout_from_pattern(pattern)
             for pk in tg.peaks:
-                c0 = INITIAL_EG if pk.initial_label == "eg" else INITIAL_GE
+                c0 = INITIAL_STATES[pk.initial_label]
                 v = find_max(cfg, ChiralitySpec(gamma_total, pk.chi), c0, (pk.phi, pk.phi), t_horizon,
                              phi_points=1, t_points=t_points).c_max
                 if abs(v - pk.value) > pk.band:

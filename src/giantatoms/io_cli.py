@@ -64,8 +64,7 @@ from .experiments import (
 from .model import (
     ChiralitySpec,
     InitialState,
-    INITIAL_EG,
-    INITIAL_GE,
+    INITIAL_STATES,
     LayoutError,
     Preset,
     make_layout,
@@ -157,7 +156,7 @@ class ExperimentSpec:
 
     def initial_state(self) -> InitialState:
         if isinstance(self.initial, str):
-            return INITIAL_EG if self.initial == "eg" else INITIAL_GE
+            return INITIAL_STATES[self.initial]
         return InitialState(complex(*self.initial[:2]), complex(*self.initial[2:]))
 
     def to_document(self) -> dict:
@@ -288,7 +287,7 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
             InitialState(complex(*initial[:2]), complex(*initial[2:]))
         except ValueError as exc:
             raise ConfigValidationError("initial", str(exc)) from None
-    elif initial not in ("eg", "ge"):
+    elif not isinstance(initial, str) or initial not in INITIAL_STATES:
         raise ConfigValidationError("initial", "expected 'eg', 'ge' or [re, im, re, im]")
 
     chis = None
@@ -558,9 +557,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="giantatoms", description=__doc__, add_help=True,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    commands = ("coeffs", "evolve", "sweep", "find-max", "special-phases",
-                "chirality-scan", "compare-initial", "calibrate")
-    for command in commands:
+    for command in _COMMANDS:
         p = sub.add_parser(command, help=f"run the {command} study")
         for name, field, _, help_text in _FLAGS:
             p.add_argument(f"--{name}", dest=name,
@@ -591,37 +588,47 @@ def _phi_grid(spec: ExperimentSpec) -> np.ndarray:
     return np.asarray([spec.phi])
 
 
+def _coeffs(spec: ExperimentSpec):
+    phis = _phi_grid(spec)
+    columns = (x.tolist() for x in _coefficient_arrays(spec.layout(), phis, *rates_from_chirality(spec.chirality())))
+    return [(p, CoefficientSet(*c)) for p, *c in zip(phis.tolist(), *columns)]
+
+
+def _find_max(spec: ExperimentSpec):
+    phi = spec.phi
+    phi_range = (phi.start, phi.stop) if isinstance(phi, GridRange) else (phi, phi)
+    phi_points = phi.count if isinstance(phi, GridRange) else 1
+    return find_max(spec.layout(), spec.chirality(), spec.initial_state(), phi_range,
+                    t_horizon=spec.time.stop, phi_points=phi_points)
+
+
+def _chirality_scan(spec: ExperimentSpec):
+    cfg = spec.layout()
+    chis = spec.chis if spec.chis is not None else (0.0, 0.25, 0.5, 0.75, 1.0)
+    return chirality_scan(cfg, _scalar_phi(spec), chis, spec.initial_state(), spec.time.linspace(),
+                          gamma_total=spec.gamma)
+
+
+# Every command, in --help order, and the study it runs on the validated spec
+_COMMANDS = {
+    "coeffs": _coeffs,
+    "evolve": lambda spec: trajectory(_heff_at(spec.layout(), spec.chirality(), _scalar_phi(spec)),
+                                      spec.initial_state(), spec.time.linspace()),
+    "sweep": lambda spec: sweep(spec.layout(), spec.chirality(), spec.initial_state(), _phi_grid(spec),
+                                spec.time.linspace()),
+    "find-max": _find_max,
+    "special-phases": lambda spec: find_special_phases(spec.layout(), spec.chirality(), spec.initial_state()),
+    "chirality-scan": _chirality_scan,
+    "compare-initial": lambda spec: compare_initial_states(spec.layout(), spec.chirality(), _phi_grid(spec),
+                                                           spec.time.linspace()),
+    "calibrate": lambda spec: calibrate_presets(gamma_total=spec.gamma, t_horizon=spec.time.stop),
+}
+
+
 def _run_command(command: str, spec: ExperimentSpec):
     if command in ("find-max", "calibrate") and spec.time.start != 0:
         raise ConfigValidationError("time.start", f"{command} scans t from 0 to time.stop; must be 0")
-    if command == "calibrate":
-        return calibrate_presets(gamma_total=spec.gamma, t_horizon=spec.time.stop)
-    cfg = spec.layout()
-    chirality = spec.chirality()
-
-    if command == "coeffs":
-        phis = _phi_grid(spec)
-        columns = (x.tolist() for x in _coefficient_arrays(cfg, phis, *rates_from_chirality(chirality)))
-        return [(p, CoefficientSet(*c)) for p, *c in zip(phis.tolist(), *columns)]
-    if command == "evolve":
-        return trajectory(_heff_at(cfg, chirality, _scalar_phi(spec)), spec.initial_state(), spec.time.linspace())
-    if command == "sweep":
-        return sweep(cfg, chirality, spec.initial_state(), _phi_grid(spec), spec.time.linspace())
-    if command == "find-max":
-        phi = spec.phi
-        phi_range = (phi.start, phi.stop) if isinstance(phi, GridRange) else (phi, phi)
-        phi_points = phi.count if isinstance(phi, GridRange) else 1
-        return find_max(cfg, chirality, spec.initial_state(), phi_range,
-                        t_horizon=spec.time.stop, phi_points=phi_points)
-    if command == "special-phases":
-        return find_special_phases(cfg, chirality, spec.initial_state())
-    if command == "chirality-scan":
-        chis = spec.chis if spec.chis is not None else (0.0, 0.25, 0.5, 0.75, 1.0)
-        return chirality_scan(cfg, _scalar_phi(spec), chis, spec.initial_state(),
-                              spec.time.linspace(), gamma_total=spec.gamma)
-    if command == "compare-initial":
-        return compare_initial_states(cfg, chirality, _phi_grid(spec), spec.time.linspace())
-    raise _UsageError(f"unknown command {command!r}")
+    return _COMMANDS[command](spec)
 
 
 def _require_finite(result) -> None:

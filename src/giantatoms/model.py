@@ -169,3 +169,4 @@ class InitialState:
 
 INITIAL_EG = InitialState(1.0 + 0.0j, 0.0j)  # atom a excited
 INITIAL_GE = InitialState(0.0j, 1.0 + 0.0j)  # atom b excited
+INITIAL_STATES = {"eg": INITIAL_EG, "ge": INITIAL_GE}  # the starts by label

@@ -234,6 +234,12 @@ def test_invalid_layout_rejected():
         make_layout((0, 1, 2), (2, 3, 4))
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_rejected(phi):
+    with pytest.raises(ValueError, match="phase shifts must be finite"):
+        coefficients(make_preset("separated"), phi, 0.5, 0.5)
+
+
 def test_bad_rates_rejected():
     cfg = make_preset("separated")
     with pytest.raises(ValueError):

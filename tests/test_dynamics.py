@@ -213,6 +213,12 @@ def test_trajectory_rejects_unsorted_grid():
         trajectory(h, INITIAL_EG, [-1.0, 0.0])
 
 
+@pytest.mark.parametrize("grid", [[], [[0.0, 1.0], [2.0, 3.0]]], ids=["empty", "2-d"])
+def test_trajectory_rejects_grid_shape(grid):
+    with pytest.raises(ValueError, match="must be a time or a non-empty 1-d grid"):
+        trajectory(build_heff(ZERO_SET), INITIAL_EG, grid)
+
+
 def test_trajectory_matches_pointwise_propagation():
     # grid evaluation must be bit-identical to one-shot propagation
     h = heff_for("partially_braided", 1.3, chi=0.4)

@@ -536,6 +536,27 @@ def test_cli_import_leaves_multiprocessing_out():
     assert out.stdout == "False False\n"
 
 
+def test_python_m_entry_point_matches_cli_main(capsysbinary):
+    # `python -m giantatoms` runs io_cli.main: the same bytes as cli_main for
+    # the same arguments, and exit 1 for an unknown flag
+    import os
+    import subprocess
+    import sys
+
+    import giantatoms
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(giantatoms.__file__)))
+    argv = ["coeffs", "--preset", "separated", "--phi", "1.0"]
+    assert cli_main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    run = subprocess.run([sys.executable, "-m", "giantatoms", *argv], env=env, capture_output=True, timeout=60)
+    assert run.returncode == 0 and run.stdout == expected
+    run = subprocess.run([sys.executable, "-m", "giantatoms", *argv, "--bogus", "1"], env=env,
+                         capture_output=True, timeout=60)
+    assert run.returncode == 1 and run.stdout == b""
+    assert run.stderr.startswith(b"usage error: ")
+
+
 def test_cli_stdout_output(capsysbinary):
     code = cli_main(["coeffs", "--preset", "separated", "--phi", "1.0"])
     assert code == 0

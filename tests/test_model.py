@@ -131,3 +131,11 @@ def test_initial_state_normalization():
         InitialState(1.0, 1.0)
     with pytest.raises(ValueError):
         InitialState(0.5, 0.5)
+
+
+@pytest.mark.parametrize("c_eg, c_ge", [(complex("nan"), 0j), (0j, complex("nan")), (complex(1.0, math.nan), 0j)])
+def test_initial_state_rejects_nan(c_eg, c_ge):
+    # a NaN norm passes the normalization check (abs(nan - 1) > tol is
+    # False), so the finiteness check is the only guard
+    with pytest.raises(ValueError, match="initial amplitudes must be finite"):
+        InitialState(c_eg, c_ge)
