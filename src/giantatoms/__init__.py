@@ -3,7 +3,6 @@ with tunable directional (chiral) coupling."""
 
 from .model import (
     ChiralitySpec,
-    GiantAtom,
     InitialState,
     INITIAL_EG,
     INITIAL_GE,

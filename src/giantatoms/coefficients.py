@@ -94,8 +94,7 @@ def coefficients_nonchiral(cfg: LayoutConfiguration, phi: float, gamma: float) -
         raise ValueError(f"gamma must be positive, got {gamma}")
 
     within = []
-    for atom in (cfg.atom_a, cfg.atom_b):
-        pos = atom.positions
+    for pos in (cfg.positions_a, cfg.positions_b):
         delta = 0.0
         decay = 0.0
         for n in range(len(pos)):
@@ -105,7 +104,7 @@ def coefficients_nonchiral(cfg: LayoutConfiguration, phi: float, gamma: float) -
                 decay += gamma * math.cos(arg)
         within.append((delta, decay))
 
-    pa, pb = cfg.atom_a.positions, cfg.atom_b.positions
+    pa, pb = cfg.positions_a, cfg.positions_b
     gamma_coll = 0.0
     g = 0.0
     for n in range(len(pa)):

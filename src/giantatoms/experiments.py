@@ -457,34 +457,13 @@ def evaluate_concurrence(cfg, chirality, c0, phi, t) -> float:
     return float(concurrence_values(*_point_amplitudes(cfg, chirality, c0, [phi])(ts))[0])
 
 
-@dataclass(frozen=True)
-class SweepMetadata:
-    """Labels of a sweep's layout, rates and start."""
-
-    layout_label: str
-    chi: float
-    gamma: float
-    initial_label: str
-
-
-def _layout_label(cfg: LayoutConfiguration) -> str:
-    if cfg.preset_tag is not Preset.CUSTOM:
-        return cfg.preset_tag.value
-    return f"custom[a={list(cfg.atom_a.positions)};b={list(cfg.atom_b.positions)}]"
-
-
-def _initial_label(c0: InitialState) -> str:
-    return next((label for label, state in INITIAL_STATES.items() if c0 == state), "custom")
-
-
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """Concurrence over a phase x time product grid, with its axes and labels."""
+    """Concurrence over a phase x time product grid, with its axes."""
 
     phi_values: np.ndarray
     t_values: np.ndarray
     c_matrix: np.ndarray  # shape (len(phi), len(t))
-    metadata: SweepMetadata
 
 
 def sweep(cfg, chirality, c0, phi_grid, t_grid) -> SweepGrid:
@@ -493,9 +472,7 @@ def sweep(cfg, chirality, c0, phi_grid, t_grid) -> SweepGrid:
     if phis.size == 0 or not np.all(np.isfinite(phis)) or np.any(np.diff(phis) <= 0):
         raise ValueError("phi_grid must be non-empty, finite and strictly increasing")
     ts = _times("t_grid", t_grid)
-    c = _concurrence_matrix(cfg, chirality, c0, phis, ts)
-    meta = SweepMetadata(_layout_label(cfg), chirality.chi, chirality.gamma_total, _initial_label(c0))
-    return SweepGrid(phis, ts, c, meta)
+    return SweepGrid(phis, ts, _concurrence_matrix(cfg, chirality, c0, phis, ts))
 
 
 _MAX_REFINE_TOL = 1e-6  # find_max: golden-section bracket width in t and phi
@@ -803,15 +780,16 @@ class TargetBand:
         return 0.0
 
 
+_PEAK_BAND = 0.02
+
+
 @dataclass(frozen=True)
 class PeakConstraint:
-    """Requires max-over-t concurrence at a reference phase to sit within value +- band."""
+    """Requires the nonchiral max-over-t concurrence from eg at a reference
+    phase to sit within value +- _PEAK_BAND."""
 
     phi: float
     value: float
-    band: float
-    chi: float
-    initial_label: str  # "eg" or "ge"
 
 
 @dataclass(frozen=True)
@@ -846,64 +824,49 @@ CALIBRATION_TARGETS: dict[Preset, ConfigTargets] = {
     Preset.FULLY_BRAIDED: ConfigTargets(_exact(1.0), _exact(1.0), _exact(1.0), _exact(1.0)),
     Preset.PARTIALLY_BRAIDED: ConfigTargets(
         _exact(0.77), _exact(0.77), TargetBand(0.86, 0.87), _exact(0.89),
-        peaks=(PeakConstraint(11 * math.pi / 25, 0.77, 0.02, 0.0, "eg"),),
+        peaks=(PeakConstraint(11 * math.pi / 25, 0.77),),
     ),
     Preset.FULLY_NESTED: ConfigTargets(
         _exact(0.87), _exact(0.96), _exact(0.90), _exact(0.98),
-        peaks=(PeakConstraint(math.pi / 4, 0.67, 0.02, 0.0, "eg"),),
+        peaks=(PeakConstraint(math.pi / 4, 0.67),),
     ),
     Preset.PARTIALLY_NESTED: ConfigTargets(
         _exact(0.83), _exact(0.78), _exact(0.94), _exact(0.93),
-        peaks=(PeakConstraint(math.pi / 4, 0.83, 0.02, 0.0, "eg"),),
+        peaks=(PeakConstraint(math.pi / 4, 0.83),),
     ),
 }
 
 
+def _pattern(positions_a) -> str:
+    """The ordering of points 0..5 whose 'a' points sit at positions_a."""
+    return "".join("a" if i in positions_a else "b" for i in range(6))
+
+
 def all_orderings() -> list[str]:
     """The 20 ways to interleave three 'a' and three 'b' points on 0..5."""
-    out = []
-    for apos in combinations(range(6), 3):
-        out.append("".join("a" if i in apos else "b" for i in range(6)))
-    return sorted(out)
+    return sorted(_pattern(apos) for apos in combinations(range(6), 3))
 
 
-def layout_from_pattern(pattern: str, tag: Preset = Preset.CUSTOM) -> LayoutConfiguration:
+def layout_from_pattern(pattern: str) -> LayoutConfiguration:
     if sorted(pattern) != ["a", "a", "a", "b", "b", "b"]:
         raise ValueError(f"pattern must contain three 'a' and three 'b', got {pattern!r}")
     pos_a = tuple(i for i, ch in enumerate(pattern) if ch == "a")
     pos_b = tuple(i for i, ch in enumerate(pattern) if ch == "b")
-    return make_layout(pos_a, pos_b, tag)
+    return make_layout(pos_a, pos_b)
 
 
-def _is_contiguous(pattern: str) -> bool:
-    return pattern in ("aaabbb", "bbbaaa")
+_SWAP_LABELS = str.maketrans("ab", "ba")
 
-
-def _is_alternating(pattern: str) -> bool:
-    return pattern in ("ababab", "bababa")
-
-
-def _is_fully_nested(pattern: str) -> bool:
-    """One atom's three points all inside a single gap of the other atom."""
-    for inner, outer in (("a", "b"), ("b", "a")):
-        pos_in = [i for i, ch in enumerate(pattern) if ch == inner]
-        pos_out = [i for i, ch in enumerate(pattern) if ch == outer]
-        for lo, hi in zip(pos_out, pos_out[1:]):
-            if all(lo < p < hi for p in pos_in):
-                return True
-    return False
-
-
-def _name_consistent(preset: Preset, pattern: str) -> bool:
-    if preset is Preset.SEPARATED:
-        return _is_contiguous(pattern)
-    if preset is Preset.FULLY_BRAIDED:
-        return _is_alternating(pattern)
-    if preset is Preset.FULLY_NESTED:
-        return _is_fully_nested(pattern)
-    # The partially braided/nested shapes are pictorial only; admit anything
-    # that is not one of the unambiguous shapes and let the scores decide.
-    return not (_is_contiguous(pattern) or _is_alternating(pattern) or _is_fully_nested(pattern))
+# The orderings each named configuration may take. An unambiguous shape takes
+# its preset's ordering under label swap and waveguide reversal; the partially
+# braided and nested shapes are pictorial only, so they take every other
+# ordering and let the scores decide.
+_SHAPE_ORDERINGS = {
+    preset: {q for p in (pattern, pattern[::-1]) for q in (p, p.translate(_SWAP_LABELS))}
+    for preset in (Preset.SEPARATED, Preset.FULLY_BRAIDED, Preset.FULLY_NESTED)
+    for pattern in (_pattern(PRESET_POSITIONS[preset][0]),)
+}
+_PARTIAL_ORDERINGS = set(all_orderings()).difference(*_SHAPE_ORDERINGS.values())
 
 
 @dataclass(frozen=True)
@@ -931,12 +894,11 @@ class CalibrationResult:
     def layout(self, preset: Preset | str) -> LayoutConfiguration:
         preset = Preset(preset)
         cal = self.assignments[preset.value]
-        return make_layout(cal.positions_a, cal.positions_b, preset)
+        return make_layout(cal.positions_a, cal.positions_b)
 
 
 _UNRESOLVED_SCORE = 0.02
 _TIE_TOL = 1e-6
-_SWAP_LABELS = str.maketrans("ab", "ba")
 
 
 def _search_job(pattern, initial_label, chi, gamma_total, t_horizon, phi_points, t_points) -> float:
@@ -992,7 +954,7 @@ def calibrate_presets(
 
     assignments: dict[str, ConfigCalibration] = {}
     for preset, tg in CALIBRATION_TARGETS.items():
-        candidates = [p for p in orderings if _name_consistent(preset, p)]
+        candidates = [p for p in orderings if p in _SHAPE_ORDERINGS.get(preset, _PARTIAL_ORDERINGS)]
         scored = []
         for pattern in candidates:
             vals = value_table[pattern]
@@ -1006,10 +968,9 @@ def calibrate_presets(
         def peaks_pass(pattern):
             cfg = layout_from_pattern(pattern)
             for pk in tg.peaks:
-                c0 = INITIAL_STATES[pk.initial_label]
-                v = find_max(cfg, ChiralitySpec(gamma_total, pk.chi), c0, (pk.phi, pk.phi), t_horizon,
+                v = find_max(cfg, ChiralitySpec(gamma_total, 0.0), INITIAL_EG, (pk.phi, pk.phi), t_horizon,
                              phi_points=1, t_points=t_points).c_max
-                if abs(v - pk.value) > pk.band:
+                if abs(v - pk.value) > _PEAK_BAND:
                     return False
             return True
 
@@ -1031,17 +992,16 @@ def calibrate_presets(
 
         score, pattern, devs, vals = best
         cfg = layout_from_pattern(pattern)
-        default = PRESET_POSITIONS[preset]
         assignments[preset.value] = ConfigCalibration(
             pattern=pattern,
-            positions_a=cfg.atom_a.positions,
-            positions_b=cfg.atom_b.positions,
+            positions_a=cfg.positions_a,
+            positions_b=cfg.positions_b,
             score=score,
             residuals=devs,
             values=dict(zip((lbl for lbl, _ in tg.bands()), vals)),
             peaks_ok=peaks_ok,
             unresolved=score > _UNRESOLVED_SCORE,
-            matches_default=(cfg.atom_a.positions, cfg.atom_b.positions) == default,
+            matches_default=(cfg.positions_a, cfg.positions_b) == PRESET_POSITIONS[preset],
         )
 
     return CalibrationResult(assignments, value_table)

@@ -250,8 +250,6 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
             preset = Preset(layout)
         except ValueError:
             raise ConfigValidationError("layout", f"unknown preset {layout!r}") from None
-        if preset is Preset.CUSTOM:
-            raise ConfigValidationError("layout", "custom layouts must give explicit positions")
     elif isinstance(layout, dict) and set(layout) == {"a", "b"}:
         for key in ("a", "b"):
             pts = layout[key]

@@ -22,7 +22,6 @@ class Preset(str, Enum):
     PARTIALLY_BRAIDED = "partially_braided"
     FULLY_NESTED = "fully_nested"
     PARTIALLY_NESTED = "partially_nested"
-    CUSTOM = "custom"
 
 
 # Canonical coupling-point positions on the lattice {0..5} for each named
@@ -40,14 +39,6 @@ POINTS_PER_ATOM = 3
 
 class LayoutError(ValueError):
     """Raised when a layout fails validation at construction."""
-
-
-@dataclass(frozen=True)
-class GiantAtom:
-    """One giant atom: its label and the lattice positions of its coupling points."""
-
-    label: str  # "a" or "b"
-    positions: tuple[int, ...]
 
 
 def _pair_table(pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -69,34 +60,34 @@ class LayoutConfiguration:
     """Two atoms' coupling points, valid by construction (``LayoutError``
     otherwise) and reduced once to the read-only pair-distance table of
     ``_pair_table`` that every coefficient evaluation reads.  Equality,
-    hashing and repr use only the atoms and the tag."""
+    hashing and repr use only the two position tuples, so layouts with the
+    same points are equal however they were built."""
 
-    atom_a: GiantAtom
-    atom_b: GiantAtom
-    preset_tag: Preset = Preset.CUSTOM
+    positions_a: tuple[int, ...]
+    positions_b: tuple[int, ...]
     distances: np.ndarray = field(init=False, compare=False, repr=False)
     pair_counts: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        atoms = (("a", self.positions_a), ("b", self.positions_b))
         problems: list[str] = []
-        for atom in (self.atom_a, self.atom_b):
-            pos = atom.positions
+        for label, pos in atoms:
             if len(pos) != POINTS_PER_ATOM:
-                problems.append(f"atom {atom.label}: expected {POINTS_PER_ATOM} coupling points, got {len(pos)}")
+                problems.append(f"atom {label}: expected {POINTS_PER_ATOM} coupling points, got {len(pos)}")
             if any(not isinstance(p, int) or isinstance(p, bool) or p < 0 for p in pos):
-                problems.append(f"atom {atom.label}: positions must be non-negative integers, got {pos}")
+                problems.append(f"atom {label}: positions must be non-negative integers, got {pos}")
             if any(q <= p for p, q in zip(pos, pos[1:])):
-                problems.append(f"atom {atom.label}: positions not strictly increasing: {pos}")
+                problems.append(f"atom {label}: positions not strictly increasing: {pos}")
         seen: dict[int, str] = {}
-        for atom in (self.atom_a, self.atom_b):
-            for p in atom.positions:
+        for label, pos in atoms:
+            for p in pos:
                 if p in seen:
-                    problems.append(f"duplicate position {p} shared by atoms {seen[p]} and {atom.label}")
+                    problems.append(f"duplicate position {p} shared by atoms {seen[p]} and {label}")
                 else:
-                    seen[p] = atom.label
+                    seen[p] = label
         if problems:
             raise LayoutError("; ".join(problems))
-        for name, table in zip(("distances", "pair_counts"), _pair_table(self.atom_a.positions, self.atom_b.positions)):
+        for name, table in zip(("distances", "pair_counts"), _pair_table(self.positions_a, self.positions_b)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -107,23 +98,15 @@ def _lattice_positions(positions) -> tuple:
     return tuple(operator.index(p) if isinstance(p, np.integer) else p for p in positions)
 
 
-def make_layout(
-    positions_a: tuple[int, ...] | list[int],
-    positions_b: tuple[int, ...] | list[int],
-    tag: Preset = Preset.CUSTOM,
-) -> LayoutConfiguration:
+def make_layout(positions_a: tuple[int, ...] | list[int],
+                positions_b: tuple[int, ...] | list[int]) -> LayoutConfiguration:
     """Build a layout from bare positions; raises ``LayoutError`` if it is invalid."""
-    return LayoutConfiguration(GiantAtom("a", _lattice_positions(positions_a)),
-                               GiantAtom("b", _lattice_positions(positions_b)), tag)
+    return LayoutConfiguration(_lattice_positions(positions_a), _lattice_positions(positions_b))
 
 
-def make_preset(tag: Preset | str) -> LayoutConfiguration:
-    """Return the canonical layout for a named preset (tag must not be CUSTOM)."""
-    tag = Preset(tag)
-    if tag is Preset.CUSTOM:
-        raise ValueError("make_preset requires a named preset, not CUSTOM")
-    pos_a, pos_b = PRESET_POSITIONS[tag]
-    return make_layout(pos_a, pos_b, tag)
+def make_preset(name: Preset | str) -> LayoutConfiguration:
+    """Return the canonical layout of a named preset."""
+    return make_layout(*PRESET_POSITIONS[Preset(name)])
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def test_matches_brute_force_oracle(coefficient_oracle, ordering_layouts):
             chi = rng.uniform(0, 1)
             gr, gl = rates_from_chirality(ChiralitySpec(1.0, chi))
             got = coefficients(cfg, phi, gr, gl)
-            want = coefficient_oracle(cfg.atom_a.positions, cfg.atom_b.positions, phi, gr, gl)
+            want = coefficient_oracle(cfg.positions_a, cfg.positions_b, phi, gr, gl)
             for a, b in zip(as_tuple(got), want):
                 assert a == pytest.approx(b, abs=1e-12)
 
@@ -105,7 +105,7 @@ def test_nonchiral_matches_brute_force(nonchiral_oracle, ordering_layouts):
     for cfg in ordering_layouts:
         phi = rng.uniform(0, 2 * math.pi)
         got = coefficients_nonchiral(cfg, phi, 1.3)
-        want = nonchiral_oracle(cfg.atom_a.positions, cfg.atom_b.positions, phi, 1.3)
+        want = nonchiral_oracle(cfg.positions_a, cfg.positions_b, phi, 1.3)
         for a, b in zip(as_tuple(got), want):
             assert a == pytest.approx(b, abs=1e-12)
 
@@ -130,8 +130,8 @@ def test_individual_decay_is_coherent_sum(ordering_layouts):
             chi = rng.uniform(0, 1)
             gr, gl = rates_from_chirality(ChiralitySpec(1.0, chi))
             c = coefficients(cfg, phi, gr, gl)
-            for atom, got in ((cfg.atom_a, c.gamma_a), (cfg.atom_b, c.gamma_b)):
-                amp = sum(np.exp(1j * phi * p) for p in atom.positions)
+            for positions, got in ((cfg.positions_a, c.gamma_a), (cfg.positions_b, c.gamma_b)):
+                amp = sum(np.exp(1j * phi * p) for p in positions)
                 assert got == pytest.approx(abs(amp) ** 2, abs=1e-12)
                 assert got >= -1e-12
 

@@ -159,13 +159,11 @@ def test_sweep_cascade_ge_all_zero():
     assert np.max(grid.c_matrix) < 1e-12
 
 
-def test_sweep_metadata_and_validation():
+def test_sweep_axes_and_validation():
     grid = sweep(make_preset("separated"), ChiralitySpec(2.0, 0.5), INITIAL_GE,
                  [0.1, 0.2], [0.0, 1.0])
-    assert grid.metadata.layout_label == "separated"
-    assert grid.metadata.chi == 0.5
-    assert grid.metadata.gamma == 2.0
-    assert grid.metadata.initial_label == "ge"
+    assert grid.phi_values.tolist() == [0.1, 0.2] and grid.t_values.tolist() == [0.0, 1.0]
+    assert grid.c_matrix.shape == (2, 2)
     with pytest.raises(ValueError):
         sweep(make_preset("separated"), NONCHIRAL, INITIAL_EG, [], [0.0, 1.0])
     with pytest.raises(ValueError):
@@ -860,7 +858,7 @@ def test_special_phases_meet_their_conditions(preset, chi, coefficient_oracle):
             c = coefficients_nonchiral(cfg, sp.phi, 1.0)
             da, db, ga, gb, gc, g = c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g
         else:
-            da, db, ga, gb, gc, g = coefficient_oracle(cfg.atom_a.positions, cfg.atom_b.positions, sp.phi, gr, gl)
+            da, db, ga, gb, gc, g = coefficient_oracle(cfg.positions_a, cfg.positions_b, sp.phi, gr, gl)
         decay = max(abs(ga), abs(gb), abs(gc))
         if sp.kind is PhaseKind.DECOUPLED:
             assert max(decay, abs(g)) < 1e-8
@@ -1134,8 +1132,8 @@ def test_orderings_enumeration():
     assert len(set(pats)) == 20
     assert all(sorted(p) == ["a", "a", "a", "b", "b", "b"] for p in pats)
     cfg = layout_from_pattern("aababb")
-    assert cfg.atom_a.positions == (0, 1, 3)
-    assert cfg.atom_b.positions == (2, 4, 5)
+    assert cfg.positions_a == (0, 1, 3)
+    assert cfg.positions_b == (2, 4, 5)
     with pytest.raises(ValueError):
         layout_from_pattern("aaabb")
 
@@ -1160,8 +1158,8 @@ def test_calibration_quick():
     assert not result.assignments["fully_nested"].matches_default
     assert not result.assignments["partially_nested"].matches_default
     layout = result.layout("partially_nested")
-    assert layout.atom_a.positions == (0, 2, 5)
-    assert layout.atom_b.positions == (1, 3, 4)
+    assert layout.positions_a == (0, 2, 5)
+    assert layout.positions_b == (1, 3, 4)
     assert list(result.value_table) == all_orderings()
     # each swap twin's row is its partner's with the eg and ge columns
     # exchanged, and at chi = 0 an ordering's reverse shares its values
@@ -1180,7 +1178,7 @@ def test_calibration_checks_each_ordering_peak_once(monkeypatch):
     def counted(cfg, chirality, c0, *args, **kwargs):
         if kwargs["phi_points"] != 1:
             return experiments.MaxResult(0.9, 0.0, 0.0, None)
-        checked.append(cfg.atom_a.positions)
+        checked.append(cfg.positions_a)
         return search(cfg, chirality, c0, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "find_max", counted)
@@ -1188,8 +1186,8 @@ def test_calibration_checks_each_ordering_peak_once(monkeypatch):
                         {Preset.FULLY_NESTED: CALIBRATION_TARGETS[Preset.FULLY_NESTED]})
     result = calibrate_presets(t_points=401)
     assert result.assignments["fully_nested"].peaks_ok
-    nested = [p for p in all_orderings() if experiments._name_consistent(Preset.FULLY_NESTED, p)]
-    assert sorted(checked) == sorted(layout_from_pattern(p).atom_a.positions for p in nested)
+    nested = experiments._SHAPE_ORDERINGS[Preset.FULLY_NESTED]
+    assert sorted(checked) == sorted(layout_from_pattern(p).positions_a for p in nested)
 
 
 def _orbit(pattern, chi, label):

@@ -28,7 +28,7 @@ from giantatoms import (
     serialize_spec,
     trajectory,
 )
-from giantatoms.experiments import ConfigCalibration, SweepGrid, SweepMetadata, layout_from_pattern
+from giantatoms.experiments import ConfigCalibration, SweepGrid, layout_from_pattern
 from giantatoms.io_cli import (
     ConfigSyntaxError,
     ConfigValidationError,
@@ -63,7 +63,7 @@ def test_parse_custom_layout_defaults():
     assert spec.positions == ((0, 1, 3), (2, 4, 5))
     assert spec.phi == GridRange(0.0, TAU, 2001)
     cfg = spec.layout()
-    assert cfg.atom_a.positions == (0, 1, 3)
+    assert cfg.positions_a == (0, 1, 3)
 
 
 def test_parse_rejects_bad_chi():
@@ -178,7 +178,7 @@ def test_float_rendering_17_digits():
 def test_sweep_csv_grid_major_order():
     grid = SweepGrid(
         np.array([0.5, 1.5]), np.array([0.0, 2.0]),
-        np.array([[0.1, 0.2], [0.3, 0.4]]), SweepMetadata("x", 0.0, 1.0, "eg"),
+        np.array([[0.1, 0.2], [0.3, 0.4]]),
     )
     rows = serialize_results(grid, "csv").decode().splitlines()
     assert rows[0] == "phi,t,concurrence"
@@ -203,12 +203,11 @@ def edge_trajectory(times):
 
 
 def edge_results():
-    meta = SweepMetadata("x", 0.0, 1.0, "eg")
     coeff = CoefficientSet(-0.0, 5e-324, 2.0**53, 1e20, complex(-0.0, 1 / 3), complex(0.5, -2.0))
     grid_a = SweepGrid(np.array([-0.0, 2.0**53]), np.array([5e-324, 1e20]),
-                       np.array([[1 / 3, -0.0], [0.5, 1e20]]), meta)
+                       np.array([[1 / 3, -0.0], [0.5, 1e20]]))
     grid_b = SweepGrid(grid_a.phi_values, grid_a.t_values,
-                       np.array([[-0.0, 5e-324], [1.5, 2.0**53]]), meta)
+                       np.array([[-0.0, 5e-324], [1.5, 2.0**53]]))
     separated = ConfigCalibration("aaabbb", (0, 1, 2), (3, 4, 5), -0.0,
                                   {"nonchiral_eg": 5e-324, "chiral_ge": 1e20},
                                   {"nonchiral_eg": 2.0**53, "chiral_ge": 1 / 3}, True, False, True)
@@ -339,8 +338,7 @@ def test_serialize_rejects_unknown():
 
 
 def one_cell_grid(value):
-    return SweepGrid(np.array([0.0]), np.array([0.0]), np.array([[value]]),
-                     SweepMetadata("x", 0.0, 1.0, "eg"))
+    return SweepGrid(np.array([0.0]), np.array([0.0]), np.array([[value]]))
 
 
 def test_svg_colormap_anchors():
@@ -351,8 +349,7 @@ def test_svg_colormap_anchors():
 
 def test_svg_structure():
     grid = SweepGrid(np.array([0.0, math.pi]), np.array([0.0, 5.0]),
-                     np.array([[0.0, 0.25], [0.75, 1.0]]),
-                     SweepMetadata("x", 0.0, 1.0, "eg"))
+                     np.array([[0.0, 0.25], [0.75, 1.0]]))
     svg = render_svg_heatmap(grid).decode()
     assert svg.count("<rect") == 2 * 2 + 2  # cells + background + frame
     assert "&#947;t" in svg  # gamma t axis label
@@ -363,8 +360,7 @@ def test_svg_structure():
 
 
 def test_svg_rejects_empty():
-    grid = SweepGrid(np.empty(0), np.empty(0), np.empty((0, 0)),
-                     SweepMetadata("x", 0.0, 1.0, "eg"))
+    grid = SweepGrid(np.empty(0), np.empty(0), np.empty((0, 0)))
     with pytest.raises(ValueError):
         render_svg_heatmap(grid)
 
@@ -506,7 +502,7 @@ def test_calibration_worker_error_reaches_the_caller(monkeypatch, tmp_path, erro
     from giantatoms import calibrate_presets, experiments
 
     def search(cfg, chirality, c0, *args, **kwargs):
-        if cfg.atom_a.positions == (0, 2, 4):
+        if cfg.positions_a == (0, 2, 4):
             raise error(f"synthetic failure in process {os.getpid()}")
         return MaxResult(0.5, 0.0, 0.0, None)
 
@@ -634,8 +630,8 @@ def test_cli_coeffs_rows_equal_one_phase_calls(capsysbinary, pattern, chi):
     phis = np.linspace(0.0, TAU, 401)
     gr, gl = rates_from_chirality(ChiralitySpec(1.0, chi))
     expected = serialize_results([(float(p), coefficients(cfg, float(p), gr, gl)) for p in phis])
-    layout = [f"--layout-a={','.join(map(str, cfg.atom_a.positions))}",
-              f"--layout-b={','.join(map(str, cfg.atom_b.positions))}"]
+    layout = [f"--layout-a={','.join(map(str, cfg.positions_a))}",
+              f"--layout-b={','.join(map(str, cfg.positions_b))}"]
     assert cli_main(["coeffs", *layout, "--chi", repr(chi), "--phi", f"0:{TAU!r}:401"]) == 0
     assert capsysbinary.readouterr().out == expected
 

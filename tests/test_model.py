@@ -14,7 +14,7 @@ from giantatoms import (
     make_preset,
     rates_from_chirality,
 )
-from giantatoms.model import GiantAtom, LayoutConfiguration
+from giantatoms.model import LayoutConfiguration
 
 
 CANONICAL = {
@@ -29,17 +29,17 @@ CANONICAL = {
 @pytest.mark.parametrize("tag,expected", CANONICAL.items())
 def test_make_preset_positions(tag, expected):
     cfg = make_preset(tag)
-    assert (cfg.atom_a.positions, cfg.atom_b.positions) == expected
-    assert cfg.preset_tag is tag
+    assert (cfg.positions_a, cfg.positions_b) == expected
 
 
 def test_make_preset_accepts_strings():
-    assert make_preset("separated").preset_tag is Preset.SEPARATED
+    assert make_preset("separated") == make_preset(Preset.SEPARATED)
 
 
 def test_make_preset_rejects_custom():
-    with pytest.raises(ValueError):
-        make_preset(Preset.CUSTOM)
+    # a layout is its points: "custom" names no preset
+    with pytest.raises(ValueError, match="'custom' is not a valid Preset"):
+        make_preset("custom")
 
 
 def test_preset_table_is_canonical():
@@ -61,7 +61,7 @@ def test_validate_duplicate_position():
 
 def test_validate_wrong_point_count():
     with pytest.raises(LayoutError, match="expected 3 coupling points, got 2"):
-        LayoutConfiguration(GiantAtom("a", (0, 1)), GiantAtom("b", (2, 3, 4)))
+        LayoutConfiguration((0, 1), (2, 3, 4))
 
 
 def test_validate_ordering_and_negative():
@@ -81,16 +81,17 @@ def test_make_layout_rejects_non_integer_positions(pos_a):
 def test_make_layout_accepts_numpy_integers():
     cfg = make_layout(np.arange(3), (np.int32(3), np.uint8(4), 5))
     assert cfg == make_layout((0, 1, 2), (3, 4, 5))
-    assert all(type(p) is int for p in cfg.atom_a.positions + cfg.atom_b.positions)
+    assert all(type(p) is int for p in cfg.positions_a + cfg.positions_b)
 
 
 def test_equal_layouts_compare_and_hash_equal():
+    # layouts with the same points are equal, whatever built them
     preset = make_preset("separated")
-    built = make_layout((0, 1, 2), (3, 4, 5), Preset.SEPARATED)
+    built = make_layout((0, 1, 2), (3, 4, 5))
     assert preset == built and hash(preset) == hash(built)
     assert {preset: "x"}[built] == "x"
-    assert preset != make_layout((0, 1, 2), (3, 4, 5))
-    assert "distances" not in repr(preset)
+    assert preset != make_layout((3, 4, 5), (0, 1, 2))
+    assert repr(preset) == "LayoutConfiguration(positions_a=(0, 1, 2), positions_b=(3, 4, 5))"
 
 
 def test_pair_table_is_read_only():
