@@ -83,10 +83,17 @@ def build_heff(c: CoefficientSet) -> EffectiveHamiltonian:
 def eigen_split(m11, m12, m21, m22):
     """(mu, dd, s) of a 2x2 matrix: the eigenvalues are mu +- s, mu the mean
     of the diagonal and dd its half-difference.  Either sqrt branch of s
-    serves every formula here, as all are even in s."""
+    serves every formula here, as all are even in s.
+
+    m12 * m21 is formed from real products, which commute, so exchanging m12
+    and m21 (the atom label swap) keeps its bits; numpy's complex multiply
+    kernels can round a*b and b*a differently."""
     mu = 0.5 * (m11 + m22)
     dd = 0.5 * (m11 - m22)
-    return mu, dd, np.sqrt(dd * dd + m12 * m21)
+    off = np.empty(np.broadcast(m12, m21).shape, complex)
+    off.real = m12.real * m21.real - m12.imag * m21.imag
+    off.imag = m12.real * m21.imag + m12.imag * m21.real
+    return mu, dd, np.sqrt(dd * dd + off)
 
 
 def spectral_weights(s, c1, c2, d1, d2):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from giantatoms import (
     CoefficientSet,
     ChiralitySpec,
+    INITIAL_EG,
+    INITIAL_GE,
     InitialState,
     all_orderings,
     check_dissipator_psd,
@@ -320,3 +322,17 @@ def test_reversal_keeps_concurrence_bits_at_chi_zero(pattern, gamma, phi, t, the
     got = evaluate_concurrence(layout_from_pattern(pattern), spec, c0, phi, t)
     rev = evaluate_concurrence(layout_from_pattern(pattern[::-1]), spec, c0, phi, t)
     assert got.hex() == rev.hex()
+
+
+@given(pattern=st.sampled_from(all_orderings()), gamma=st.sampled_from([1.0, 0.37, 3.0]), chi=st.floats(0.0, 1.0),
+       phi=st.floats(0.0, 2 * math.pi), t=st.floats(0.0, 50.0))
+@settings(max_examples=300, deadline=None)
+def test_label_swap_keeps_concurrence_bits_at_any_chi(pattern, gamma, chi, phi, t):
+    # swapping the atom labels exchanges the off-diagonal entries of the
+    # effective matrix and the eg and ge starts; calibrate_presets reads a
+    # cell from its swap partner's search at every chi
+    spec = ChiralitySpec(gamma, chi)
+    got = evaluate_concurrence(layout_from_pattern(pattern), spec, INITIAL_EG, phi, t)
+    swapped = evaluate_concurrence(layout_from_pattern(pattern.translate(str.maketrans("ab", "ba"))), spec,
+                                   INITIAL_GE, phi, t)
+    assert got.hex() == swapped.hex()
