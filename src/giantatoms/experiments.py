@@ -857,15 +857,18 @@ def layout_from_pattern(pattern: str) -> LayoutConfiguration:
 
 _SWAP_LABELS = str.maketrans("ab", "ba")
 
+
+def _images(pattern: str) -> set[str]:
+    """An ordering under label swap and waveguide reversal."""
+    return {q for p in (pattern, pattern[::-1]) for q in (p, p.translate(_SWAP_LABELS))}
+
+
 # The orderings each named configuration may take. An unambiguous shape takes
-# its preset's ordering under label swap and waveguide reversal; the partially
-# braided and nested shapes are pictorial only, so they take every other
-# ordering and let the scores decide.
-_SHAPE_ORDERINGS = {
-    preset: {q for p in (pattern, pattern[::-1]) for q in (p, p.translate(_SWAP_LABELS))}
-    for preset in (Preset.SEPARATED, Preset.FULLY_BRAIDED, Preset.FULLY_NESTED)
-    for pattern in (_pattern(PRESET_POSITIONS[preset][0]),)
-}
+# the images of its preset's ordering; the partially braided and nested shapes
+# are pictorial only, so they take every other ordering and let the scores
+# decide.
+_SHAPE_ORDERINGS = {preset: _images(_pattern(PRESET_POSITIONS[preset][0]))
+                    for preset in (Preset.SEPARATED, Preset.FULLY_BRAIDED, Preset.FULLY_NESTED)}
 _PARTIAL_ORDERINGS = set(all_orderings()).difference(*_SHAPE_ORDERINGS.values())
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import inspect
 import math
 import re
@@ -513,17 +514,18 @@ def test_state_norm_bounds_every_later_scan_cell(pattern, chi, c0):
     Error model. N never rises where the decay matrix is PSD; psd_mask lets
     its lowest eigenvalue fall to about -1e-12 times the coefficient scale,
     so N may rise by a factor of about 1 + 1e-12 scale t, and _row_norm holds
-    it at e^{rise t_max} N for the rise the row's matrix allows. The closed
-    form adds terms of size up to (|p| + |q|)^2 that cancel down to N <= 1,
-    which leaves an absolute error of about eps (|p| + |q|)^2; next to the
-    form switch (_threshold_phase) the weights are largest, and where N is
-    small the slack relative to N does not cover that error, so _row_norm
-    adds the absolute margin _NORM_ROUNDOFF (|p| + |q|)^2. The scan's own
-    drift, O(n_t eps) relative per amplitude, moves a cell by at most about
-    sqrt(N) n_t eps (|p| + |q|), within the relative slack wherever N is
-    above about 1e-12 (|p| + |q|)^2 and within the margin below it. The
-    bound is evaluated inside the closure under np.errstate, so an overflow
-    there is no RuntimeWarning.
+    it at e^{rise t_max} N for the rise the row's matrix allows. It sums
+    |c_k|^2 of the spectral amplitudes c_k = p_k e^{-i(mu+s)t} +
+    q_k e^{-i(mu-s)t}, whose two terms, of size up to |p| + |q|, cancel to
+    |c_k| <= 1, which leaves an absolute error of about eps (|p| + |q|)^2 in
+    N; next to the form switch (_threshold_phase) the weights are largest,
+    and where N is small the slack relative to N does not cover that error,
+    so _row_norm adds the absolute margin _NORM_ROUNDOFF (|p| + |q|)^2. The
+    scan's own drift, O(n_t eps) relative per amplitude, moves a cell by at
+    most about sqrt(N) n_t eps (|p| + |q|), within the relative slack
+    wherever N is above about 1e-12 (|p| + |q|)^2 and within the margin below
+    it. The bound is evaluated inside the closure under np.errstate, so an
+    overflow there is no RuntimeWarning.
     """
     cfg, spec, n_t, t_max = layout_from_pattern(pattern), ChiralitySpec(1.0, chi), 1001, 50.0
     phis = np.union1d(_ENVELOPE_PHIS, [_threshold_phase(cfg, spec, t_max)])
@@ -910,6 +912,35 @@ def test_special_phase_refinement_reads_the_grid_evaluator(monkeypatch):
     assert covered == set(PhaseKind)
 
 
+def test_special_phases_reject_what_fails_the_final_check(monkeypatch):
+    # each candidate is checked once more at its refined phase; the fully
+    # braided layout has decoherence-free and dark-state candidates, and each
+    # rejection is reached by patching what that check reads
+    cfg = make_preset("fully_braided")
+
+    def by_kind():
+        phases = find_special_phases(cfg, NONCHIRAL)
+        return {kind: [p.phi for p in phases if p.kind is kind] for kind in PhaseKind}
+
+    plain = by_kind()
+    assert plain[PhaseKind.DECOHERENCE_FREE] and plain[PhaseKind.DARK_STATE]
+
+    with monkeypatch.context() as m:  # no residual is below a zero tolerance
+        m.setattr(experiments, "_PHASE_COEF_TOL", 0.0)
+        assert find_special_phases(cfg, NONCHIRAL) == []
+
+    residuals = experiments._phase_residuals
+    with monkeypatch.context() as m:  # no exchange coupling: not decoherence-free
+        m.setattr(experiments, "_phase_residuals",
+                  lambda *args: (lambda r, g_abs, decay: (r, 0.0 * g_abs, decay))(*residuals(*args)))
+        assert by_kind() == {**plain, PhaseKind.DECOHERENCE_FREE: []}
+
+    modes = experiments.dark_modes
+    with monkeypatch.context() as m:  # no overlap with the dark mode: no dark state
+        m.setattr(experiments, "dark_modes", lambda h, c0: dataclasses.replace(modes(h, c0), dark_overlap=0.0))
+        assert by_kind() == {**plain, PhaseKind.DARK_STATE: []}
+
+
 # per-kind special-phase counts (decoupled, decoherence-free, dark state) of
 # every ordering from eg at chi 0 and chi 1
 _SPECIAL_PHASE_COUNTS = {
@@ -1186,6 +1217,30 @@ def test_calibration_checks_each_ordering_peak_once(monkeypatch):
                         {Preset.FULLY_NESTED: CALIBRATION_TARGETS[Preset.FULLY_NESTED]})
     result = calibrate_presets(t_points=401)
     assert result.assignments["fully_nested"].peaks_ok
+    nested = experiments._SHAPE_ORDERINGS[Preset.FULLY_NESTED]
+    assert sorted(checked) == sorted(layout_from_pattern(p).positions_a for p in nested)
+
+
+def test_calibration_without_a_passing_peak_takes_the_best_score(monkeypatch):
+    # when no candidate passes its peak check, the best-scoring one is
+    # assigned anyway and reported with peaks_ok False. The chi-1 search of
+    # abbbaa from eg fills baaabb's chiral ge cell by label swap, which lifts
+    # that cell to 0.93 and makes baaabb, not the smallest ordering, score best
+    checked = []
+
+    def fake(cfg, chirality, c0, *args, **kwargs):
+        if kwargs["phi_points"] == 1:
+            checked.append(cfg.positions_a)
+            return experiments.MaxResult(0.0, 0.0, 0.0, None)
+        lifted = (cfg.positions_a, chirality.chi, c0) == ((0, 4, 5), 1.0, INITIAL_EG)
+        return experiments.MaxResult(0.93 if lifted else 0.9, 0.0, 0.0, None)
+
+    monkeypatch.setattr(experiments, "find_max", fake)
+    monkeypatch.setattr(experiments, "CALIBRATION_TARGETS",
+                        {Preset.FULLY_NESTED: CALIBRATION_TARGETS[Preset.FULLY_NESTED]})
+    cal = calibrate_presets(t_points=401).assignments["fully_nested"]
+    assert (cal.pattern, cal.peaks_ok, cal.unresolved) == ("baaabb", False, True)
+    assert cal.score == pytest.approx(0.96 - 0.9)
     nested = experiments._SHAPE_ORDERINGS[Preset.FULLY_NESTED]
     assert sorted(checked) == sorted(layout_from_pattern(p).positions_a for p in nested)
 

@@ -34,6 +34,7 @@ from giantatoms.io_cli import (
     ConfigValidationError,
     ExperimentSpec,
     _build_parser,
+    _emit_json,
     _require_finite,
     _spec_from_args,
     _spec_from_document,
@@ -97,6 +98,23 @@ def test_cli_rejects_steady_state_window(tmp_path, capsys):
     cfg.write_text('{"layout":"separated","phi":1.0,"window":10.0}')
     assert cli_main(["coeffs", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == "validation error: invalid field 'window': unknown field\n"
+
+
+@pytest.mark.parametrize("text, field", [
+    ('[{"layout":"separated"}]', "document"),
+    ('{"layout":"separated","chis":[]}', "chis"),
+    ('{"layout":"separated","out":3}', "out"),
+])
+def test_parse_rejects_malformed_documents(text, field):
+    with pytest.raises(ConfigValidationError) as err:
+        parse_experiment_config(text)
+    assert err.value.field == field
+
+
+def test_emit_json_null_and_unsupported_values():
+    assert _emit_json({"x": None, "y": [None, 1.0]}) == '{"x":null,"y":[null,1.0]}'
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        _emit_json([1j])
 
 
 def test_parse_rejects_missing_layout():
