@@ -55,6 +55,12 @@ def _pair_table(pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple[np.ndarray, n
     return np.array(dists, dtype=float), counts
 
 
+def _lattice_positions(positions) -> tuple:
+    # numpy integers become ints; anything else is kept as given, never
+    # truncated, for the layout check to judge (it rejects floats and bools)
+    return tuple(operator.index(p) if isinstance(p, np.integer) else p for p in positions)
+
+
 @dataclass(frozen=True)
 class LayoutConfiguration:
     """Two atoms' coupling points, valid by construction (``LayoutError``
@@ -69,7 +75,9 @@ class LayoutConfiguration:
     pair_counts: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        atoms = (("a", self.positions_a), ("b", self.positions_b))
+        atoms = (("a", _lattice_positions(self.positions_a)), ("b", _lattice_positions(self.positions_b)))
+        for label, pos in atoms:  # tuples, whatever sequence was given, so equal points compare equal
+            object.__setattr__(self, f"positions_{label}", pos)
         problems: list[str] = []
         for label, pos in atoms:
             if len(pos) != POINTS_PER_ATOM:
@@ -92,16 +100,10 @@ class LayoutConfiguration:
             object.__setattr__(self, name, table)
 
 
-def _lattice_positions(positions) -> tuple:
-    # numpy integers become ints; anything else is kept as given, never
-    # truncated, for the layout check to judge (it rejects floats and bools)
-    return tuple(operator.index(p) if isinstance(p, np.integer) else p for p in positions)
-
-
 def make_layout(positions_a: tuple[int, ...] | list[int],
                 positions_b: tuple[int, ...] | list[int]) -> LayoutConfiguration:
     """Build a layout from bare positions; raises ``LayoutError`` if it is invalid."""
-    return LayoutConfiguration(_lattice_positions(positions_a), _lattice_positions(positions_b))
+    return LayoutConfiguration(positions_a, positions_b)
 
 
 def make_preset(name: Preset | str) -> LayoutConfiguration:

@@ -90,6 +90,8 @@ def test_equal_layouts_compare_and_hash_equal():
     built = make_layout((0, 1, 2), (3, 4, 5))
     assert preset == built and hash(preset) == hash(built)
     assert {preset: "x"}[built] == "x"
+    direct = LayoutConfiguration([0, 1, 2], np.arange(3, 6))
+    assert direct == preset and hash(direct) == hash(preset)
     assert preset != make_layout((3, 4, 5), (0, 1, 2))
     assert repr(preset) == "LayoutConfiguration(positions_a=(0, 1, 2), positions_b=(3, 4, 5))"
 
