@@ -930,9 +930,13 @@ def test_special_phases_reject_what_fails_the_final_check(monkeypatch):
         assert find_special_phases(cfg, NONCHIRAL) == []
 
     residuals = experiments._phase_residuals
+
+    def uncoupled(*args):
+        r, g_abs, decay = residuals(*args)
+        return r, 0.0 * g_abs, decay
+
     with monkeypatch.context() as m:  # no exchange coupling: not decoherence-free
-        m.setattr(experiments, "_phase_residuals",
-                  lambda *args: (lambda r, g_abs, decay: (r, 0.0 * g_abs, decay))(*residuals(*args)))
+        m.setattr(experiments, "_phase_residuals", uncoupled)
         assert by_kind() == {**plain, PhaseKind.DECOHERENCE_FREE: []}
 
     modes = experiments.dark_modes
