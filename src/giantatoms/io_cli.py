@@ -21,11 +21,13 @@ NDJSON has one record per row, except that `compare` closes with a
 configuration with nested `values`/`residuals` maps in place of the
 target, computed and residual columns.
 
-Each flag is the text of one config field, named by a command's --help and
-checked with the --config document it overrides, so it accepts exactly what
-that field accepts; its value is the next token, even one starting with "-".
-find-max and calibrate scan t over [0, time.stop] (time.start = 0) on a
-4001-point grid.
+A command line is a command, then flags spelled in full: --name value or
+--name=value. A flag's value is the next token, even one starting with "-";
+a repeated flag keeps its last value. Each flag is the text of one config
+field, laid over the --config document and checked with it, so it accepts
+exactly what that field accepts; --layout-a/-b win over --preset. --help or
+-h prints this text. find-max and calibrate scan t over [0, time.stop]
+(time.start = 0) on a 4001-point grid.
 
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
 error, numerical overflow or a grid too large to allocate, 2 I/O error, 3
@@ -33,7 +35,6 @@ unphysical decay matrix.
 """
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
@@ -519,58 +520,47 @@ _FLAGS = (
 _KNOWN_FIELDS = {field.partition(".")[0] for _, field, _, _ in _FLAGS if field is not None}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports errors as _UsageError.  Every flag but --help takes a value,
-    and its value is the next token even when that starts with "-"."""
+def _parse_argv(argv: list[str]) -> tuple[str | None, dict[str, str]]:
+    """The command and the text of each flag given, by flag name; the command
+    is None when --help or -h stands where the command or a flag belongs."""
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command in ("--help", "-h"):
+        return None, {}
+    if command not in _COMMANDS:
+        raise _UsageError("a command is required" if command is None else f"unknown command {command!r}")
+    texts: dict[str, str] = {}
+    for token in tokens:
+        if token in ("--help", "-h"):
+            return None, {}
+        name, eq, text = token[2:].partition("=")
+        if not token.startswith("--") or name not in {flag for flag, *_ in _FLAGS}:
+            raise _UsageError(f"unrecognized argument {token!r}")
+        text = text if eq else next(tokens, None)
+        if text is None:
+            raise _UsageError(f"{token} needs a value")
+        texts[name] = text
+    return command, texts
 
-    def error(self, message):
-        raise _UsageError(message)
 
-    def parse_known_args(self, args=None, namespace=None):
-        tokens, rest = [], iter(sys.argv[1:] if args is None else args)
-        for token in rest:  # --flag text as --flag=text
-            takes_value = token.startswith("--") and "=" not in token and not "--help".startswith(token)
-            text = next(rest, None) if takes_value else None
-            tokens.append(token if text is None else f"{token}={text}")
-        return super().parse_known_args(tokens, namespace)
-
-
-def _flag_document(args) -> dict:
-    """The flags given on the command line, as experiment-document fields;
-    an earlier flag of the table wins (--layout-a/-b over --preset)."""
+def _spec_from_args(texts: dict[str, str]) -> ExperimentSpec:
+    """The --config document with the flags laid over it, validated as one
+    document, so that a flag accepts exactly what its config field does; an
+    earlier flag of the table wins (--layout-a/-b over --preset)."""
     doc: dict = {}
+    if "config" in texts:
+        with open(texts["config"], "r", encoding="utf-8") as fh:
+            doc = _load_document(fh.read())
+    flags: dict = {}
     for name, field, rule, _ in _FLAGS:
-        text = getattr(args, name)
-        if field is None or text is None:
+        if field is None or name not in texts:
             continue
         field, _, key = field.partition(".")
         if key:
-            doc.setdefault(field, {})[key] = rule(text)
+            flags.setdefault(field, {})[key] = rule(texts[name])
         else:
-            doc.setdefault(field, rule(text))
-    return doc
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="giantatoms", description=__doc__, add_help=True,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    for command in _COMMANDS:
-        p = sub.add_parser(command, help=f"run the {command} study")
-        for name, field, _, help_text in _FLAGS:
-            p.add_argument(f"--{name}", dest=name,
-                           help=help_text if field is None else f"{help_text} (field {field})")
-    return parser
-
-
-def _spec_from_args(args) -> ExperimentSpec:
-    """The --config document with the flags laid over it, validated as one
-    document, so that a flag accepts exactly what its config field does."""
-    doc: dict = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = _load_document(fh.read())
-    doc.update(_flag_document(args))
+            flags.setdefault(field, rule(texts[name]))
+    doc.update(flags)
     return _spec_from_document(doc)
 
 
@@ -621,6 +611,14 @@ _COMMANDS = {
                                                            spec.time.linspace()),
     "calibrate": lambda spec: calibrate_presets(gamma_total=spec.gamma, t_horizon=spec.time.stop),
 }
+_USAGE = "usage: giantatoms {%s} [--flag value | --flag=value]..." % ",".join(_COMMANDS)
+
+
+def _help() -> str:
+    """The --help text: the usage line, the module docstring and the flags."""
+    flags = [f"  --{name:<10} {text}" + ("" if field is None else f" (field {field})")
+             for name, field, _, text in _FLAGS]
+    return "\n".join([_USAGE, "", (__doc__ or "").strip(), "", "flags:", *flags, ""])
 
 
 def _run_command(command: str, spec: ExperimentSpec):
@@ -647,13 +645,15 @@ def _write_output(data: bytes, out: str | None):
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        spec = _spec_from_args(args)
+        command, texts = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            sys.stdout.write(_help())
+            return 0
+        spec = _spec_from_args(texts)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = _run_command(args.command, spec)
+            result = _run_command(command, spec)
         _require_finite(result)
         if spec.fmt == "svg":
             if not isinstance(result, SweepGrid):
@@ -665,7 +665,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        print(_USAGE, file=sys.stderr)
         return 1
     except PhysicalityError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -33,8 +33,8 @@ from giantatoms.io_cli import (
     ConfigSyntaxError,
     ConfigValidationError,
     ExperimentSpec,
-    _build_parser,
     _emit_json,
+    _parse_argv,
     _require_finite,
     _spec_from_args,
     _spec_from_document,
@@ -805,7 +805,7 @@ def test_flags_and_config_document_agree(flags, spellings):
     argv = ["sweep"]
     for (flag, value), joined in zip(pairs, spellings):
         argv += [f"{flag}={value}"] if joined else [flag, value]
-    args = _build_parser().parse_args(argv)
-    from_flags = _spec_or_field(lambda: _spec_from_args(args))
+    _, texts = _parse_argv(argv)
+    from_flags = _spec_or_field(lambda: _spec_from_args(texts))
     from_document = _spec_or_field(lambda: _spec_from_document(_twin_document(flags)))
     assert from_flags == from_document
