@@ -546,7 +546,8 @@ def _parse_argv(argv: list[str]) -> tuple[str | None, dict[str, str]]:
 def _spec_from_args(texts: dict[str, str]) -> ExperimentSpec:
     """The --config document with the flags laid over it, validated as one
     document, so that a flag accepts exactly what its config field does; an
-    earlier flag of the table wins (--layout-a/-b over --preset)."""
+    earlier flag of the table wins (--layout-a/-b over --preset), and
+    --layout-a/-b set only their own key of a config layout object."""
     doc: dict = {}
     if "config" in texts:
         with open(texts["config"], "r", encoding="utf-8") as fh:
@@ -560,6 +561,8 @@ def _spec_from_args(texts: dict[str, str]) -> ExperimentSpec:
             flags.setdefault(field, {})[key] = rule(texts[name])
         else:
             flags.setdefault(field, rule(texts[name]))
+    if isinstance(doc.get("layout"), dict) and isinstance(flags.get("layout"), dict):
+        flags["layout"] = {**doc["layout"], **flags["layout"]}
     doc.update(flags)
     return _spec_from_document(doc)
 

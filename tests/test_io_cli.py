@@ -482,6 +482,21 @@ def test_cli_flag_overrides_config(tmp_path):
     assert json.loads(out.read_text())["c_max"] < 1e-12
 
 
+def test_cli_layout_flag_sets_its_key_of_a_config_layout(tmp_path, capsysbinary):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"layout": {"a": [0, 1, 2], "b": [3, 4, 5]}, "phi": 1.0}')
+    assert cli_main(["coeffs", "--config", str(cfg), "--layout-a", "0,1,6"]) == 0
+    merged = capsysbinary.readouterr().out
+    assert cli_main(["coeffs", "--phi", "1.0", "--layout-a", "0,1,6", "--layout-b", "3,4,5"]) == 0
+    assert capsysbinary.readouterr().out == merged
+    # over a preset name there is no key to set: the half layout is rejected
+    cfg.write_text('{"layout": "separated", "phi": 1.0}')
+    assert cli_main(["coeffs", "--config", str(cfg), "--layout-a", "0,1,6"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.startswith(b"validation error: invalid field 'layout': expected a preset name")
+
+
 def test_cli_validation_errors_exit_1(tmp_path, capsys):
     assert cli_main(["sweep", "--preset", "separated", "--chi", "1.5"]) == 1
     assert cli_main(["sweep"]) == 1  # no layout given
