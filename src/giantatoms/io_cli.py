@@ -627,6 +627,8 @@ def _help() -> str:
 def _run_command(command: str, spec: ExperimentSpec):
     if command in ("find-max", "calibrate") and spec.time.start != 0:
         raise ConfigValidationError("time.start", f"{command} scans t from 0 to time.stop; must be 0")
+    if spec.fmt == "svg" and command != "sweep":
+        raise ConfigValidationError("format", "svg output is only available for sweep grids")
     return _COMMANDS[command](spec)
 
 
@@ -658,12 +660,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             warnings.simplefilter("error", RuntimeWarning)
             result = _run_command(command, spec)
         _require_finite(result)
-        if spec.fmt == "svg":
-            if not isinstance(result, SweepGrid):
-                raise ConfigValidationError("format", "svg output is only available for sweep grids")
-            data = render_svg_heatmap(result)
-        else:
-            data = serialize_results(result, spec.fmt)
+        data = render_svg_heatmap(result) if spec.fmt == "svg" else serialize_results(result, spec.fmt)
         _write_output(data, spec.out)
         return 0
     except _UsageError as exc:

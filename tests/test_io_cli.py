@@ -457,10 +457,18 @@ def test_cli_svg_output(tmp_path):
     assert out.read_bytes().startswith(b"<svg")
 
 
-def test_cli_svg_only_for_sweeps(tmp_path):
-    code = cli_main(["evolve", "--preset", "separated", "--phi", "1.0",
-                     "--format", "svg", "--out", str(tmp_path / "x.svg")])
-    assert code == 1
+def test_cli_svg_only_for_sweeps(monkeypatch, tmp_path, capsys):
+    # the format is rejected before the study runs
+    import giantatoms.io_cli as io_cli
+
+    out = tmp_path / "x.svg"
+    for command, study in [("evolve", "trajectory"), ("calibrate", "calibrate_presets"),
+                           ("compare-initial", "compare_initial_states")]:
+        monkeypatch.setattr(io_cli, study, lambda *args, study=study, **kwargs: pytest.fail(f"{study} ran"))
+        code = cli_main([command, "--preset", "separated", "--phi", "1.0", "--format", "svg", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("validation error: invalid field 'format'")
+        assert not out.exists()
 
 
 def test_cli_config_file(tmp_path):
