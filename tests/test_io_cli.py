@@ -557,8 +557,9 @@ def test_calibration_worker_error_reaches_the_caller(monkeypatch, tmp_path, erro
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # every CLI start imports the package; only calibrate needs the pool, and
-    # scipy is not a declared dependency
+    # every CLI start imports the package; only calibrate needs the pool,
+    # scipy is not a declared dependency, and argv is parsed from io_cli's
+    # own flag and command tables
     import os
     import subprocess
     import sys
@@ -568,9 +569,9 @@ def test_cli_import_leaves_multiprocessing_out():
     src = os.path.dirname(os.path.dirname(giantatoms.__file__))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import giantatoms.io_cli, sys; print('multiprocessing' in sys.modules, 'scipy' in sys.modules)"],
+         "import giantatoms.io_cli, sys; print([m in sys.modules for m in ('multiprocessing', 'scipy', 'argparse')])"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout == "False False\n"
+    assert out.stdout == "[False, False, False]\n"
 
 
 def test_python_m_entry_point_matches_cli_main(capsysbinary):
@@ -592,6 +593,71 @@ def test_python_m_entry_point_matches_cli_main(capsysbinary):
                          capture_output=True, timeout=60)
     assert run.returncode == 1 and run.stdout == b""
     assert run.stderr.startswith(b"usage error: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["-h"], 0),
+    (["sweep", "--help"], 0),
+    ([], 1),
+    (["bogus-command"], 1),
+    (["--preset", "separated", "coeffs"], 1),
+    (["coeffs", "--bogus", "1"], 1),
+    (["coeffs", "--pres", "separated"], 1),
+    (["coeffs", "-x"], 1),
+    (["coeffs", "--preset", "separated", "--phi"], 1),
+    (["coeffs", "--preset", "separated", "stray"], 1),
+], ids=["help", "h", "command-help", "empty", "unknown-command", "flag-before-command", "unknown-flag",
+        "abbreviation", "short-flag", "missing-value", "positional"])
+def test_cli_grammar(capsys, argv, code):
+    # --help prints the usage line with every command, then the docstring and
+    # each flag with its field; anything the grammar does not hold is a usage
+    # error: its message and the usage line on stderr, nothing on stdout
+    import giantatoms.io_cli as io_cli
+
+    assert cli_main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+        assert out.startswith("usage: giantatoms {%s} " % ",".join(io_cli._COMMANDS))
+        flag_lines = {line.split()[0]: line for line in out.split("\nflags:\n", 1)[1].splitlines()}
+        assert list(flag_lines) == [f"--{name}" for name, *_ in io_cli._FLAGS]
+        for name, field, _, _ in io_cli._FLAGS:
+            assert field is None or flag_lines[f"--{name}"].endswith(f"(field {field})")
+    else:
+        assert out == ""
+        error, usage = err.splitlines()
+        assert error.startswith("usage error: ")
+        assert usage.startswith("usage: giantatoms {")
+
+
+def test_cli_flag_takes_the_next_token_and_its_last_value(capsysbinary, tmp_path, monkeypatch):
+    base = ["coeffs", "--phi", "1.0"]
+    assert cli_main(base + ["--preset", "separated"]) == 0
+    expected = capsysbinary.readouterr().out
+    assert cli_main(base + ["--preset", "fully_braided", "--preset=separated"]) == 0
+    assert capsysbinary.readouterr().out == expected
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(base + ["--preset", "separated", "--out", "--help"]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert (tmp_path / "--help").read_bytes() == expected
+
+
+def test_console_script_prints_help(monkeypatch, capsys):
+    # the function pyproject.toml installs as the `giantatoms` command, read
+    # from its text because Python 3.10 has no tomllib
+    import importlib
+    import re
+    import sys
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, function = re.search(r'^\[project\.scripts\]\ngiantatoms = "([\w.]+):(\w+)"$', text, re.M).groups()
+    monkeypatch.setattr(sys, "argv", ["giantatoms", "--help"])
+    with pytest.raises(SystemExit) as exited:
+        getattr(importlib.import_module(module), function)()
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: giantatoms {")
 
 
 def test_cli_stdout_output(capsysbinary):
