@@ -4,8 +4,8 @@ Everything here is deterministic: sweep grids are evaluated with the exact
 propagator cell by cell (no accumulated state), searches are grid scans
 plus golden-section refinements whose winning points are re-evaluated
 exactly (a refinement evaluates the points of several steps in one array
-call, but compares them as the one-point-at-a-time search would; the
-special-phase refinement calls its grid's evaluator), and no randomness or
+call, but compares them as the one-point-at-a-time search would; special
+phases are polynomial roots, not searched), and no randomness or
 threading is involved, so repeated runs produce identical results.
 calibrate_presets searches each symmetry orbit of its value table once (label
 swap, and waveguide reversal at chi = 0) on a pool of forked processes, each
@@ -619,20 +619,27 @@ class SpecialPhase:
     kind: PhaseKind
 
 
-def _candidate_runs(mask):
-    """Contiguous index runs (first, last) where mask is true."""
-    idx = np.flatnonzero(mask)
-    return [(run[0], run[-1]) for run in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if run.size]
-
-
-# find_special_phases: phase grid size, golden-section bracket width (the
-# refinement reads the grid's evaluator in batches; a decoherence-free or
-# dark-state phase is located only to about sqrt(eps), see
-# find_special_phases), and the residual a refined phase must fall below
-# (also |g|/gamma for a decoherence-free phase to count as interacting)
-_PHASE_GRID_POINTS = 100_000
-_PHASE_REFINE_TOL = 1e-10
+# find_special_phases: the residual a phase must fall below (also |g|/gamma for a
+# decoherence-free phase to count as interacting) and the largest pair distance d
+# (its roots are eigenvalues of an 8d x 8d matrix, 5 s at d = 128);
+# _stationary_phases: the share of the largest Fourier coefficient that is roundoff
 _PHASE_COEF_TOL = 1e-9
+_PHASE_MAX_DISTANCE = 128
+_FOURIER_ROUNDOFF = 1e-14
+
+
+def _stationary_phases(f, degree):
+    """The phases in [0, 2*pi) where f' = 0 (none if f is constant), for f mapping
+    phase arrays to a real trigonometric polynomial of at most degree: the roots on
+    the unit circle of z^degree f'(z) = sum_k i k c_k z^(k + degree), c_k from the FFT
+    of 2*degree + 1 samples (Boyd, J. Eng. Math. 2006); one past 2*pi - 1e-9 reads 0.0."""
+    n = 2 * degree + 1
+    c = np.fft.fftshift(np.fft.fft(f(TWO_PI * np.arange(n) / n)))  # n c_k, k = -degree..degree
+    c[np.abs(c) < _FOURIER_ROUNDOFF * np.abs(c).max()] = 0.0
+    z = np.roots((1j * np.arange(-degree, degree + 1) * c)[::-1])
+    phis = np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]) % TWO_PI
+    phis[TWO_PI - phis < 1e-9] = 0.0
+    return phis
 
 
 def _phase_residuals(da, db, ga, gb, gc, g, gamma):
@@ -660,46 +667,41 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
     """Locate phases where the pair decouples, interacts without decay, or
     hosts a dark state overlapping the initial state.
 
-    Scans phi in [0, 2*pi) and refines each candidate by golden-section
-    minimization of its kind's residual, reading the scan's evaluator
-    (_phase_residuals on phase arrays) in batches. Decoherence-free and
-    dark-state phases are quadratic zeros, located to about sqrt(eps)
-    (7.4e-8 measured) in their roundoff basin, not to the 1e-10 bracket.
-    """
+    Candidates are the stationary phases of two nonnegative trigonometric polynomials,
+    each then checked for its kind: Gamma_a + Gamma_b of degree d (the largest pair
+    distance, at most _PHASE_MAX_DISTANCE), zero where no decay is left, and the resultant
+    of m's characteristic polynomial and its conjugate (degree 4d), zero at a real eigenvalue."""
     gamma_r, gamma_l = rates_from_chirality(chirality)
     gamma = chirality.gamma_total
-    phis = np.linspace(0.0, TWO_PI, _PHASE_GRID_POINTS, endpoint=False)
+    degree = int(cfg.distances.max())
+    if degree > _PHASE_MAX_DISTANCE:
+        raise ValueError(f"special phases take pair distances up to {_PHASE_MAX_DISTANCE}, got {degree}")
 
-    def residuals_at(phi_batch):
-        return _phase_residuals(*_coefficient_arrays(cfg, phi_batch, gamma_r, gamma_l), gamma)
+    def resultant(phis):
+        m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
+        tr, det = m11 + m22, m11 * m22 - m12 * m21
+        return -((det.conj() - det) ** 2 - (tr - tr.conj()) * (det * tr.conj() - tr * det.conj())).real
 
-    on_grid = residuals_at(phis)[0]
-    dphi = phis[1] - phis[0]
+    decaying = _stationary_phases(lambda phis: sum(_coefficient_arrays(cfg, phis, gamma_r, gamma_l)[2:4]), degree)
+    candidates = {PhaseKind.DECOUPLED: decaying, PhaseKind.DECOHERENCE_FREE: decaying,
+                  PhaseKind.DARK_STATE: _stationary_phases(resultant, 4 * degree)}
     found: list[SpecialPhase] = []
-    for kind in PhaseKind:
-        for lo_i, hi_i in _candidate_runs(on_grid[kind] < 1e-4):
-            i_min = lo_i + int(np.argmin(on_grid[kind][lo_i : hi_i + 1]))
-            phi_star = _golden_max(lambda phi_batch: -residuals_at(phi_batch)[0][kind], phis[i_min] - dphi,
-                                   phis[i_min] + dphi, _PHASE_REFINE_TOL)
-            phi_star %= TWO_PI
-            if TWO_PI - phi_star < 1e-9:
-                phi_star = 0.0
-            if any(abs(phi_star - sp.phi) < 1e-6 or abs(abs(phi_star - sp.phi) - TWO_PI) < 1e-6 for sp in found):
-                continue
-            residuals, g_abs, decay = residuals_at([phi_star])
+    for kind, phis in candidates.items():
+        for phi in phis.tolist():
+            residuals, g_abs, decay = _phase_residuals(*_coefficient_arrays(cfg, [phi], gamma_r, gamma_l), gamma)
             if residuals[kind][0] >= _PHASE_COEF_TOL:
                 continue
             if kind is PhaseKind.DECOHERENCE_FREE and g_abs[0] < _PHASE_COEF_TOL * gamma:
                 continue
             if kind is PhaseKind.DARK_STATE:
-                # a dark state needs finite dissipation to stand out against; points
-                # in the flat halo of a decoupling phase are not separate roots
+                # without decay every eigenvalue is real, so decoupled and decoherence-free
+                # phases are roots of the resultant too; a dark state needs decay to stand out
                 if decay[0] < 1e-6 * gamma:
                     continue
-                report = dark_modes(_heff_at(cfg, chirality, phi_star), initial)
+                report = dark_modes(_heff_at(cfg, chirality, phi), initial)
                 if not (report.classification is ModeClass.STEADY_PLATEAU and report.dark_overlap > 1e-6):
                     continue
-            found.append(SpecialPhase(phi_star, kind))
+            found.append(SpecialPhase(phi, kind))
 
     return sorted(found, key=lambda sp: sp.phi)
 

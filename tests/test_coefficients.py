@@ -270,7 +270,7 @@ def test_arrays_match_brute_force_on_custom_layouts(coefficient_oracle, points, 
 
 
 def test_one_phase_call_equals_grid_element(ordering_layouts):
-    # a scalar evaluation (refinement, special phases, point queries) and a
+    # a scalar evaluation (refinement, point queries, special-phase checks) and a
     # grid evaluation give the same bits at the same phase
     phis = np.linspace(0.0, 2 * math.pi, 2001)
     far = make_layout((0, 7, 100), (3, 1000, 123456))

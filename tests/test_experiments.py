@@ -28,6 +28,7 @@ from giantatoms import (
     evaluate_concurrence,
     find_max,
     find_special_phases,
+    make_layout,
     make_preset,
     propagate_closed,
     rates_from_chirality,
@@ -47,6 +48,7 @@ from giantatoms.experiments import (
     _count_peaks,
     _golden_max,
     _row_first_max,
+    _stationary_phases,
     all_orderings,
     layout_from_pattern,
 )
@@ -878,42 +880,24 @@ def test_special_phases_meet_their_conditions(preset, chi, coefficient_oracle):
                    for q in phases)
 
 
-def test_special_phase_refinement_reads_the_grid_evaluator(monkeypatch):
-    # the objective each refinement chain reads gives a batch of grid phases
-    # the bits of the full grid at the same indices, alone or in batches of
-    # any size, near the chain's bracket and anywhere on the grid
-    rng = np.random.default_rng(23)
-    phis = np.linspace(0.0, 2 * math.pi, experiments._PHASE_GRID_POINTS, endpoint=False)
-    chains, covered = [], set()
+def test_stationary_phases_are_the_roots_of_the_derivative():
+    sixths = np.arange(12) * math.pi / 6
+    assert np.abs(np.sort(_stationary_phases(lambda p: np.cos(3 * p), 3)) - sixths[::2]).max() < 1e-15
+    assert _stationary_phases(lambda p: np.full(p.shape, 2.5), 4).size == 0  # f' is the zero polynomial
+    assert np.sort(_stationary_phases(lambda p: np.cos(3 * (p + 1e-12)), 3))[0] == 0.0  # a root 1e-12 below 2pi
+    # Gamma_a + Gamma_b of ababab has degree 4 below the padded 5: its roundoff leading coefficient is cut
+    cfg = layout_from_pattern("ababab")
+    phis = _stationary_phases(lambda p: sum(experiments._coefficient_arrays(cfg, p, 0.5, 0.5)[2:4]), 5)
+    assert phis.size == 8 and np.abs(phis[:, None] - sixths).min(axis=1).max() < 1e-15
 
-    def spy(f, a, b, tol):
-        # the objective reads the loop's kind, so check it while the chain runs
-        kind = kinds[len(chains)]
-        i = int(np.argmin(np.abs(phis - 0.5 * (a + b))))
-        idx = np.concatenate([np.arange(i - 40, i + 41) % phis.size, rng.integers(0, phis.size, 200)])
-        batches = [idx] + [idx[lo : lo + 31] for lo in range(0, idx.size, 31)] + [[j] for j in idx[::20]]
-        for batch in batches:
-            assert np.asarray(f(phis[batch])).tolist() == (-grid[kind][batch]).tolist(), (pattern, chi, kind)
-        chains.append(kind)
-        return _golden_max(f, a, b, tol)
 
-    monkeypatch.setattr(experiments, "_golden_max", spy)
-    for pattern, chi in [("aaabbb", 0.0), ("ababab", 0.0), ("ababab", 1.0), ("abbaab", 0.37),
-                         ("aababb", 1.0), ("aabbba", 0.37)]:
-        cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
-        grid = experiments._phase_residuals(
-            *experiments._coefficient_arrays(cfg, phis, *rates_from_chirality(spec)), 1.0)[0]
-        # one chain per candidate run, in find_special_phases' order
-        kinds = [kind for kind in PhaseKind for _ in experiments._candidate_runs(grid[kind] < 1e-4)]
-        chains.clear()
-        find_special_phases(cfg, spec)
-        assert chains == kinds, (pattern, chi)
-        covered |= set(kinds)
-    assert covered == set(PhaseKind)
+def test_special_phases_reject_a_pair_distance_past_the_limit():
+    with pytest.raises(ValueError, match="pair distances up to 128, got 129"):
+        find_special_phases(make_layout((0, 1, 129), (2, 3, 4)), NONCHIRAL)
 
 
 def test_special_phases_reject_what_fails_the_final_check(monkeypatch):
-    # each candidate is checked once more at its refined phase; the fully
+    # each candidate root is checked at its phase; the fully
     # braided layout has decoherence-free and dark-state candidates, and each
     # rejection is reached by patching what that check reads
     cfg = make_preset("fully_braided")
@@ -945,25 +929,29 @@ def test_special_phases_reject_what_fails_the_final_check(monkeypatch):
         assert by_kind() == {**plain, PhaseKind.DARK_STATE: []}
 
 
-# per-kind special-phase counts (decoupled, decoherence-free, dark state) of
-# every ordering from eg at chi 0 and chi 1
+# special-phase counts of every ordering from eg: decoupled and decoherence-free
+# (the same at chi 0, 0.5 and 1), and dark state at each of those chi
 _SPECIAL_PHASE_COUNTS = {
-    "aaabbb": [(2, 0, 4), (2, 0, 0)], "aababb": [(0, 0, 8), (0, 0, 6)], "aabbab": [(0, 0, 2), (0, 0, 4)],
-    "aabbba": [(2, 0, 2), (2, 0, 0)], "abaabb": [(0, 0, 2), (0, 0, 4)], "ababab": [(0, 4, 2), (0, 4, 0)],
-    "ababba": [(0, 0, 2), (0, 0, 4)], "abbaab": [(0, 0, 10), (0, 0, 8)], "abbaba": [(0, 0, 2), (0, 0, 4)],
-    "abbbaa": [(2, 0, 2), (2, 0, 0)], "baaabb": [(2, 0, 2), (2, 0, 0)], "baabab": [(0, 0, 2), (0, 0, 4)],
-    "baabba": [(0, 0, 10), (0, 0, 8)], "babaab": [(0, 0, 2), (0, 0, 4)], "bababa": [(0, 4, 2), (0, 4, 0)],
-    "babbaa": [(0, 0, 2), (0, 0, 4)], "bbaaab": [(2, 0, 2), (2, 0, 0)], "bbaaba": [(0, 0, 2), (0, 0, 4)],
-    "bbabaa": [(0, 0, 8), (0, 0, 6)], "bbbaaa": [(2, 0, 4), (2, 0, 0)],
+    "aaabbb": (2, 0, (4, 0, 0)), "aababb": (0, 0, (8, 2, 6)), "aabbab": (0, 0, (2, 0, 4)), "aabbba": (2, 0, (2, 0, 0)),
+    "abaabb": (0, 0, (2, 0, 4)), "ababab": (0, 4, (2, 0, 0)), "ababba": (0, 0, (2, 0, 4)), "abbaab": (0, 0, (10, 4, 8)),
+    "abbaba": (0, 0, (2, 0, 4)), "abbbaa": (2, 0, (2, 0, 0)), "baaabb": (2, 0, (2, 0, 0)), "baabab": (0, 0, (2, 0, 4)),
+    "baabba": (0, 0, (10, 4, 8)), "babaab": (0, 0, (2, 0, 4)), "bababa": (0, 4, (2, 0, 0)), "babbaa": (0, 0, (2, 0, 4)),
+    "bbaaab": (2, 0, (2, 0, 0)), "bbaaba": (0, 0, (2, 0, 4)), "bbabaa": (0, 0, (8, 2, 6)), "bbbaaa": (2, 0, (4, 0, 0)),
 }
 
 
 def test_special_phase_counts_are_pinned():
     assert sorted(_SPECIAL_PHASE_COUNTS) == sorted(all_orderings())
-    for pattern, expected in _SPECIAL_PHASE_COUNTS.items():
-        for chi, counts in zip((0.0, 1.0), expected):
-            phases = find_special_phases(layout_from_pattern(pattern), ChiralitySpec(1.0, chi))
-            assert tuple(sum(p.kind is kind for p in phases) for kind in PhaseKind) == counts, (pattern, chi)
+    for pattern, (decoupled, decoherence_free, dark) in _SPECIAL_PHASE_COUNTS.items():
+        cfg = layout_from_pattern(pattern)
+        for chi, dark_at_chi in zip((0.0, 0.5, 1.0), dark):
+            spec = ChiralitySpec(1.0, chi)
+            phases = find_special_phases(cfg, spec)
+            counts = tuple(sum(p.kind is kind for p in phases) for kind in PhaseKind)
+            assert counts == (decoupled, decoherence_free, dark_at_chi), (pattern, chi)
+            for p in phases:
+                coefs = experiments._coefficient_arrays(cfg, [p.phi], *rates_from_chirality(spec))
+                assert experiments._phase_residuals(*coefs, 1.0)[0][p.kind][0] < 1e-13, (pattern, chi, p)
 
 
 def test_chirality_scan_overlap_and_peaks():
