@@ -1,6 +1,8 @@
 """Entanglement dynamics of two three-point giant atoms on a 1D waveguide
 with tunable directional (chiral) coupling."""
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     ChiralitySpec,
     InitialState,
@@ -70,4 +72,4 @@ from .io_cli import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import giantatoms
 from giantatoms import (
     ChiralitySpec,
     InitialState,
@@ -142,3 +143,9 @@ def test_initial_state_rejects_nan(c_eg, c_ge):
     # False), so the finiteness check is the only guard
     with pytest.raises(ValueError, match="initial amplitudes must be finite"):
         InitialState(c_eg, c_ge)
+
+
+def test_package_exports_no_submodule():
+    # importing the public names binds the submodules on the package as well
+    assert "find_special_phases" in giantatoms.__all__
+    assert not [name for name in giantatoms.__all__ if isinstance(getattr(giantatoms, name), type(giantatoms))]
