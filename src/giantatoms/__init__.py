@@ -18,10 +18,8 @@ from .model import (
 )
 from .coefficients import (
     CoefficientSet,
-    check_dissipator_psd,
     coefficients,
     coefficients_nonchiral,
-    phase_distance,
 )
 from .dynamics import (
     AmplitudePair,

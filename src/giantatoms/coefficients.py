@@ -47,11 +47,6 @@ class CoefficientSet:
     g: complex
 
 
-def phase_distance(p: int, q: int, phi: float) -> float:
-    """Propagation phase accumulated between lattice positions p and q."""
-    return abs(p - q) * phi
-
-
 def _coefficient_arrays(cfg, phis, gamma_r, gamma_l):
     """Vectorized coefficient evaluation over an array of phase shifts.
 
@@ -99,7 +94,7 @@ def coefficients_nonchiral(cfg: LayoutConfiguration, phi: float, gamma: float) -
         decay = 0.0
         for n in range(len(pos)):
             for m in range(len(pos)):
-                arg = phase_distance(pos[n], pos[m], phi)
+                arg = abs(pos[n] - pos[m]) * phi
                 delta += (gamma / 2.0) * math.sin(arg)
                 decay += gamma * math.cos(arg)
         within.append((delta, decay))
@@ -109,7 +104,7 @@ def coefficients_nonchiral(cfg: LayoutConfiguration, phi: float, gamma: float) -
     g = 0.0
     for n in range(len(pa)):
         for m in range(len(pb)):
-            arg = phase_distance(pa[n], pb[m], phi)
+            arg = abs(pa[n] - pb[m]) * phi
             gamma_coll += gamma * math.cos(arg)
             g += (gamma / 2.0) * math.sin(arg)
 
@@ -117,7 +112,7 @@ def coefficients_nonchiral(cfg: LayoutConfiguration, phi: float, gamma: float) -
     return CoefficientSet(delta_a, delta_b, dec_a, dec_b, complex(gamma_coll), complex(g))
 
 
-# slack of the PSD test: relative, and absolute times the largest coefficient (at least 1)
+# slack of the PSD test, times the largest coefficient (at least 1)
 _PSD_TOL = 1e-12
 
 
@@ -125,25 +120,19 @@ def psd_mask(da, db, ga, gb, gc, g):
     """True where the collective decay matrix [[G_a, G*_coll], [G_coll, G_b]] is PSD.
 
     Takes the six coefficients (Lamb shifts, decays, collective decay,
-    exchange coupling) as scalars or arrays of one shape.  Compared in
-    magnitude space with an absolute slack tied to the overall coefficient
-    scale: near exact-decoupling phases the decays are sums of O(gamma)
-    terms cancelling to ~0, and in the perfectly directional case
-    |G_coll| = sqrt(G_a G_b) holds identically, so roundoff sits on either
-    side of the exact inequality.
+    exchange coupling) as scalars or arrays of one shape.  The rule: the
+    matrix's lowest eigenvalue, (G_a + G_b)/2 - hypot((G_a - G_b)/2, |G_coll|),
+    is at least -_PSD_TOL times the overall coefficient scale.  Near
+    exact-decoupling phases the decays are sums of O(gamma) terms cancelling
+    to ~0, and in the perfectly directional case |G_coll| = sqrt(G_a G_b)
+    holds identically, so roundoff sits on either side of the exact
+    inequality.  The eigenvalue stays within a few eps times the scale of
+    its exact value there, also next to a phase where one decay alone
+    vanishes, where the product form |G_coll|^2 <= G_a G_b does not.  Every
+    term is halved before it is added, so no finite input overflows.
     """
     scale = np.maximum.reduce([
         np.full(np.shape(ga), 1.0), np.abs(ga), np.abs(gb), np.abs(gc),
         2.0 * np.abs(g), np.abs(da), np.abs(db),
     ])
-    slack = _PSD_TOL * scale
-    return (
-        (ga >= -slack)
-        & (gb >= -slack)
-        & (np.abs(gc) <= np.sqrt(np.maximum(ga, 0.0)) * np.sqrt(np.maximum(gb, 0.0)) * (1 + _PSD_TOL) + slack)
-    )
-
-
-def check_dissipator_psd(c: CoefficientSet) -> bool:
-    """``psd_mask`` for one coefficient set."""
-    return bool(psd_mask(c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g))
+    return 0.5 * ga + 0.5 * gb - np.hypot(0.5 * ga - 0.5 * gb, np.abs(gc)) >= -_PSD_TOL * scale

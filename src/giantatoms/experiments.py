@@ -245,8 +245,8 @@ def _row_norm(mu, s, weights, rise, t_max):
     roundoff.
 
     C = 2 |c_1| |c_2| <= N, and dN/dt = -c^H Gamma c with Gamma the decay
-    matrix, so N never rises where Gamma is PSD. psd_mask lets the lowest
-    eigenvalue of Gamma fall to about -1e-12 times the coefficient scale;
+    matrix, so N never rises where Gamma is PSD. psd_mask bounds the lowest
+    eigenvalue of Gamma below by -1e-12 times the coefficient scale;
     with rise its negation where positive, N grows at most by e^{rise t}, so
     the bound takes e^{rise t_max} N, with the amplitudes of the spectral
     blocks, c_k = p_k e^{-i(mu+s)t} + q_k e^{-i(mu-s)t}.
@@ -767,76 +767,51 @@ def compare_initial_states(cfg, chirality, phi_grid, t_grid) -> InitialStateComp
 # --- preset calibration against benchmark concurrence maxima ---------------
 
 
-@dataclass(frozen=True)
-class TargetBand:
-    """A closed interval [lo, hi] a calibrated maximum should fall in."""
-
-    lo: float
-    hi: float
-
-    def deviation(self, value: float) -> float:
-        if value < self.lo:
-            return self.lo - value
-        if value > self.hi:
-            return value - self.hi
-        return 0.0
-
-
+# Reference maximum-concurrence bands (lo, hi) per column, nonchiral/chiral
+# x eg/ge start in the value table's column order, for the five named
+# arrangements, plus reference (phi, value) peaks used as plausibility
+# predicates during ordering calibration: the nonchiral max-over-t
+# concurrence from eg at phi must sit within value +- _PEAK_BAND.  The
+# chiral_eg band for the partially braided arrangement spans two equally
+# defensible values.
+CALIBRATION_TARGETS: dict[Preset, tuple[dict[str, tuple[float, float]], tuple[tuple[float, float], ...]]] = {
+    Preset.SEPARATED: (
+        {"nonchiral_eg": (0.5, 0.5), "nonchiral_ge": (0.5, 0.5),
+         "chiral_eg": (0.736, 0.736), "chiral_ge": (0.0, 0.0)},
+        (),
+    ),
+    Preset.FULLY_BRAIDED: (
+        {"nonchiral_eg": (1.0, 1.0), "nonchiral_ge": (1.0, 1.0),
+         "chiral_eg": (1.0, 1.0), "chiral_ge": (1.0, 1.0)},
+        (),
+    ),
+    Preset.PARTIALLY_BRAIDED: (
+        {"nonchiral_eg": (0.77, 0.77), "nonchiral_ge": (0.77, 0.77),
+         "chiral_eg": (0.86, 0.87), "chiral_ge": (0.89, 0.89)},
+        ((11 * math.pi / 25, 0.77),),
+    ),
+    Preset.FULLY_NESTED: (
+        {"nonchiral_eg": (0.87, 0.87), "nonchiral_ge": (0.96, 0.96),
+         "chiral_eg": (0.90, 0.90), "chiral_ge": (0.98, 0.98)},
+        ((math.pi / 4, 0.67),),
+    ),
+    Preset.PARTIALLY_NESTED: (
+        {"nonchiral_eg": (0.83, 0.83), "nonchiral_ge": (0.78, 0.78),
+         "chiral_eg": (0.94, 0.94), "chiral_ge": (0.93, 0.93)},
+        ((math.pi / 4, 0.83),),
+    ),
+}
 _PEAK_BAND = 0.02
 
 
-@dataclass(frozen=True)
-class PeakConstraint:
-    """Requires the nonchiral max-over-t concurrence from eg at a reference
-    phase to sit within value +- _PEAK_BAND."""
-
-    phi: float
-    value: float
-
-
-@dataclass(frozen=True)
-class ConfigTargets:
-    """The four maximum-concurrence bands and the peak constraints of one named configuration."""
-
-    nonchiral_eg: TargetBand
-    nonchiral_ge: TargetBand
-    chiral_eg: TargetBand
-    chiral_ge: TargetBand
-    peaks: tuple[PeakConstraint, ...] = ()
-
-    def bands(self):
-        return (
-            ("nonchiral_eg", self.nonchiral_eg),
-            ("nonchiral_ge", self.nonchiral_ge),
-            ("chiral_eg", self.chiral_eg),
-            ("chiral_ge", self.chiral_ge),
-        )
-
-
-def _exact(v: float) -> TargetBand:
-    return TargetBand(v, v)
-
-
-# Reference maximum-concurrence 4-tuples (nonchiral/chiral x eg/ge start)
-# for the five named arrangements, plus reference peak phases used as
-# plausibility predicates during ordering calibration.  The chiral_eg band
-# for the partially braided arrangement spans two equally defensible values.
-CALIBRATION_TARGETS: dict[Preset, ConfigTargets] = {
-    Preset.SEPARATED: ConfigTargets(_exact(0.5), _exact(0.5), _exact(0.736), _exact(0.0)),
-    Preset.FULLY_BRAIDED: ConfigTargets(_exact(1.0), _exact(1.0), _exact(1.0), _exact(1.0)),
-    Preset.PARTIALLY_BRAIDED: ConfigTargets(
-        _exact(0.77), _exact(0.77), TargetBand(0.86, 0.87), _exact(0.89),
-        peaks=(PeakConstraint(11 * math.pi / 25, 0.77),),
-    ),
-    Preset.FULLY_NESTED: ConfigTargets(
-        _exact(0.87), _exact(0.96), _exact(0.90), _exact(0.98),
-        peaks=(PeakConstraint(math.pi / 4, 0.67),),
-    ),
-    Preset.PARTIALLY_NESTED: ConfigTargets(
-        _exact(0.83), _exact(0.78), _exact(0.94), _exact(0.93),
-        peaks=(PeakConstraint(math.pi / 4, 0.83),),
-    ),
-}
+def _deviation(band, value: float) -> float:
+    """How far value lies outside the closed interval band = (lo, hi)."""
+    lo, hi = band
+    if value < lo:
+        return lo - value
+    if value > hi:
+        return value - hi
+    return 0.0
 
 
 def _pattern(positions_a) -> str:
@@ -944,7 +919,7 @@ def calibrate_presets(
     import multiprocessing  # here only: importing the package should not pay for it
 
     orderings = all_orderings()
-    # columns in the order of ConfigTargets.bands(): nonchiral eg, ge, chiral eg, ge
+    # columns in the order of CALIBRATION_TARGETS' bands: nonchiral eg, ge, chiral eg, ge
     columns = [(chi, label) for chi in (0.0, 1.0) for label in INITIAL_STATES]
     job_of = {}
     for p, (chi, label) in product(orderings, columns):
@@ -958,12 +933,12 @@ def calibrate_presets(
     value_table = {p: tuple(found[job_of[p, chi, label]] for chi, label in columns) for p in orderings}
 
     assignments: dict[str, ConfigCalibration] = {}
-    for preset, tg in CALIBRATION_TARGETS.items():
+    for preset, (bands, peaks) in CALIBRATION_TARGETS.items():
         candidates = [p for p in orderings if p in _SHAPE_ORDERINGS.get(preset, _PARTIAL_ORDERINGS)]
         scored = []
         for pattern in candidates:
             vals = value_table[pattern]
-            devs = {label: band.deviation(v) for (label, band), v in zip(tg.bands(), vals)}
+            devs = {label: _deviation(band, v) for (label, band), v in zip(bands.items(), vals)}
             score = max(devs.values())
             scored.append((score, pattern, devs, vals))
         scored.sort(key=lambda item: (item[0], item[1]))
@@ -972,10 +947,10 @@ def calibrate_presets(
         @cache
         def peaks_pass(pattern):
             cfg = layout_from_pattern(pattern)
-            for pk in tg.peaks:
-                v = find_max(cfg, ChiralitySpec(gamma_total, 0.0), INITIAL_EG, (pk.phi, pk.phi), t_horizon,
+            for phi, value in peaks:
+                v = find_max(cfg, ChiralitySpec(gamma_total, 0.0), INITIAL_EG, (phi, phi), t_horizon,
                              phi_points=1, t_points=t_points).c_max
-                if abs(v - pk.value) > _PEAK_BAND:
+                if abs(v - value) > _PEAK_BAND:
                     return False
             return True
 
@@ -1003,7 +978,7 @@ def calibrate_presets(
             positions_b=cfg.positions_b,
             score=score,
             residuals=devs,
-            values=dict(zip((lbl for lbl, _ in tg.bands()), vals)),
+            values=dict(zip(bands, vals)),
             peaks_ok=peaks_ok,
             unresolved=score > _UNRESOLVED_SCORE,
             matches_default=(cfg.positions_a, cfg.positions_b) == PRESET_POSITIONS[preset],

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from giantatoms import (
     CoefficientSet,
@@ -12,14 +12,12 @@ from giantatoms import (
     INITIAL_GE,
     InitialState,
     all_orderings,
-    check_dissipator_psd,
     coefficients,
     coefficients_nonchiral,
     evaluate_concurrence,
     layout_from_pattern,
     make_layout,
     make_preset,
-    phase_distance,
     rates_from_chirality,
 )
 from giantatoms.coefficients import _coefficient_arrays, psd_mask
@@ -30,13 +28,6 @@ SQRT3 = math.sqrt(3.0)
 
 def as_tuple(c: CoefficientSet):
     return (c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g)
-
-
-def test_phase_distance_examples():
-    assert phase_distance(0, 3, math.pi / 3) == pytest.approx(math.pi, abs=1e-15)
-    assert phase_distance(5, 5, 1.7) == 0.0
-    assert phase_distance(4, 1, math.pi / 4) == pytest.approx(3 * math.pi / 4, abs=1e-15)
-    assert phase_distance(1, 4, 0.3) == phase_distance(4, 1, 0.3)
 
 
 def test_separated_decoupling_phase():
@@ -144,7 +135,7 @@ def test_psd_over_random_samples(ordering_layouts):
         cfg = ordering_layouts[rng.integers(len(ordering_layouts))]
         phi = rng.uniform(0, 2 * math.pi)
         gr, gl = rates_from_chirality(ChiralitySpec(rng.uniform(0.1, 3.0), rng.uniform(0, 1)))
-        assert check_dissipator_psd(coefficients(cfg, phi, gr, gl))
+        assert psd_mask(*as_tuple(coefficients(cfg, phi, gr, gl)))
 
 
 def test_two_pi_periodicity(ordering_layouts):
@@ -187,9 +178,9 @@ def test_nonchiral_case_is_real(ordering_layouts):
 
 def test_psd_examples():
     c = coefficients_nonchiral(make_preset("separated"), math.pi / 3, 1.0)
-    assert check_dissipator_psd(c)
-    assert not check_dissipator_psd(CoefficientSet(0, 0, 1.0, 1.0, 2.0 + 0j, 0j))
-    assert check_dissipator_psd(CoefficientSet(0, 0, 0.0, 0.0, 0j, 0j))
+    assert psd_mask(*as_tuple(c))
+    assert not psd_mask(*as_tuple(CoefficientSet(0, 0, 1.0, 1.0, 2.0 + 0j, 0j)))
+    assert psd_mask(*as_tuple(CoefficientSet(0, 0, 0.0, 0.0, 0j, 0j)))
 
 
 def test_psd_mask_agrees_with_scalar_check():
@@ -206,7 +197,7 @@ def test_psd_mask_agrees_with_scalar_check():
     outside = cascade[:4] + (cascade[4] * (1 + 1e-9),) + cascade[5:]
     for coeffs in ((da, db, ga, gb, gc, g), cascade, outside):
         mask = psd_mask(*coeffs)
-        scalar = [check_dissipator_psd(CoefficientSet(*(x[k].item() for x in coeffs))) for k in range(mask.size)]
+        scalar = [bool(psd_mask(*(x[k].item() for x in coeffs))) for k in range(mask.size)]
         assert mask.tolist() == scalar
     assert psd_mask(*cascade).all()
     assert not psd_mask(*outside)[np.abs(cascade[4]) > 1e-3].any()
@@ -217,6 +208,45 @@ def test_psd_mask_at_huge_rates():
     # G_a * G_b overflows above about 1e154; the PSD rule must not
     assert not psd_mask(0.0, 0.0, 1e155, 1e155, 3e155, 0.0)
     assert psd_mask(0.0, 0.0, 1e155, 1e155, 1e155, 0.0)
+
+
+def test_psd_near_one_atom_decoupling_phase():
+    # G_b of this layout vanishes quadratically at 2pi/3 and |G_coll|
+    # linearly, so near it G_b rounds to 0 or -1e-16 while |G_coll| is far
+    # above any slack: the product form |G_coll|^2 <= G_a G_b fails in
+    # floating point, the lowest eigenvalue stays within roundoff of 0
+    cfg = make_layout((0, 1, 16), (2, 3, 4))
+    spec = ChiralitySpec(1.0, 0.3)
+    offsets = np.concatenate([np.logspace(-12, -6, 50), -np.logspace(-12, -6, 50)])
+    assert psd_mask(*_coefficient_arrays(cfg, 2 * math.pi / 3 + offsets, *rates_from_chirality(spec))).all()
+    c = evaluate_concurrence(cfg, spec, INITIAL_EG, 2 * math.pi / 3 + 1e-10, 1.0)
+    assert math.isfinite(c)
+
+
+_NEAR_ZERO = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-12, 1e-12), st.sampled_from([0.0, -1e-16, 1e-16]))
+
+
+@given(
+    da=st.floats(-5.0, 5.0), db=st.floats(-5.0, 5.0), ga=_NEAR_ZERO, gb=_NEAR_ZERO,
+    size=st.one_of(st.floats(0.0, 3.0), st.floats(1e-13, 1e-6), st.floats(-1e-9, 1e-9).map(lambda r: 1.0 + r),
+                   st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-15])),
+    on_boundary=st.booleans(), angle=st.floats(0.0, 2 * math.pi), g=st.complex_numbers(max_magnitude=5.0),
+)
+# the decay values of the layout in test_psd_near_one_atom_decoupling_phase at 2pi/3 + 2.4e-9
+@example(da=0.0, db=0.0, ga=3.0, gb=-1.1102230246251565e-16, size=2.17e-9, on_boundary=False,
+         angle=math.pi / 2, g=0j)
+@settings(max_examples=300, deadline=None)
+def test_psd_mask_is_the_lowest_eigenvalue_bound(da, db, ga, gb, size, on_boundary, angle, g):
+    # |G_coll| either free or a factor near 1 times sqrt(G_a G_b), on the
+    # boundary of the exact PSD cone
+    mag = size * math.sqrt(max(ga, 0.0) * max(gb, 0.0)) if on_boundary else size
+    gc = mag * cmath.exp(1j * angle)
+    lowest = np.linalg.eigvalsh(np.array([[ga, gc.conjugate()], [gc, gb]])).min()
+    scale = max(1.0, abs(ga), abs(gb), abs(gc), 2 * abs(g), abs(da), abs(db))
+    slack = 1e-12 * scale
+    # eigvalsh and the closed form differ by roundoff, a few eps times scale
+    if abs(lowest + slack) > 1e-14 * scale:
+        assert bool(psd_mask(da, db, ga, gb, gc, g)) == (lowest >= -slack)
 
 
 def test_rate_overflow_is_a_named_error():

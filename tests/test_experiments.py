@@ -513,8 +513,8 @@ def test_state_norm_bounds_every_later_scan_cell(pattern, chi, c0):
     against any incumbent, a tiny one included, must leave only cells below
     it.
 
-    Error model. N never rises where the decay matrix is PSD; psd_mask lets
-    its lowest eigenvalue fall to about -1e-12 times the coefficient scale,
+    Error model. N never rises where the decay matrix is PSD; psd_mask bounds
+    its lowest eigenvalue below by -1e-12 times the coefficient scale,
     so N may rise by a factor of about 1 + 1e-12 scale t, and _row_norm holds
     it at e^{rise t_max} N for the rise the row's matrix allows. It sums
     |c_k|^2 of the spectral amplitudes c_k = p_k e^{-i(mu+s)t} +
@@ -1292,9 +1292,15 @@ def test_calibration_targets_shape():
     named = {Preset.SEPARATED, Preset.FULLY_BRAIDED, Preset.PARTIALLY_BRAIDED,
              Preset.FULLY_NESTED, Preset.PARTIALLY_NESTED}
     assert set(CALIBRATION_TARGETS) == named
-    for tg in CALIBRATION_TARGETS.values():
-        labels = [lbl for lbl, _ in tg.bands()]
-        assert labels == ["nonchiral_eg", "nonchiral_ge", "chiral_eg", "chiral_ge"]
+    for bands, _ in CALIBRATION_TARGETS.values():
+        assert list(bands) == ["nonchiral_eg", "nonchiral_ge", "chiral_eg", "chiral_ge"]
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0.865, 0.0), (0.86, 0.0), (0.87, 0.0), (0.85, 0.86 - 0.85), (0.9, 0.9 - 0.87),
+])
+def test_deviation_is_the_distance_outside_the_band(value, expected):
+    assert experiments._deviation((0.86, 0.87), value) == expected
 
 
 # Parameter positions that bench/tracer.py reads from the positional arguments

@@ -535,6 +535,18 @@ def test_cli_numerical_failure_exit_3(monkeypatch, tmp_path):
     assert code == 3
 
 
+def test_cli_near_one_atom_decoupling_phase_exit_0(tmp_path):
+    # 2.4e-9 from 2pi/3, where G_b of this layout rounds to -1e-16 while
+    # |G_coll| is about 2e-9: a physical input, not a PSD failure
+    out = tmp_path / "e.csv"
+    code = cli_main(["evolve", "--layout-a", "0,1,16", "--layout-b", "2,3,4", "--chi", "0.3",
+                     "--phi", "2.0943951048", "--t", "0:1:3", "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
 @pytest.mark.parametrize("error, code", [(PhysicalityError, 3), (ValueError, 1)])
 def test_calibration_worker_error_reaches_the_caller(monkeypatch, tmp_path, error, code):
     # the value-table searches run in forked workers, which inherit the patch
