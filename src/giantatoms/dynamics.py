@@ -273,13 +273,11 @@ def propagate_numeric_batch(matrices, amps0, t_checkpoints, dt):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Amplitudes and concurrence on a time grid, with the matrix and start they came from."""
+    """Amplitudes and concurrence on a time grid."""
 
     times: np.ndarray        # (N,)
     amplitudes: np.ndarray   # (N, 2) complex
     concurrence: np.ndarray  # (N,)
-    hamiltonian: EffectiveHamiltonian | None = None
-    initial: InitialState | None = None
 
 
 def trajectory(h: EffectiveHamiltonian, c0: InitialState, t_grid) -> Trajectory:
@@ -290,7 +288,7 @@ def trajectory(h: EffectiveHamiltonian, c0: InitialState, t_grid) -> Trajectory:
     """
     times = _times("t_grid", t_grid)
     c1, c2 = _amplitude_curves(h, c0, times)
-    return Trajectory(times, np.stack([c1, c2], axis=-1), concurrence_values(c1, c2), h, c0)
+    return Trajectory(times, np.stack([c1, c2], axis=-1), concurrence_values(c1, c2))
 
 
 class ModeClass(Enum):

@@ -27,7 +27,6 @@ from .coefficients import _coefficient_arrays, coefficients
 from .dynamics import (
     EffectiveHamiltonian,
     ModeClass,
-    ModeReport,
     AmplitudePair,
     Trajectory,
     _SINC_FORM_MAX_Z,
@@ -568,12 +567,11 @@ def find_max(
 
 @dataclass(frozen=True)
 class SteadyStateReport:
-    """Whether and where a trajectory settles on a plateau, and its mode analysis."""
+    """Whether and where a trajectory settles on a plateau."""
 
     is_steady: bool
     c_ss: float
     settle_time: float
-    mode: ModeReport | None
 
 
 def detect_steady(traj: Trajectory, window: float = 10.0, tol: float = 1e-3) -> SteadyStateReport:
@@ -583,7 +581,9 @@ def detect_steady(traj: Trajectory, window: float = 10.0, tol: float = 1e-3) -> 
     Requiring the whole window (not just its first sample) to sit above tol
     keeps slow decays that merely drift through the threshold from
     registering as plateaus.  The trajectory must extend at least one window
-    beyond its start.
+    beyond its start.  Only the trajectory's times and concurrence are read;
+    dark_modes(h, c0) gives the decay-mode analysis of the matrix and start
+    behind it.
     """
     if not (0 < window < math.inf and 0 < tol < math.inf):
         raise ValueError(f"window and tol must be positive and finite, got window={window}, tol={tol}")
@@ -591,9 +591,6 @@ def detect_steady(traj: Trajectory, window: float = 10.0, tol: float = 1e-3) -> 
     c = traj.concurrence
     if t[-1] - t[0] < window:
         raise ValueError(f"trajectory horizon {t[-1]} too short for window {window}")
-    mode = None
-    if traj.hamiltonian is not None and traj.initial is not None:
-        mode = dark_modes(traj.hamiltonian, traj.initial)
     limit = t[-1] - window
     ends = np.searchsorted(t, t + window, side="right")
     for i in range(t.size):
@@ -601,8 +598,8 @@ def detect_steady(traj: Trajectory, window: float = 10.0, tol: float = 1e-3) -> 
             break
         seg = c[i : max(ends[i], i + 2)]
         if float(seg.min()) > tol and float(seg.max() - seg.min()) < tol:
-            return SteadyStateReport(True, float(seg.mean()), float(t[i]), mode)
-    return SteadyStateReport(False, 0.0, math.nan, mode)
+            return SteadyStateReport(True, float(seg.mean()), float(t[i]))
+    return SteadyStateReport(False, 0.0, math.nan)
 
 
 class PhaseKind(Enum):
@@ -708,43 +705,22 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
 
 @dataclass(frozen=True, eq=False)
 class ChiralityScanResult:
-    """Trajectories at one phase over a chirality grid, with their peak counts."""
+    """Trajectories at one phase over a chirality grid."""
 
     phi: float
     gamma_total: float
     chis: tuple[float, ...]
-    gamma_rights: tuple[float, ...]
     trajectories: tuple[Trajectory, ...]
-    peak_counts: tuple[int, ...]
-
-
-def _count_peaks(c: np.ndarray, threshold: float) -> int:
-    if c.size < 3:
-        return int(np.any(c > threshold))
-    inner = (c[1:-1] > c[:-2]) & (c[1:-1] >= c[2:]) & (c[1:-1] > threshold)
-    return int(np.count_nonzero(inner))
 
 
 def chirality_scan(cfg, phi, chi_values, c0, t_grid, gamma_total: float = 1.0) -> ChiralityScanResult:
     """Trajectories at fixed phase for a list of chirality values.
 
     gamma_total is held fixed across the scan and all times are in units of
-    1/gamma_total; peak counts tally local maxima with C > 1 - 1e-3 on the
-    supplied grid.
+    1/gamma_total; a chi's right-moving rate is gamma_total (1 + chi) / 2.
     """
-    trajs = []
-    counts = []
-    grs = []
-    for chi in chi_values:
-        spec = ChiralitySpec(gamma_total, chi)
-        h = _heff_at(cfg, spec, phi)
-        tr = trajectory(h, c0, t_grid)
-        trajs.append(tr)
-        counts.append(_count_peaks(tr.concurrence, 1.0 - 1e-3))
-        grs.append(rates_from_chirality(spec)[0])
-    return ChiralityScanResult(
-        phi, gamma_total, tuple(float(c) for c in chi_values), tuple(grs), tuple(trajs), tuple(counts)
-    )
+    trajs = tuple(trajectory(_heff_at(cfg, ChiralitySpec(gamma_total, chi), phi), c0, t_grid) for chi in chi_values)
+    return ChiralityScanResult(phi, gamma_total, tuple(float(c) for c in chi_values), trajs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -805,13 +781,14 @@ _PEAK_BAND = 0.02
 
 
 def _deviation(band, value: float) -> float:
-    """How far value lies outside the closed interval band = (lo, hi)."""
+    """How far value lies outside the closed interval band = (lo, hi); a NaN
+    value lies infinitely far outside every band."""
     lo, hi = band
     if value < lo:
         return lo - value
     if value > hi:
         return value - hi
-    return 0.0
+    return math.inf if math.isnan(value) else 0.0
 
 
 def _pattern(positions_a) -> str:
@@ -854,8 +831,6 @@ class ConfigCalibration:
     """The ordering assigned to one named configuration, with its score and values."""
 
     pattern: str
-    positions_a: tuple[int, ...]
-    positions_b: tuple[int, ...]
     score: float
     residuals: dict[str, float]
     values: dict[str, float]
@@ -872,9 +847,7 @@ class CalibrationResult:
     value_table: dict[str, tuple[float, float, float, float]]
 
     def layout(self, preset: Preset | str) -> LayoutConfiguration:
-        preset = Preset(preset)
-        cal = self.assignments[preset.value]
-        return make_layout(cal.positions_a, cal.positions_b)
+        return layout_from_pattern(self.assignments[Preset(preset).value].pattern)
 
 
 _UNRESOLVED_SCORE = 0.02
@@ -971,17 +944,14 @@ def calibrate_presets(
             best = min(ties, key=lambda it: it[1])
 
         score, pattern, devs, vals = best
-        cfg = layout_from_pattern(pattern)
         assignments[preset.value] = ConfigCalibration(
             pattern=pattern,
-            positions_a=cfg.positions_a,
-            positions_b=cfg.positions_b,
             score=score,
             residuals=devs,
             values=dict(zip(bands, vals)),
             peaks_ok=peaks_ok,
             unresolved=score > _UNRESOLVED_SCORE,
-            matches_default=(cfg.positions_a, cfg.positions_b) == PRESET_POSITIONS[preset],
+            matches_default=pattern == _pattern(PRESET_POSITIONS[preset][0]),
         )
 
     return CalibrationResult(assignments, value_table)

@@ -17,6 +17,7 @@ from giantatoms import (
     ModeClass,
     PhaseKind,
     Preset,
+    Trajectory,
     build_heff,
     calibrate_presets,
     chirality_scan,
@@ -45,7 +46,6 @@ from giantatoms.dynamics import (
 )
 from giantatoms.experiments import (
     CALIBRATION_TARGETS,
-    _count_peaks,
     _golden_max,
     _row_first_max,
     _stationary_phases,
@@ -58,10 +58,18 @@ NONCHIRAL = ChiralitySpec(1.0, 0.0)
 CASCADE = ChiralitySpec(1.0, 1.0)
 
 
+def heff_for(preset, phi, chi=0.0):
+    return build_heff(coefficients(make_preset(preset), phi, *rates_from_chirality(ChiralitySpec(1.0, chi))))
+
+
 def traj_for(preset, phi, chi=0.0, t_max=60.0, n=1201, c0=INITIAL_EG):
-    gr, gl = rates_from_chirality(ChiralitySpec(1.0, chi))
-    h = build_heff(coefficients(make_preset(preset), phi, gr, gl))
-    return trajectory(h, c0, np.linspace(0.0, t_max, n))
+    return trajectory(heff_for(preset, phi, chi), c0, np.linspace(0.0, t_max, n))
+
+
+def unit_peaks(c):
+    """The interior local maxima of a sampled concurrence curve above 1 - 1e-3."""
+    inner = (c[1:-1] > c[:-2]) & (c[1:-1] >= c[2:]) & (c[1:-1] > 1 - 1e-3)
+    return int(np.count_nonzero(inner))
 
 
 def test_golden_max_finds_peak():
@@ -791,8 +799,21 @@ def test_detect_steady_separated_plateau():
     rep = detect_steady(traj_for("separated", 0.0))
     assert rep.is_steady
     assert rep.c_ss == pytest.approx(0.5, abs=1e-3)
-    assert rep.mode.classification is ModeClass.STEADY_PLATEAU
-    assert abs(rep.c_ss - rep.mode.predicted_c_ss) < 2e-3
+    mode = dark_modes(heff_for("separated", 0.0), INITIAL_EG)
+    assert mode.classification is ModeClass.STEADY_PLATEAU
+    assert abs(rep.c_ss - mode.predicted_c_ss) < 2e-3
+
+
+@pytest.mark.parametrize("preset, phi, n, steady", [
+    ("separated", 0.0, 1201, True),  # the nonchiral C = 1/2 plateau
+    ("fully_braided", math.pi / 3, 4801, False),  # decoherence-free oscillation
+])
+def test_detect_steady_reads_only_the_concurrence(preset, phi, n, steady):
+    built = traj_for(preset, phi, n=n)
+    bare = Trajectory(built.times.copy(), built.amplitudes.copy(), built.concurrence.copy())
+    rep = detect_steady(bare)
+    assert rep.is_steady is steady
+    assert repr(rep) == repr(detect_steady(built))  # repr: a NaN settle time equals itself
 
 
 def test_detect_steady_df_oscillation_is_not_steady():
@@ -814,11 +835,11 @@ def test_detect_steady_agrees_with_dark_modes():
     for preset in ("separated", "fully_braided", "partially_braided",
                    "fully_nested", "partially_nested"):
         for phi in (0.0, math.pi / 3, math.pi / 2, 2 * math.pi / 3, math.pi):
-            traj = traj_for(preset, phi)
-            rep = detect_steady(traj)
+            rep = detect_steady(traj_for(preset, phi))
             if rep.is_steady:
-                assert rep.mode.classification is ModeClass.STEADY_PLATEAU
-                assert abs(rep.c_ss - rep.mode.predicted_c_ss) < 2e-3
+                mode = dark_modes(heff_for(preset, phi), INITIAL_EG)
+                assert mode.classification is ModeClass.STEADY_PLATEAU
+                assert abs(rep.c_ss - mode.predicted_c_ss) < 2e-3
 
 
 def test_special_phases_separated_nonchiral():
@@ -961,10 +982,11 @@ def test_chirality_scan_overlap_and_peaks():
     c0 = scan.trajectories[0].concurrence
     c1 = scan.trajectories[2].concurrence
     assert np.max(np.abs(c0 - c1)) < 1e-9
-    assert scan.gamma_rights == (0.5, 0.75, 1.0)
+    assert tuple(rates_from_chirality(ChiralitySpec(1.0, chi))[0] for chi in scan.chis) == (0.5, 0.75, 1.0)
     # DF dynamics: same peak count for every chi on a fixed gamma*t grid
-    assert len(set(scan.peak_counts)) == 1
-    assert scan.peak_counts[0] >= 50  # |sin| peaks every pi/(2 sqrt 3)
+    counts = [unit_peaks(tr.concurrence) for tr in scan.trajectories]
+    assert len(set(counts)) == 1
+    assert counts[0] >= 50  # |sin| peaks every pi/(2 sqrt 3)
 
 
 def test_chirality_scan_peak_value():
@@ -983,13 +1005,8 @@ def test_peak_count_grows_on_fixed_pump_time_horizon():
         gamma_r = (1 + chi) / 2
         ts = np.linspace(0.0, horizon_pump / gamma_r, 8001)
         scan = chirality_scan(cfg, math.pi / 3, (chi,), INITIAL_EG, ts)
-        counts[chi] = scan.peak_counts[0]
+        counts[chi] = unit_peaks(scan.trajectories[0].concurrence)
     assert counts[0.01] > counts[0.1]
-
-
-def test_count_peaks_simple():
-    c = np.array([0.0, 0.9995, 0.0, 0.9991, 0.5])
-    assert _count_peaks(c, 1 - 1e-3) == 2
 
 
 def test_compare_initial_states_symmetric_nonchiral():
@@ -1237,6 +1254,26 @@ def test_calibration_without_a_passing_peak_takes_the_best_score(monkeypatch):
     assert sorted(checked) == sorted(layout_from_pattern(p).positions_a for p in nested)
 
 
+def test_calibration_never_assigns_a_nan_value(monkeypatch):
+    # every cell reads 0.9, so the four fully nested orderings tie and the
+    # smallest, aabbba, wins; a NaN in its chiral eg cell (and, by label swap,
+    # in bbaaab's chiral ge cell) puts both outside every band
+    def fake(cfg, chirality, c0, *args, **kwargs):
+        if kwargs["phi_points"] == 1:
+            return experiments.MaxResult(0.67, 0.0, 0.0, None)
+        poisoned = (cfg.positions_a, chirality.chi, c0) == ((0, 1, 5), 1.0, INITIAL_EG)
+        return experiments.MaxResult(math.nan if poisoned else 0.9, 0.0, 0.0, None)
+
+    monkeypatch.setattr(experiments, "find_max", fake)
+    monkeypatch.setattr(experiments, "CALIBRATION_TARGETS",
+                        {Preset.FULLY_NESTED: CALIBRATION_TARGETS[Preset.FULLY_NESTED]})
+    result = calibrate_presets(t_points=401)
+    assert math.isnan(result.value_table["aabbba"][2]) and math.isnan(result.value_table["bbaaab"][3])
+    cal = result.assignments["fully_nested"]
+    assert (cal.pattern, cal.peaks_ok) == ("abbbaa", True)
+    assert cal.score == pytest.approx(0.98 - 0.9)
+
+
 def _orbit(pattern, chi, label):
     """The value-table cells that share (pattern, chi, label)'s value: label
     swap at any chi, waveguide reversal where the rates are equal."""
@@ -1297,7 +1334,7 @@ def test_calibration_targets_shape():
 
 
 @pytest.mark.parametrize("value, expected", [
-    (0.865, 0.0), (0.86, 0.0), (0.87, 0.0), (0.85, 0.86 - 0.85), (0.9, 0.9 - 0.87),
+    (0.865, 0.0), (0.86, 0.0), (0.87, 0.0), (0.85, 0.86 - 0.85), (0.9, 0.9 - 0.87), (math.nan, math.inf),
 ])
 def test_deviation_is_the_distance_outside_the_band(value, expected):
     assert experiments._deviation((0.86, 0.87), value) == expected

@@ -226,11 +226,9 @@ def edge_results():
                        np.array([[1 / 3, -0.0], [0.5, 1e20]]))
     grid_b = SweepGrid(grid_a.phi_values, grid_a.t_values,
                        np.array([[-0.0, 5e-324], [1.5, 2.0**53]]))
-    separated = ConfigCalibration("aaabbb", (0, 1, 2), (3, 4, 5), -0.0,
-                                  {"nonchiral_eg": 5e-324, "chiral_ge": 1e20},
+    separated = ConfigCalibration("aaabbb", -0.0, {"nonchiral_eg": 5e-324, "chiral_ge": 1e20},
                                   {"nonchiral_eg": 2.0**53, "chiral_ge": 1 / 3}, True, False, True)
-    braided = ConfigCalibration("ababab", (0, 2, 4), (1, 3, 5), 1 / 3, {"x": -0.0}, {"x": 1e20},
-                                False, True, False)
+    braided = ConfigCalibration("ababab", 1 / 3, {"x": -0.0}, {"x": 1e20}, False, True, False)
     return {
         "sweep": grid_a,
         "trajectory": edge_trajectory([-0.0, 5e-324]),
@@ -238,8 +236,7 @@ def edge_results():
         "coefficient_list": [(-0.0, coeff), (2.0**53, coeff)],
         "max": MaxResult(1 / 3, -0.0, 1e20, AmplitudePair(complex(5e-324, -0.0), complex(2.0**53, 0.5))),
         "chirality_scan": ChiralityScanResult(
-            1.0, 1.0, (-0.0, 1.0), (0.5, 1.0),
-            (edge_trajectory([0.0]), edge_trajectory([1.0, 2.0**53])), (0, 1)),
+            1.0, 1.0, (-0.0, 1.0), (edge_trajectory([0.0]), edge_trajectory([1.0, 2.0**53]))),
         "comparison": InitialStateComparison(grid_a, grid_b, 1e20),
         "calibration": CalibrationResult({"separated": separated, "fully_braided": braided}, {}),
         "special_phases": [SpecialPhase(-0.0, PhaseKind.DECOUPLED),
@@ -339,7 +336,7 @@ def test_finite_check_reads_every_emitted_number():
         else:
             _require_finite(result)
     # calibration NDJSON nests values/residuals; the CSV table carries them
-    cal = ConfigCalibration("aaabbb", (0, 1, 2), (3, 4, 5), 0.0, {"x": 0.0}, {"x": math.inf}, True, False, True)
+    cal = ConfigCalibration("aaabbb", 0.0, {"x": 0.0}, {"x": math.inf}, True, False, True)
     for bad in (CalibrationResult({"separated": cal}, {}), edge_trajectory([math.nan])):
         with pytest.raises(ValueError, match="overflow"):
             _require_finite(bad)
