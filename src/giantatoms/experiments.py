@@ -719,7 +719,8 @@ def chirality_scan(cfg, phi, chi_values, c0, t_grid, gamma_total: float = 1.0) -
     gamma_total is held fixed across the scan and all times are in units of
     1/gamma_total; a chi's right-moving rate is gamma_total (1 + chi) / 2.
     """
-    trajs = tuple(trajectory(_heff_at(cfg, ChiralitySpec(gamma_total, chi), phi), c0, t_grid) for chi in chi_values)
+    trajs = tuple(trajectory(_heff_at(cfg, ChiralitySpec(gamma_total, chi), phi), c0, t_grid)
+                  for chi in chi_values)
     return ChiralityScanResult(phi, gamma_total, tuple(float(c) for c in chi_values), trajs)
 
 
