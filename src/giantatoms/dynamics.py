@@ -53,10 +53,6 @@ class EffectiveHamiltonian:
 
     matrix: np.ndarray  # (2, 2) complex
 
-    @property
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.matrix)))
-
 
 def heff_entries(da, db, ga, gb, gc, g):
     """Entries (m11, m12, m21, m22) of the effective matrix from the six
@@ -319,7 +315,7 @@ def dark_modes(h: EffectiveHamiltonian, c0: InitialState) -> ModeReport:
     m = h.matrix
     mu, _, s = eigen_split(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
     lam1, lam2 = mu + s, mu - s
-    scale = h.scale
+    scale = float(np.max(np.abs(m)))
     thr = _DARK_TOL * scale if scale > 0 else _DARK_TOL
     real_flags = [abs(lam.imag) < thr for lam in (lam1, lam2)]
     n_real = sum(real_flags)

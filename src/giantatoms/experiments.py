@@ -616,8 +616,8 @@ class SpecialPhase:
     kind: PhaseKind
 
 
-# find_special_phases: the residual a phase must fall below (also |g|/gamma for a
-# decoherence-free phase to count as interacting) and the largest pair distance d
+# find_special_phases: the share of gamma below which the decays vanish (and
+# |g| must not, for a decoherence-free phase) and the largest pair distance d
 # (its roots are eigenvalues of an 8d x 8d matrix, 5 s at d = 128);
 # _stationary_phases: the share of the largest Fourier coefficient that is roundoff
 _PHASE_COEF_TOL = 1e-9
@@ -639,35 +639,17 @@ def _stationary_phases(f, degree):
     return phis
 
 
-def _phase_residuals(da, db, ga, gb, gc, g, gamma):
-    """Residuals of the three special-phase conditions, as scalars or arrays.
-
-    Returns ({kind: residual}, |g|, largest decay magnitude). A phase is
-    decoupled when every decay and the exchange coupling vanish,
-    decoherence-free when every decay vanishes, and dark when one eigenvalue
-    of the effective matrix is real (relative to the matrix scale).
-    """
-    decay = np.maximum(np.maximum(np.abs(ga), np.abs(gb)), np.abs(gc))
-    g_abs = np.abs(g)
-    m11, m12, m21, m22 = heff_entries(da, db, ga, gb, gc, g)
-    mu, _, s = eigen_split(m11, m12, m21, m22)
-    scale = np.maximum(np.maximum.reduce([np.abs(m11), np.abs(m12), np.abs(m21), np.abs(m22)]), 1e-300)
-    residuals = {
-        PhaseKind.DECOUPLED: np.maximum(decay, g_abs) / gamma,
-        PhaseKind.DECOHERENCE_FREE: decay / gamma,
-        PhaseKind.DARK_STATE: np.minimum(np.abs((mu + s).imag), np.abs((mu - s).imag)) / scale,
-    }
-    return residuals, g_abs, decay
-
-
 def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> list[SpecialPhase]:
     """Locate phases where the pair decouples, interacts without decay, or
     hosts a dark state overlapping the initial state.
 
     Candidates are the stationary phases of two nonnegative trigonometric polynomials,
-    each then checked for its kind: Gamma_a + Gamma_b of degree d (the largest pair
-    distance, at most _PHASE_MAX_DISTANCE), zero where no decay is left, and the resultant
-    of m's characteristic polynomial and its conjugate (degree 4d), zero at a real eigenvalue."""
+    each root read once through coefficients(). Gamma_a + Gamma_b has degree d (the
+    largest pair distance, at most _PHASE_MAX_DISTANCE) and is zero where no decay is
+    left: a root is decoherence-free when its decays are below _PHASE_COEF_TOL times
+    gamma and |g| is not, decoupled when both are. The resultant of m's characteristic
+    polynomial and its conjugate (degree 4d) is zero at a real eigenvalue: a root with
+    decay is a dark state when dark_modes finds one overlapping the initial state."""
     gamma_r, gamma_l = rates_from_chirality(chirality)
     gamma = chirality.gamma_total
     degree = int(cfg.distances.max())
@@ -679,27 +661,24 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
         tr, det = m11 + m22, m11 * m22 - m12 * m21
         return -((det.conj() - det) ** 2 - (tr - tr.conj()) * (det * tr.conj() - tr * det.conj())).real
 
-    decaying = _stationary_phases(lambda phis: sum(_coefficient_arrays(cfg, phis, gamma_r, gamma_l)[2:4]), degree)
-    candidates = {PhaseKind.DECOUPLED: decaying, PhaseKind.DECOHERENCE_FREE: decaying,
-                  PhaseKind.DARK_STATE: _stationary_phases(resultant, 4 * degree)}
-    found: list[SpecialPhase] = []
-    for kind, phis in candidates.items():
+    def at(phis):
         for phi in phis.tolist():
-            residuals, g_abs, decay = _phase_residuals(*_coefficient_arrays(cfg, [phi], gamma_r, gamma_l), gamma)
-            if residuals[kind][0] >= _PHASE_COEF_TOL:
-                continue
-            if kind is PhaseKind.DECOHERENCE_FREE and g_abs[0] < _PHASE_COEF_TOL * gamma:
-                continue
-            if kind is PhaseKind.DARK_STATE:
-                # without decay every eigenvalue is real, so decoupled and decoherence-free
-                # phases are roots of the resultant too; a dark state needs decay to stand out
-                if decay[0] < 1e-6 * gamma:
-                    continue
-                report = dark_modes(_heff_at(cfg, chirality, phi), initial)
-                if not (report.classification is ModeClass.STEADY_PLATEAU and report.dark_overlap > 1e-6):
-                    continue
-            found.append(SpecialPhase(phi, kind))
+            c = coefficients(cfg, phi, gamma_r, gamma_l)
+            yield phi, c, max(abs(c.gamma_a), abs(c.gamma_b), abs(c.gamma_coll))
 
+    found: list[SpecialPhase] = []
+    decaying = _stationary_phases(lambda phis: sum(_coefficient_arrays(cfg, phis, gamma_r, gamma_l)[2:4]), degree)
+    for phi, c, decay in at(decaying):
+        if decay / gamma < _PHASE_COEF_TOL:
+            coupled = abs(c.g) >= _PHASE_COEF_TOL * gamma
+            found.append(SpecialPhase(phi, PhaseKind.DECOHERENCE_FREE if coupled else PhaseKind.DECOUPLED))
+    # without decay every eigenvalue is real, so decoupled and decoherence-free
+    # phases are roots of the resultant too; a dark state needs decay to stand out
+    for phi, c, decay in at(_stationary_phases(resultant, 4 * degree)):
+        if decay >= 1e-6 * gamma:
+            report = dark_modes(build_heff(c), initial)
+            if report.classification is ModeClass.STEADY_PLATEAU and report.dark_overlap > 1e-6:
+                found.append(SpecialPhase(phi, PhaseKind.DARK_STATE))
     return sorted(found, key=lambda sp: sp.phi)
 
 

@@ -23,7 +23,7 @@ from giantatoms import (
     trajectory,
 )
 from giantatoms.dynamics import _evolve, eigen_split, heff_entries
-from giantatoms.experiments import _m_components, _phase_residuals, all_orderings, layout_from_pattern
+from giantatoms.experiments import _m_components, all_orderings, layout_from_pattern
 
 SQRT3 = math.sqrt(3.0)
 ZERO_SET = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0j, 0j)
@@ -82,8 +82,6 @@ def test_build_heff_rejects_unphysical():
         heff_entries(*coeffs)
     with pytest.raises(PhysicalityError, match="1 of 2 points"):
         heff_entries(*(np.array([0.0, x]) for x in coeffs))
-    with pytest.raises(PhysicalityError):
-        _phase_residuals(*coeffs, 1.0)
 
 
 def test_decay_matrix_psd():

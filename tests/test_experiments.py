@@ -36,7 +36,7 @@ from giantatoms import (
     sweep,
     trajectory,
 )
-from giantatoms import experiments
+from giantatoms import dynamics, experiments
 from giantatoms.dynamics import (
     _SINC_FORM_MAX_Z,
     _SINC_SERIES_MAX_Z,
@@ -930,19 +930,19 @@ def test_special_phases_reject_what_fails_the_final_check(monkeypatch):
     plain = by_kind()
     assert plain[PhaseKind.DECOHERENCE_FREE] and plain[PhaseKind.DARK_STATE]
 
-    with monkeypatch.context() as m:  # no residual is below a zero tolerance
+    with monkeypatch.context() as m:  # no decay is below a zero tolerance
         m.setattr(experiments, "_PHASE_COEF_TOL", 0.0)
-        assert find_special_phases(cfg, NONCHIRAL) == []
+        assert by_kind() == {**plain, PhaseKind.DECOUPLED: [], PhaseKind.DECOHERENCE_FREE: []}
 
-    residuals = experiments._phase_residuals
+    with monkeypatch.context() as m:  # no eigenvalue is real below a zero tolerance
+        m.setattr(dynamics, "_DARK_TOL", 0.0)
+        assert by_kind() == {**plain, PhaseKind.DARK_STATE: []}
 
-    def uncoupled(*args):
-        r, g_abs, decay = residuals(*args)
-        return r, 0.0 * g_abs, decay
-
-    with monkeypatch.context() as m:  # no exchange coupling: not decoherence-free
-        m.setattr(experiments, "_phase_residuals", uncoupled)
-        assert by_kind() == {**plain, PhaseKind.DECOHERENCE_FREE: []}
+    coefs = experiments.coefficients
+    with monkeypatch.context() as m:  # no exchange coupling: decoupled, not decoherence-free
+        m.setattr(experiments, "coefficients", lambda *args: dataclasses.replace(coefs(*args), g=0j))
+        assert by_kind() == {**plain, PhaseKind.DECOUPLED: plain[PhaseKind.DECOHERENCE_FREE],
+                             PhaseKind.DECOHERENCE_FREE: []}
 
     modes = experiments.dark_modes
     with monkeypatch.context() as m:  # no overlap with the dark mode: no dark state
@@ -961,7 +961,7 @@ _SPECIAL_PHASE_COUNTS = {
 }
 
 
-def test_special_phase_counts_are_pinned():
+def test_special_phase_counts_are_pinned(coefficient_oracle):
     assert sorted(_SPECIAL_PHASE_COUNTS) == sorted(all_orderings())
     for pattern, (decoupled, decoherence_free, dark) in _SPECIAL_PHASE_COUNTS.items():
         cfg = layout_from_pattern(pattern)
@@ -970,9 +970,16 @@ def test_special_phase_counts_are_pinned():
             phases = find_special_phases(cfg, spec)
             counts = tuple(sum(p.kind is kind for p in phases) for kind in PhaseKind)
             assert counts == (decoupled, decoherence_free, dark_at_chi), (pattern, chi)
+            gr, gl = rates_from_chirality(spec)
             for p in phases:
-                coefs = experiments._coefficient_arrays(cfg, [p.phi], *rates_from_chirality(spec))
-                assert experiments._phase_residuals(*coefs, 1.0)[0][p.kind][0] < 1e-13, (pattern, chi, p)
+                _, _, ga, gb, gc, g = coefficient_oracle(cfg.positions_a, cfg.positions_b, p.phi, gr, gl)
+                decay = max(abs(ga), abs(gb), abs(gc))
+                if p.kind is PhaseKind.DARK_STATE:
+                    m = build_heff(coefficients(cfg, p.phi, gr, gl)).matrix
+                    residual = np.abs(np.linalg.eigvals(m).imag).min() / np.abs(m).max()
+                else:
+                    residual = max(decay, abs(g)) if p.kind is PhaseKind.DECOUPLED else decay
+                assert residual < 1e-13, (pattern, chi, p)
 
 
 def test_chirality_scan_overlap_and_peaks():
