@@ -629,13 +629,14 @@ def _stationary_phases(f, degree):
     """The phases in [0, 2*pi) where f' = 0 (none if f is constant), for f mapping
     phase arrays to a real trigonometric polynomial of at most degree: the roots on
     the unit circle of z^degree f'(z) = sum_k i k c_k z^(k + degree), c_k from the FFT
-    of 2*degree + 1 samples (Boyd, J. Eng. Math. 2006); one past 2*pi - 1e-9 reads 0.0."""
+    of 2*degree + 1 samples (Boyd, J. Eng. Math. 2006); one within 1e-9 of 0 or of 2*pi
+    reads 0.0, whichever side of it roundoff put the root."""
     n = 2 * degree + 1
     c = np.fft.fftshift(np.fft.fft(f(TWO_PI * np.arange(n) / n)))  # n c_k, k = -degree..degree
     c[np.abs(c) < _FOURIER_ROUNDOFF * np.abs(c).max()] = 0.0
     z = np.roots((1j * np.arange(-degree, degree + 1) * c)[::-1])
     phis = np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]) % TWO_PI
-    phis[TWO_PI - phis < 1e-9] = 0.0
+    phis[np.minimum(phis, TWO_PI - phis) < 1e-9] = 0.0
     return phis
 
 

@@ -906,6 +906,7 @@ def test_stationary_phases_are_the_roots_of_the_derivative():
     assert np.abs(np.sort(_stationary_phases(lambda p: np.cos(3 * p), 3)) - sixths[::2]).max() < 1e-15
     assert _stationary_phases(lambda p: np.full(p.shape, 2.5), 4).size == 0  # f' is the zero polynomial
     assert np.sort(_stationary_phases(lambda p: np.cos(3 * (p + 1e-12)), 3))[0] == 0.0  # a root 1e-12 below 2pi
+    assert np.sort(_stationary_phases(lambda p: np.cos(3 * (p - 1e-12)), 3))[0] == 0.0  # a root 1e-12 above 0
     # Gamma_a + Gamma_b of ababab has degree 4 below the padded 5: its roundoff leading coefficient is cut
     cfg = layout_from_pattern("ababab")
     phis = _stationary_phases(lambda p: sum(experiments._coefficient_arrays(cfg, p, 0.5, 0.5)[2:4]), 5)

@@ -415,6 +415,13 @@ def test_cli_coeffs_decoupling_row(tmp_path):
         assert abs(vals[key]) < 1e-12
 
 
+def test_cli_special_phases_snap_zero(tmp_path):
+    # roundoff puts the separated layout's first dark root at 3.2e-16: it reads 0
+    out = tmp_path / "s.csv"
+    assert cli_main(["special-phases", "--preset", "separated", "--chi", "0", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0,dark_state"
+
+
 def test_cli_find_max_cascade_null(tmp_path):
     out = tmp_path / "m.ndjson"
     code = cli_main(["find-max", "--preset", "separated", "--chi", "1",
