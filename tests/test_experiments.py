@@ -983,6 +983,18 @@ def test_special_phase_counts_are_pinned(coefficient_oracle):
                 assert residual < 1e-13, (pattern, chi, p)
 
 
+def test_special_phases_do_not_depend_on_gamma_total():
+    # every rule scales with gamma, so the phases and kinds are those at gamma 1
+    for pattern in all_orderings():
+        cfg = layout_from_pattern(pattern)
+        for chi in (0.0, 0.5, 1.0):
+            unit = find_special_phases(cfg, ChiralitySpec(1.0, chi))
+            for gamma in (0.3, 2.5, 1e3):
+                phases = find_special_phases(cfg, ChiralitySpec(gamma, chi))
+                assert [p.kind for p in phases] == [p.kind for p in unit], (pattern, chi, gamma)
+                assert all(abs(p.phi - q.phi) < 1e-12 for p, q in zip(phases, unit)), (pattern, chi, gamma)
+
+
 def test_chirality_scan_overlap_and_peaks():
     cfg = make_preset("fully_braided")
     ts = np.linspace(0.0, 50.0, 4001)
