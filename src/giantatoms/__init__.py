@@ -16,11 +16,7 @@ from .model import (
     make_preset,
     rates_from_chirality,
 )
-from .coefficients import (
-    CoefficientSet,
-    coefficients,
-    coefficients_nonchiral,
-)
+from .coefficients import CoefficientSet, coefficients
 from .dynamics import (
     AmplitudePair,
     EffectiveHamiltonian,
@@ -32,8 +28,6 @@ from .dynamics import (
     concurrence,
     dark_modes,
     propagate_closed,
-    propagate_numeric,
-    propagate_numeric_batch,
     trajectory,
 )
 from .experiments import (

@@ -22,8 +22,7 @@ the six coefficients are
     g             = (gamma_R H - gamma_L conj(H)) / 2i
 
 Under symmetric rates (gamma_R = gamma_L = gamma/2) these reduce to the
-purely real cos/sin forms implemented independently in
-``coefficients_nonchiral``.
+purely real cos/sin forms, which the tests sum independently.
 """
 from __future__ import annotations
 
@@ -76,40 +75,6 @@ def coefficients(cfg: LayoutConfiguration, phi: float, gamma_r: float, gamma_l: 
     da, db, ga, gb, gc, g = _coefficient_arrays(cfg, np.asarray([phi]), gamma_r, gamma_l)
     return CoefficientSet(float(da[0]), float(db[0]), float(ga[0]), float(gb[0]),
                           complex(gc[0]), complex(g[0]))
-
-
-def coefficients_nonchiral(cfg: LayoutConfiguration, phi: float, gamma: float) -> CoefficientSet:
-    """Symmetric-coupling coefficients via the real cos/sin expressions.
-
-    Independent code path from ``coefficients``; kept separate so the
-    reduction identity coefficients(cfg, phi, g/2, g/2) == this can serve as
-    a cross-check.
-    """
-    if not (gamma > 0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
-
-    within = []
-    for pos in (cfg.positions_a, cfg.positions_b):
-        delta = 0.0
-        decay = 0.0
-        for n in range(len(pos)):
-            for m in range(len(pos)):
-                arg = abs(pos[n] - pos[m]) * phi
-                delta += (gamma / 2.0) * math.sin(arg)
-                decay += gamma * math.cos(arg)
-        within.append((delta, decay))
-
-    pa, pb = cfg.positions_a, cfg.positions_b
-    gamma_coll = 0.0
-    g = 0.0
-    for n in range(len(pa)):
-        for m in range(len(pb)):
-            arg = abs(pa[n] - pb[m]) * phi
-            gamma_coll += gamma * math.cos(arg)
-            g += (gamma / 2.0) * math.sin(arg)
-
-    (delta_a, dec_a), (delta_b, dec_b) = within
-    return CoefficientSet(delta_a, delta_b, dec_a, dec_b, complex(gamma_coll), complex(g))
 
 
 # slack of the PSD test, times the largest coefficient (at least 1)

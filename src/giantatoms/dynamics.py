@@ -231,36 +231,26 @@ def _integrate_interval(m, c, duration, dt):
     return c
 
 
-def propagate_numeric(h: EffectiveHamiltonian, c0: InitialState | AmplitudePair, t: float, dt: float) -> AmplitudePair:
-    """Fixed-step RK4 integration to time t; the last partial step lands on t.
+def propagate_numeric_batch(matrices, amps0, t_checkpoints, dt):
+    """Fixed-step RK4 integration of a stack of systems, recording amplitudes
+    at checkpoints; a last partial step lands on each checkpoint.
 
-    Deliberately independent of propagate_closed so the two act as mutual
+    matrices: (N, 2, 2) finite, amps0: (N, 2), t_checkpoints: a time or grid
+    under the _times rule, dt: finite, > 0 and no longer than a last
+    checkpoint above 0.  Returns (N, K, 2).  Deliberately independent of
+    propagate_closed (_times only checks inputs), so the two act as mutual
     oracles.
     """
-    if not (np.isfinite(t) and np.isfinite(dt)) or not np.all(np.isfinite(h.matrix)):
-        raise ValueError("non-finite inputs to propagate_numeric")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t > 0 and not (0 < dt <= t):
-        raise ValueError(f"require 0 < dt <= t, got dt={dt}, t={t}")
-    c = np.array([c0.c_eg, c0.c_ge], dtype=complex)
-    c = _integrate_interval(h.matrix, c, t, dt)
-    return AmplitudePair(complex(c[0]), complex(c[1]))
-
-
-def propagate_numeric_batch(matrices, amps0, t_checkpoints, dt):
-    """RK4-integrate a stack of systems, recording amplitudes at checkpoints.
-
-    matrices: (N, 2, 2), amps0: (N, 2), t_checkpoints: increasing, starting
-    at >= 0.  Returns (N, K, 2).  Used for bulk oracle comparisons where
-    calling propagate_numeric per (system, time) would be wasteful.
-    """
     matrices = np.asarray(matrices, dtype=complex)
+    times = _times("t_checkpoints", t_checkpoints)
+    if not np.all(np.isfinite(matrices)):
+        raise ValueError("matrices must be finite")
+    if not 0 < dt < math.inf or dt > times[-1] > 0:
+        raise ValueError(f"dt must be finite, > 0 and at most the last checkpoint {times[-1]}, got {dt}")
     c = np.array(amps0, dtype=complex)
-    t_checkpoints = np.asarray(t_checkpoints, dtype=float)
-    out = np.empty((c.shape[0], t_checkpoints.size, 2), dtype=complex)
+    out = np.empty((c.shape[0], times.size, 2), dtype=complex)
     t_prev = 0.0
-    for k, t in enumerate(t_checkpoints):
+    for k, t in enumerate(times):
         c = _integrate_interval(matrices, c, t - t_prev, dt)
         out[:, k, :] = c
         t_prev = t

@@ -71,11 +71,6 @@ def coefficient_oracle():
 
 
 @pytest.fixture(scope="session")
-def nonchiral_oracle():
-    return brute_force_nonchiral
-
-
-@pytest.fixture(scope="session")
 def ordering_layouts():
     """All 20 canonical point orderings as layout configurations."""
     return [layout_from_pattern(p) for p in all_orderings()]

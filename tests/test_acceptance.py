@@ -13,24 +13,24 @@ import pytest
 
 from giantatoms import (
     ChiralitySpec,
+    CoefficientSet,
     INITIAL_EG,
     INITIAL_GE,
     build_heff,
     calibrate_presets,
     coefficients,
-    coefficients_nonchiral,
     compare_initial_states,
     find_max,
     make_preset,
     propagate_closed,
-    propagate_numeric_batch,
     rates_from_chirality,
     trajectory,
 )
 from giantatoms.coefficients import psd_mask
+from giantatoms.dynamics import propagate_numeric_batch
 from giantatoms.experiments import CALIBRATION_TARGETS, _deviation, all_orderings, layout_from_pattern
 
-from conftest import random_initial
+from conftest import brute_force_nonchiral, random_initial
 
 SQRT3 = math.sqrt(3.0)
 PI = math.pi
@@ -302,7 +302,7 @@ def test_c11_chiral_nonchiral_reduction():
         phi = rng.uniform(0.0, 4 * PI)
         gamma = rng.choice((0.5, 1.0, 2.0))
         a = coefficients(cfg, phi, gamma / 2, gamma / 2)
-        b = coefficients_nonchiral(cfg, phi, gamma)
+        b = CoefficientSet(*brute_force_nonchiral(cfg.positions_a, cfg.positions_b, phi, gamma))
         worst = max(
             worst,
             abs(a.delta_omega_a - b.delta_omega_a), abs(a.delta_omega_b - b.delta_omega_b),

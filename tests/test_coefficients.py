@@ -13,7 +13,6 @@ from giantatoms import (
     InitialState,
     all_orderings,
     coefficients,
-    coefficients_nonchiral,
     evaluate_concurrence,
     layout_from_pattern,
     make_layout,
@@ -23,11 +22,18 @@ from giantatoms import (
 from giantatoms.coefficients import _coefficient_arrays, psd_mask
 from giantatoms.model import LayoutError
 
+from conftest import brute_force_nonchiral
+
 SQRT3 = math.sqrt(3.0)
 
 
 def as_tuple(c: CoefficientSet):
     return (c.delta_omega_a, c.delta_omega_b, c.gamma_a, c.gamma_b, c.gamma_coll, c.g)
+
+
+def nonchiral(cfg, phi, gamma):
+    """The cos/sin sums of the symmetric-rate case, as a CoefficientSet."""
+    return CoefficientSet(*brute_force_nonchiral(cfg.positions_a, cfg.positions_b, phi, gamma))
 
 
 def test_separated_decoupling_phase():
@@ -60,12 +66,12 @@ def test_separated_pi_third_values():
 
 
 def test_nonchiral_fb_zero_phase():
-    c = coefficients_nonchiral(make_preset("fully_braided"), 0.0, 1.0)
+    c = nonchiral(make_preset("fully_braided"), 0.0, 1.0)
     assert as_tuple(c) == (0.0, 0.0, 9.0, 9.0, 9.0 + 0j, 0.0 + 0j)
 
 
 def test_nonchiral_separated_decoupling():
-    c = coefficients_nonchiral(make_preset("separated"), 2 * math.pi / 3, 1.0)
+    c = nonchiral(make_preset("separated"), 2 * math.pi / 3, 1.0)
     assert abs(c.gamma_a) < 1e-12
     assert abs(c.gamma_b) < 1e-12
     assert abs(c.gamma_coll) < 1e-12
@@ -73,7 +79,7 @@ def test_nonchiral_separated_decoupling():
 
 
 def test_nonchiral_pb_pi_third():
-    c = coefficients_nonchiral(make_preset("partially_braided"), math.pi / 3, 1.0)
+    c = nonchiral(make_preset("partially_braided"), math.pi / 3, 1.0)
     assert c.gamma_a == pytest.approx(1.0, abs=1e-12)
     assert c.gamma_b == pytest.approx(1.0, abs=1e-12)
     assert c.gamma_coll.real == pytest.approx(-1.0, abs=1e-12)
@@ -93,23 +99,13 @@ def test_matches_brute_force_oracle(coefficient_oracle, ordering_layouts):
                 assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_nonchiral_matches_brute_force(nonchiral_oracle, ordering_layouts):
-    rng = np.random.default_rng(8)
-    for cfg in ordering_layouts:
-        phi = rng.uniform(0, 2 * math.pi)
-        got = coefficients_nonchiral(cfg, phi, 1.3)
-        want = nonchiral_oracle(cfg.positions_a, cfg.positions_b, phi, 1.3)
-        for a, b in zip(as_tuple(got), want):
-            assert a == pytest.approx(b, abs=1e-12)
-
-
 def test_chiral_reduces_to_nonchiral(ordering_layouts):
     phis = np.linspace(0.0, 4 * math.pi, 37)
     for cfg in ordering_layouts:
         for phi in phis:
             for gamma in (0.5, 1.0, 2.0):
                 split = coefficients(cfg, phi, gamma / 2, gamma / 2)
-                plain = coefficients_nonchiral(cfg, phi, gamma)
+                plain = nonchiral(cfg, phi, gamma)
                 for a, b in zip(as_tuple(split), as_tuple(plain)):
                     assert abs(a - b) < 1e-12 * max(1.0, gamma * 9)
 
@@ -177,7 +173,7 @@ def test_nonchiral_case_is_real(ordering_layouts):
 
 
 def test_psd_examples():
-    c = coefficients_nonchiral(make_preset("separated"), math.pi / 3, 1.0)
+    c = nonchiral(make_preset("separated"), math.pi / 3, 1.0)
     assert psd_mask(*as_tuple(c))
     assert not psd_mask(*as_tuple(CoefficientSet(0, 0, 1.0, 1.0, 2.0 + 0j, 0j)))
     assert psd_mask(*as_tuple(CoefficientSet(0, 0, 0.0, 0.0, 0j, 0j)))
@@ -278,8 +274,6 @@ def test_bad_rates_rejected():
         coefficients(cfg, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         coefficients(cfg, 1.0, -0.5, 1.0)
-    with pytest.raises(ValueError):
-        coefficients_nonchiral(cfg, 1.0, 0.0)
 
 
 layout_positions = st.lists(st.integers(0, 10**6), min_size=6, max_size=6, unique=True)

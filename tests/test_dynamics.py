@@ -18,15 +18,20 @@ from giantatoms import (
     dark_modes,
     make_preset,
     propagate_closed,
-    propagate_numeric,
     rates_from_chirality,
     trajectory,
 )
-from giantatoms.dynamics import _evolve, eigen_split, heff_entries
+from giantatoms.dynamics import _evolve, eigen_split, heff_entries, propagate_numeric_batch
 from giantatoms.experiments import _m_components, all_orderings, layout_from_pattern
 
 SQRT3 = math.sqrt(3.0)
 ZERO_SET = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0j, 0j)
+
+
+def rk4(h, c0, t, dt):
+    """The batch RK4 for one system and one checkpoint t."""
+    c = propagate_numeric_batch([h.matrix], [[c0.c_eg, c0.c_ge]], [t], dt)[0, 0]
+    return AmplitudePair(complex(c[0]), complex(c[1]))
 
 
 def heff_for(preset, phi, chi=0.0, gamma=1.0):
@@ -142,7 +147,7 @@ def test_propagate_closed_rejects_negative_time():
 
 def test_propagate_numeric_identity():
     h = build_heff(ZERO_SET)
-    out = propagate_numeric(h, INITIAL_GE, 3.0, 1e-3)
+    out = rk4(h, INITIAL_GE, 3.0, 1e-3)
     assert abs(out.c_eg) < 1e-12
     assert abs(out.c_ge - 1.0) < 1e-12
 
@@ -156,27 +161,33 @@ def test_propagate_numeric_identity():
 def test_numeric_agrees_with_closed(preset, phi, chi, t):
     h = heff_for(preset, phi, chi)
     exact = propagate_closed(h, INITIAL_EG, t)
-    rk4 = propagate_numeric(h, INITIAL_EG, t, 1e-3)
-    assert abs(exact.c_eg - rk4.c_eg) < 1e-8
-    assert abs(exact.c_ge - rk4.c_ge) < 1e-8
+    numeric = rk4(h, INITIAL_EG, t, 1e-3)
+    assert abs(exact.c_eg - numeric.c_eg) < 1e-8
+    assert abs(exact.c_ge - numeric.c_ge) < 1e-8
 
 
 def test_numeric_partial_final_step():
     h = heff_for("fully_braided", math.pi / 3)
     # 0.0005 does not divide 0.77 * dt grid evenly; must land exactly on t
-    out = propagate_numeric(h, INITIAL_EG, 0.7705, 1e-3)
+    out = rk4(h, INITIAL_EG, 0.7705, 1e-3)
     exact = propagate_closed(h, INITIAL_EG, 0.7705)
     assert abs(out.c_eg - exact.c_eg) < 1e-9
 
 
 def test_numeric_input_validation():
-    h = build_heff(ZERO_SET)
-    with pytest.raises(ValueError):
-        propagate_numeric(h, INITIAL_EG, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        propagate_numeric(h, INITIAL_EG, math.nan, 1e-3)
-    with pytest.raises(ValueError):
-        propagate_numeric(h, INITIAL_EG, -1.0, 1e-3)
+    zero, m = np.zeros((2, 2)), np.array([[0.3 - 0.5j, 0.1], [0.2, -0.1 - 0.2j]])
+    for matrix, checkpoints, dt in [
+        (zero, [1.0], 2.0),
+        (zero, [math.nan], 1e-3),
+        (zero, [-1.0], 1e-3),
+        (np.array([[math.nan, 0.1], [0.2, 0.0]]), [1.0], 1e-3),
+        (m, [1.0, 0.5], 1e-3),
+        (m, [1.0], -0.01),
+        (m, [1.0], math.inf),
+        (m, [1.0], 0.0),
+    ]:
+        with pytest.raises(ValueError):
+            propagate_numeric_batch([matrix], [[1.0, 0.0]], checkpoints, dt)
 
 
 def test_concurrence_examples():

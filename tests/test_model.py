@@ -149,3 +149,7 @@ def test_package_exports_no_submodule():
     # importing the public names binds the submodules on the package as well
     assert "find_special_phases" in giantatoms.__all__
     assert not [name for name in giantatoms.__all__ if isinstance(getattr(giantatoms, name), type(giantatoms))]
+    # the independent oracles are not package API; the bench reads the RK4 from its module
+    for name in ("coefficients_nonchiral", "propagate_numeric", "propagate_numeric_batch"):
+        assert name not in giantatoms.__all__ and not hasattr(giantatoms, name), name
+    assert callable(giantatoms.dynamics.propagate_numeric_batch)
