@@ -116,6 +116,15 @@ def concurrence(c: AmplitudePair) -> float:
     return float(concurrence_values(np.array([c.c_eg]), np.array([c.c_ge]))[0])
 
 
+def _cos_sinc(z):
+    """(cos z, sin z / z) of a complex array, elementwise: the one place
+    the propagator's cos/sinc form is written. Below _SINC_SERIES_MAX_Z in
+    |z| the quotient is 1 - z^2 / 6, exact there to rounding."""
+    tiny = np.abs(z) < _SINC_SERIES_MAX_Z
+    zsafe = np.where(tiny, 1.0, z)
+    return np.cos(z), np.where(tiny, 1.0 - z * z / 6.0, np.sin(zsafe) / zsafe)
+
+
 def _evolve(m11, m12, m21, m22, c1, c2, t):
     """Apply exp(-i m t) to (c1, c2), broadcasting over every argument.
 
@@ -150,13 +159,10 @@ def _evolve(m11, m12, m21, m22, c1, c2, t):
 
     small = np.abs(z) <= _SINC_FORM_MAX_Z
     if small.any():
-        zs = z[small]
-        tiny = np.abs(zs) < _SINC_SERIES_MAX_Z
-        zsafe = np.where(tiny, 1.0, zs)
+        cz, sinc = _cos_sinc(z[small])
         ts = t[small]
-        its = np.multiply(np.multiply(1j, ts), np.where(tiny, 1.0 - zs * zs / 6.0, np.sin(zsafe) / zsafe))
+        its = np.multiply(np.multiply(1j, ts), sinc)
         phase = np.exp(np.multiply(np.multiply(-1j, mu[small]), ts))
-        cz = np.cos(zs)
         out1[small] = np.multiply(phase, np.multiply(cz, c1[small]) - np.multiply(its, d1[small]))
         out2[small] = np.multiply(phase, np.multiply(cz, c2[small]) - np.multiply(its, d2[small]))
 

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations, count, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .dynamics import (
     AmplitudePair,
     Trajectory,
     _SINC_FORM_MAX_Z,
+    _cos_sinc,
     _evolve,
     _times,
     build_heff,
@@ -150,31 +151,6 @@ def _row_first_max(cells, rows, cols, values):
     values[rows] = cells[np.arange(j.size), j]
 
 
-# Taylor coefficients of cos z and sinc z = sin z / z in w = z^2, up to the
-# first cos term below 2^-53 at |z| = _SINC_FORM_MAX_Z (1/20! at |z| = 1)
-_SERIES_LENGTH = next(k for k in count(1) if _SINC_FORM_MAX_Z ** (2 * k) / math.factorial(2 * k) < 2.0**-53)
-_COS_SERIES, _SINC_SERIES = (
-    np.array([(-1) ** k / math.factorial(2 * k + j) for k in range(_SERIES_LENGTH)]) for j in (0, 1)
-)
-
-
-def _even_series(coef, w_max, w, h):
-    """Per row, the series sum_k coef[k] w^k truncated before its first term
-    below 2^-53 at the row's largest |w|, w_max, evaluated by Horner's rule
-    into h.
-
-    A row's dropped terms are zero coefficients, and Horner's rule over
-    leading zeros gives exactly the value without them, so a row's value
-    does not depend on the rows it shares a block with.
-    """
-    coefs = np.where(w_max[:, None] ** np.arange(coef.size) * np.abs(coef) >= 2.0**-53, coef, 0.0)
-    n = int(np.count_nonzero(coefs, axis=1).max())
-    h[...] = coefs[:, n - 1, None]
-    for k in range(n - 2, -1, -1):
-        np.add(np.multiply(h, w, out=h), coefs[:, k, None], out=h)
-    return h
-
-
 # The search scan's pruning (_scan_widths): a cell is skipped only when a
 # bound on its row, times 1 + _ENVELOPE_SLACK, is below the incumbent: the
 # row's envelope (_row_envelope), or on a spectral row the envelope leaves
@@ -202,7 +178,7 @@ def _row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max):
     The dissipator is PSD, so Im(mu +- s) <= 0: every exponential decays.
     - spectral rows: |c_k| <= |p_k| e^{a+ t} + |q_k| e^{a- t}, with
       a+- = Im(mu +- s) and the spectral weights (p_k, q_k);
-    - series rows: |c_k| <= e^{Im(mu) t} (cosh|z| |c0_k| + t sinh|z|/|z| |d_k|),
+    - cos/sinc rows: |c_k| <= e^{Im(mu) t} (cosh|z| |c0_k| + t sinh|z|/|z| |d_k|),
       taken at the row's largest |z| = |s| t_max, as both factors grow with
       |z|. This rises to one peak and then falls.
     Each term is held at its supremum over [t, t_max], which makes the bound
@@ -217,7 +193,7 @@ def _row_envelope(mu, s, c0, d1, d2, weights, spectral, t_max):
         # e^{alpha u} (a + b u) peaks at u = -1/alpha - a/b; it only grows when alpha >= 0
         peaks = [np.where(alpha < 0, -1.0 / alpha - a / b, t_max) for a, b in series]
     spectral_terms = [(np.abs(weights[0]), np.abs(weights[1])), (np.abs(weights[2]), np.abs(weights[3]))]
-    mixed = not spectral.all()  # a cut of spectral rows only skips the series form
+    mixed = not spectral.all()  # a cut of spectral rows only skips the cos/sinc form
 
     def held(rate, t):
         """The supremum of e^{rate u} over u in [t, t_max]."""
@@ -296,13 +272,13 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
 
     Exploits the uniform time grid: every exponential is a geometric
     sequence, built by cumulative products instead of per-cell exp calls.
-    A row takes one of two forms, both on this recurrence, by its largest
-    |z| = |s| t:
+    A row takes one of two forms by its largest |z| = |s| t:
     - |z| beyond _SINC_FORM_MAX_Z: the two eigen-exponentials e^{-i(mu+-s)t}
       with their spectral weights;
     - otherwise, degenerate or nearly so: c = e^{-i mu t} (cos z c0 -
-      i t sinc z d), cos z and sinc z from their series in w = z^2, cut for
-      the full horizon's largest w.
+      i t sinc z d), the phase on the recurrence and cos z and sinc z the
+      propagator's own (_cos_sinc), or 1 and 1 in a block whose rows all
+      have s = 0 exactly.
     No row calls _evolve. Accumulated drift is O(n_t * eps) ~ 1e-12, fine
     for locating extrema; anything that matters gets re-evaluated with the
     exact propagator.
@@ -351,7 +327,7 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     rise = np.maximum(np.hypot(0.5 * (ga - gb), np.abs(m21 - np.conj(m12))) - 0.5 * (ga + gb), 0.0)
 
     ts = np.arange(n_t) * dt
-    t_sq, i_t = ts * ts, 1j * ts
+    i_t = 1j * ts
     size = max(_SCAN_CELLS, n_t)
     work = [np.empty(size, dtype=complex) for _ in range(4)] + [np.empty(size) for _ in range(3)]
     cols, values = np.empty(phis.size, dtype=np.intp), np.empty(phis.size)
@@ -381,15 +357,14 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
         if at.size:
             k, idx = at.size, rows[at]
             sq, cz, its, t_k, r1, r2 = seq[:k], ep[:k], em[:k], tmp[:k], mag1[:k], mag2[:k]
-            sr = s[idx]
-            w_max = (np.abs(sr) * t_max) ** 2
-            w = np.multiply((sr * sr)[:, None], t_sq[:width], out=sq)
-            _even_series(_COS_SERIES, w_max, w, cz)
-            np.multiply(_even_series(_SINC_SERIES, w_max, w, its), i_t[:width], out=its)
+            cos, sinc = 1.0, 1.0
+            if s[idx].any():
+                with np.errstate(invalid="ignore"):  # sin(nan) / nan of a NaN row is its NaN
+                    cos, sinc = _cos_sinc(np.multiply(s[idx][:, None], ts[:width], out=sq))
             # the phase goes into both factors first: c1 into sq, c2 into cz
             phase = geometric(mu[idx], t_k, sq)
-            np.multiply(phase, cz, out=cz)
-            np.multiply(phase, its, out=its)
+            np.multiply(phase, cos, out=cz)
+            np.multiply(phase, np.multiply(sinc, i_t[:width], out=its), out=its)
             np.subtract(np.multiply(cz, c0.c_eg, out=sq), np.multiply(its, d1[idx][:, None], out=t_k), out=sq)
             np.subtract(np.multiply(cz, c0.c_ge, out=cz), np.multiply(its, d2[idx][:, None], out=its), out=cz)
             out[at] = concurrence_values(sq, cz, (r1, r2))

@@ -311,7 +311,7 @@ _SCANS = [
     ("aaabbb", 1.0, INITIAL_EG, 401),  # the cascade: every row has s = 0
     ("aaabbb", 0.37, InitialState(0.6, 0.8j), 401),  # both kinds of row
     ("aaabbb", 1.0, INITIAL_EG, 4001),
-    ("aaabbb", 0.0, InitialState(0.6, 0.8j), 4001),  # near-degenerate rows: series of different lengths
+    ("aaabbb", 0.0, InitialState(0.6, 0.8j), 4001),  # near-degenerate rows of different |s|
 ]
 
 
@@ -333,7 +333,8 @@ def test_scan_does_not_depend_on_block_size(monkeypatch, pattern, chi, c0, n_t):
 def test_pruned_scan_computes_prefixes_of_the_full_scan(monkeypatch, pattern, chi, c0, n_t):
     # the incumbent is the best cell of every row's first columns, and each
     # row the pruned scan computes holds the full scan's first columns, bit
-    # for bit: a series row keeps the full horizon's term count
+    # for bit: a cell's cos/sinc depends on its own z alone, and its phase is
+    # a prefix of the same cumulative product
     args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, np.linspace(0.0, 2 * math.pi, 101), n_t)
     result, matrix, _ = _scan(monkeypatch, experiments._SCAN_CELLS, *args)
     monkeypatch.undo()
@@ -442,26 +443,47 @@ def test_sweep_does_not_depend_on_block_size(monkeypatch, pattern, chi):
         assert sweep(*args).c_matrix.tobytes() == grid.tobytes()
 
 
-def test_scan_matches_plain_expressions(monkeypatch):
+_PLAIN_SCANS = [
+    ("abaabb", 0.37, np.linspace(0.0, 2 * math.pi, 101), {"spectral"}),
+    *_DEGENERATE_SCANS[1:],
+]
+
+
+@pytest.mark.parametrize("pattern, chi, phis, kinds", _PLAIN_SCANS, ids=["spectral", *_DEGENERATE_IDS[1:]])
+def test_scan_matches_plain_expressions(monkeypatch, pattern, chi, phis, kinds):
     # the scan's reused work arrays and in-place ufuncs must round exactly
-    # like the plain whole-matrix expressions, written out here for a grid
-    # of spectral rows
-    cfg, spec, c0 = layout_from_pattern("abaabb"), ChiralitySpec(1.0, 0.37), InitialState(0.6, 0.8j)
-    phis, n_t, dt = np.linspace(0.0, 2 * math.pi, 101), 4001, 50.0 / 4000
+    # like the plain whole-matrix expressions, written out here in the scan's
+    # operand order: each spectral row from its two geometric sequences, each
+    # other row as phase (cos z c0 - i t sinc z d) with the propagator's
+    # cos/sinc and the geometric phase
+    cfg, spec, c0 = layout_from_pattern(pattern), ChiralitySpec(1.0, chi), InitialState(0.6, 0.8j)
+    n_t, dt = 4001, 50.0 / 4000
+    assert _row_kinds(cfg, spec, phis, (n_t - 1) * dt) == kinds
     _, matrix, _ = _scan(monkeypatch, experiments._SCAN_CELLS, cfg, spec, c0, phis, n_t)
 
     m11, m12, m21, m22 = experiments._m_components(cfg, *rates_from_chirality(spec), phis)
     mu, dd, s = eigen_split(m11, m12, m21, m22)
-    assert np.all(np.abs(s) * (n_t - 1) * dt > 1.0)
-    p1, q1, p2, q2 = spectral_weights(s, c0.c_eg, c0.c_ge, dd * c0.c_eg + m12 * c0.c_ge, m21 * c0.c_eg - dd * c0.c_ge)
-    seq = np.empty((phis.size, n_t), dtype=complex)
-    seq[:, 0] = 1.0
-    seq[:, 1:] = np.exp(-1j * (mu + s) * dt)[:, None]
-    ep = np.cumprod(seq, axis=1)
-    seq[:, 1:] = np.exp(-1j * (mu - s) * dt)[:, None]
-    em = np.cumprod(seq, axis=1)
-    c1 = ep * p1[:, None] + em * q1[:, None]
-    c2 = ep * p2[:, None] + em * q2[:, None]
+    d1, d2 = dd * c0.c_eg + m12 * c0.c_ge, m21 * c0.c_eg - dd * c0.c_ge
+    spectral = np.abs(s) * (n_t - 1) * dt > _SINC_FORM_MAX_Z
+
+    def geometric(rate):
+        seq = np.empty((rate.size, n_t), dtype=complex)
+        seq[:, 0] = 1.0
+        seq[:, 1:] = np.exp(-1j * rate * dt)[:, None]
+        return np.cumprod(seq, axis=1)
+
+    c1, c2 = np.empty((2, phis.size, n_t), dtype=complex)
+    p1, q1, p2, q2 = spectral_weights(s[spectral], c0.c_eg, c0.c_ge, d1[spectral], d2[spectral])
+    ep, em = geometric(mu[spectral] + s[spectral]), geometric(mu[spectral] - s[spectral])
+    c1[spectral] = ep * p1[:, None] + em * q1[:, None]
+    c2[spectral] = ep * p2[:, None] + em * q2[:, None]
+    near = ~spectral
+    ts = np.arange(n_t) * dt
+    cos, sinc = dynamics._cos_sinc(np.multiply(s[near][:, None], ts))
+    phase = geometric(mu[near])
+    cz, its = np.multiply(phase, cos), np.multiply(phase, np.multiply(sinc, 1j * ts))
+    c1[near] = np.multiply(cz, c0.c_eg) - np.multiply(its, d1[near][:, None])
+    c2[near] = np.multiply(cz, c0.c_ge) - np.multiply(its, d2[near][:, None])
     assert matrix.tobytes() == (2.0 * np.abs(c1) * np.abs(c2)).tobytes()
 
 
