@@ -594,10 +594,14 @@ class SpecialPhase:
 # find_special_phases: the share of gamma below which the decays vanish (and
 # |g| must not, for a decoherence-free phase) and the largest pair distance d
 # (its roots are eigenvalues of an 8d x 8d matrix, 5 s at d = 128);
-# _stationary_phases: the share of the largest Fourier coefficient that is roundoff
+# _stationary_phases: the share of the largest Fourier coefficient that is
+# roundoff, and the distance below which computed roots are one multiple root
+# (a triple root's computed roots lie within about 1e-5 of it; 1e-3 gave
+# the same phases as 1e-4, CHANGES.md)
 _PHASE_COEF_TOL = 1e-9
 _PHASE_MAX_DISTANCE = 128
 _FOURIER_ROUNDOFF = 1e-14
+_ROOT_CLUSTER_RADIUS = 1e-4
 
 
 def _stationary_phases(f, degree):
@@ -605,11 +609,22 @@ def _stationary_phases(f, degree):
     phase arrays to a real trigonometric polynomial of at most degree: the roots on
     the unit circle of z^degree f'(z) = sum_k i k c_k z^(k + degree), c_k from the FFT
     of 2*degree + 1 samples (Boyd, J. Eng. Math. 2006); one within 1e-9 of 0 or of 2*pi
-    reads 0.0, whichever side of it roundoff put the root."""
+    reads 0.0, whichever side of it roundoff put the root.
+
+    np.roots scatters a multiple root into a ring of computed roots, each 1e-6 to
+    1e-5 off and on either side of the circle. Roots linked by distances below
+    _ROOT_CLUSTER_RADIUS are one root at their mean, which is well conditioned where
+    the ring's members are not (Z. Zeng, Math. Comp. 74, 2005); a lone root keeps its
+    phase, bit for bit."""
     n = 2 * degree + 1
     c = np.fft.fftshift(np.fft.fft(f(TWO_PI * np.arange(n) / n)))  # n c_k, k = -degree..degree
     c[np.abs(c) < _FOURIER_ROUNDOFF * np.abs(c).max()] = 0.0
     z = np.roots((1j * np.arange(-degree, degree + 1) * c)[::-1])
+    near = np.abs(z[:, None] - z) < _ROOT_CLUSTER_RADIUS
+    cluster, linked = None, np.arange(z.size)  # a root's cluster: the least index it links to
+    while not np.array_equal(cluster, linked):
+        cluster, linked = linked, np.where(near, linked, z.size).min(axis=1, initial=z.size)
+    z = np.array([z[cluster == k].mean() for k in np.unique(cluster)], dtype=complex)
     phis = np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]) % TWO_PI
     phis[np.minimum(phis, TWO_PI - phis) < 1e-9] = 0.0
     return phis

@@ -4,6 +4,7 @@ import inspect
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1017,16 +1018,29 @@ def test_special_phases_do_not_depend_on_gamma_total():
                 assert all(abs(p.phi - q.phi) < 1e-12 for p, q in zip(phases, unit)), (pattern, chi, gamma)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP.md item 15: a dark-state phase at a multiple root of the resultant is reported up to 1.5e-5 "
-    "off, from the ring of computed roots that np.roots scatters round it"))
-def test_special_phases_at_multiple_roots_are_exact():
-    # from eg at chi 1 the true special phases of these layouts are multiples of pi/12
-    step = math.pi / 12
-    for pos_a, pos_b in [((2, 15, 16), (1, 19, 23)), ((0, 16, 27), (21, 22, 23))]:
-        phases = find_special_phases(make_layout(pos_a, pos_b), CASCADE, INITIAL_EG)
-        assert phases
-        assert all(abs(p.phi - step * round(p.phi / step)) < 1e-12 for p in phases), (pos_a, pos_b, phases)
+# layouts whose special phases are multiple roots, which np.roots scatters into
+# rings of computed roots, from eg: positions, chi, the counts by kind, and the
+# phases where a ring member off the root read a dark state that the root
+# itself does not host
+_MULTIPLE_ROOT_LAYOUTS = [
+    ((2, 15, 16), (1, 19, 23), 1.0, {PhaseKind.DARK_STATE: 2}, ()),
+    ((0, 16, 27), (21, 22, 23), 1.0, {PhaseKind.DARK_STATE: 4}, (8,)),
+    ((2, 15, 25), (4, 8, 12), 0.3493332801709793, {PhaseKind.DECOUPLED: 2}, (20,)),
+    ((1, 22, 24), (3, 14, 16), 1.0, {}, (8, 16)),
+]
+
+
+@pytest.mark.parametrize("pos_a, pos_b, chi, counts, no_dark_state", _MULTIPLE_ROOT_LAYOUTS,
+                         ids=["-".join(map(str, a + b)) for a, b, *_ in _MULTIPLE_ROOT_LAYOUTS])
+def test_special_phases_at_multiple_roots_are_exact(pos_a, pos_b, chi, counts, no_dark_state):
+    # the true special phases of these layouts are multiples of pi/12; a
+    # cluster of computed roots is read once, at its mean
+    step, cfg, spec = math.pi / 12, make_layout(pos_a, pos_b), ChiralitySpec(1.0, chi)
+    phases = find_special_phases(cfg, spec, INITIAL_EG)
+    assert Counter(p.kind for p in phases) == counts
+    assert all(abs(p.phi - step * round(p.phi / step)) < 1e-12 for p in phases), phases
+    for k in no_dark_state:
+        assert dark_modes(experiments._heff_at(cfg, spec, k * step), INITIAL_EG).dark_overlap < 1e-12
 
 
 def test_chirality_scan_overlap_and_peaks():
