@@ -55,8 +55,8 @@ def _coefficient_arrays(cfg, phis, gamma_r, gamma_l):
     if gamma_r < 0 or gamma_l < 0 or (gamma_r == 0 and gamma_l == 0):
         raise ValueError("rates must be non-negative and not both zero")
     total = gamma_r + gamma_l
-    # no coefficient exceeds the 9 pairs' total weight
-    if not math.isfinite(9.0 * total):
+    # no coefficient exceeds the total weight of the pairs of the larger atom
+    if not math.isfinite(max(len(cfg.positions_a), len(cfg.positions_b)) ** 2 * total):
         raise ValueError("coupling rates too large: the coefficients overflow")
     phis = np.asarray(phis, dtype=float)
     if not np.all(np.isfinite(phis)):

@@ -19,6 +19,7 @@ from giantatoms import (
     make_preset,
     rates_from_chirality,
 )
+from giantatoms import model
 from giantatoms.coefficients import _coefficient_arrays, psd_mask
 from giantatoms.model import LayoutError
 
@@ -254,6 +255,16 @@ def test_rate_overflow_is_a_named_error():
         assert abs(x - 1e200 * y) <= 1e-15 * abs(1e200 * y)
     with pytest.raises(ValueError, match="overflow"):
         coefficients(cfg, 1.0, 1e308, 1e308)
+
+
+def test_rate_overflow_bound_follows_the_points_per_atom(monkeypatch):
+    # with four points an atom has 16 pairs: 16 (gamma_R + gamma_L) overflows
+    # here though 9 (gamma_R + gamma_L) does not
+    monkeypatch.setattr(model, "POINTS_PER_ATOM", 4)
+    cfg = make_layout((0, 1, 2, 3), (4, 5, 6, 7))
+    assert math.isfinite(9 * 1.2e307) and not math.isfinite(16 * 1.2e307)
+    with pytest.raises(ValueError, match="overflow"):
+        coefficients(cfg, 0.0, 6e306, 6e306)  # at phi = 0 each pair adds its full weight
 
 
 def test_invalid_layout_rejected():
