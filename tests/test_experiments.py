@@ -1020,8 +1020,8 @@ def test_special_phases_do_not_depend_on_gamma_total():
 
 # layouts whose special phases are multiple roots, which np.roots scatters into
 # rings of computed roots, from eg: positions, chi, the counts by kind, and the
-# phases where a ring member off the root read a dark state that the root
-# itself does not host
+# phases, in steps of pi/12, where a ring member off the root read a dark state
+# that the root itself does not host
 _MULTIPLE_ROOT_LAYOUTS = [
     ((2, 15, 16), (1, 19, 23), 1.0, {PhaseKind.DARK_STATE: 2}, ()),
     ((0, 16, 27), (21, 22, 23), 1.0, {PhaseKind.DARK_STATE: 4}, (8,)),
