@@ -593,33 +593,29 @@ class SpecialPhase:
 
 # find_special_phases: the share of gamma below which the decays vanish (and
 # |g| must not, for a decoherence-free phase) and the largest pair distance d
-# (its roots are eigenvalues of an 8d x 8d matrix, 5 s at d = 128);
-# _stationary_phases: the share of the largest Fourier coefficient that is
-# roundoff, and the distance below which computed roots are one multiple root
-# (a triple root's computed roots lie within about 1e-5 of it; 1e-3 gave
+# (its roots are eigenvalues of an 8d x 8d matrix: 2 s at d = 128, 0.3 s at d = 64);
+# _stationary_phases: the distance below which computed roots are one multiple
+# root (a triple root's computed roots lie within about 1e-5 of it; 1e-3 gave
 # the same phases as 1e-4, CHANGES.md)
 _PHASE_COEF_TOL = 1e-9
 _PHASE_MAX_DISTANCE = 128
-_FOURIER_ROUNDOFF = 1e-14
 _ROOT_CLUSTER_RADIUS = 1e-4
 
 
-def _stationary_phases(f, degree):
-    """The phases in [0, 2*pi) where f' = 0 (none if f is constant), for f mapping
-    phase arrays to a real trigonometric polynomial of at most degree: the roots on
-    the unit circle of z^degree f'(z) = sum_k i k c_k z^(k + degree), c_k from the FFT
-    of 2*degree + 1 samples (Boyd, J. Eng. Math. 2006); one within 1e-9 of 0 or of 2*pi
-    reads 0.0, whichever side of it roundoff put the root.
+def _stationary_phases(c):
+    """The phases in [0, 2*pi) where f' = 0 (none if f is constant), for the real
+    trigonometric polynomial f(phi) = sum_k c_k e^(i k phi) given by its coefficients
+    c_k, k = -n..n (so c_-k = conj c_k): the roots on the unit circle of
+    z^n f'(z) / i = sum_k k c_k z^(k + n) (Boyd, J. Eng. Math. 2006); one within 1e-9
+    of 0 or of 2*pi reads 0.0, whichever side of it roundoff put the root.
 
     np.roots scatters a multiple root into a ring of computed roots, each 1e-6 to
     1e-5 off and on either side of the circle. Roots linked by distances below
     _ROOT_CLUSTER_RADIUS are one root at their mean, which is well conditioned where
     the ring's members are not (Z. Zeng, Math. Comp. 74, 2005); a lone root keeps its
     phase, bit for bit."""
-    n = 2 * degree + 1
-    c = np.fft.fftshift(np.fft.fft(f(TWO_PI * np.arange(n) / n)))  # n c_k, k = -degree..degree
-    c[np.abs(c) < _FOURIER_ROUNDOFF * np.abs(c).max()] = 0.0
-    z = np.roots((1j * np.arange(-degree, degree + 1) * c)[::-1])
+    n = len(c) // 2
+    z = np.roots((np.arange(-n, n + 1) * c)[::-1])
     near = np.abs(z[:, None] - z) < _ROOT_CLUSTER_RADIUS
     cluster, linked = None, np.arange(z.size)  # a root's cluster: the least index it links to
     while not np.array_equal(cluster, linked):
@@ -634,23 +630,26 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
     """Locate phases where the pair decouples, interacts without decay, or
     hosts a dark state overlapping the initial state.
 
-    Candidates are the stationary phases of two nonnegative trigonometric polynomials,
-    each root read once through coefficients(). Gamma_a + Gamma_b has degree d (the
-    largest pair distance, at most _PHASE_MAX_DISTANCE) and is zero where no decay is
-    left: a root is decoherence-free when its decays are below _PHASE_COEF_TOL times
-    gamma and |g| is not, decoupled when both are. The resultant of m's characteristic
-    polynomial and its conjugate (degree 4d) is zero at a real eigenvalue: a root with
-    decay is a dark state when dark_modes finds one overlapping the initial state."""
+    With z = e^(i phi), m = -i (gamma/2) P(z): P has S_a, S_b on its diagonal and
+    (1 + chi) bw + (1 - chi) fw, (1 + chi) fw + (1 - chi) bw off it, no gamma. Candidates
+    are the stationary phases of two nonnegative trigonometric polynomials, each root read
+    once through coefficients(). Re(S_a + S_b), of degree d (the largest pair distance, at
+    most _PHASE_MAX_DISTANCE), is zero where no decay is left: a root is decoherence-free
+    when its decays are below _PHASE_COEF_TOL times gamma and |g| is not, decoupled when
+    both are. The resultant -(D - ~D)^2 - (T + ~T)(D ~T + ~D T), T = tr P, D = det P and ~
+    the conjugate on the circle (degree 4d), is zero where m has a real eigenvalue: a root
+    with decay is a dark state when dark_modes finds one overlapping the initial state."""
     gamma_r, gamma_l = rates_from_chirality(chirality)
-    gamma = chirality.gamma_total
+    gamma, chi = chirality.gamma_total, chirality.chi
     degree = int(cfg.distances.max())
     if degree > _PHASE_MAX_DISTANCE:
         raise ValueError(f"special phases take pair distances up to {_PHASE_MAX_DISTANCE}, got {degree}")
-
-    def resultant(phis):
-        m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
-        tr, det = m11 + m22, m11 * m22 - m12 * m21
-        return -((det.conj() - det) ** 2 - (tr - tr.conj()) * (det * tr.conj() - tr * det.conj())).real
+    # the coefficients of powers -degree..degree: an array reversed is its ~
+    s_a, s_b, fw, bw = (np.bincount(degree + cfg.distances.astype(int), row, 2 * degree + 1) for row in cfg.pair_counts)
+    tr = s_a + s_b
+    det = np.convolve(s_a, s_b) - np.convolve((1 + chi) * bw + (1 - chi) * fw, (1 + chi) * fw + (1 - chi) * bw)
+    cross = np.convolve(det, tr[::-1])
+    resultant = -np.convolve(det - det[::-1], det - det[::-1]) - np.convolve(tr + tr[::-1], cross + cross[::-1])
 
     def at(phis):
         for phi in phis.tolist():
@@ -658,14 +657,13 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
             yield phi, c, max(abs(c.gamma_a), abs(c.gamma_b), abs(c.gamma_coll))
 
     found: list[SpecialPhase] = []
-    decaying = _stationary_phases(lambda phis: sum(_coefficient_arrays(cfg, phis, gamma_r, gamma_l)[2:4]), degree)
-    for phi, c, decay in at(decaying):
+    for phi, c, decay in at(_stationary_phases(tr + tr[::-1])):
         if decay / gamma < _PHASE_COEF_TOL:
             coupled = abs(c.g) >= _PHASE_COEF_TOL * gamma
             found.append(SpecialPhase(phi, PhaseKind.DECOHERENCE_FREE if coupled else PhaseKind.DECOUPLED))
     # without decay every eigenvalue is real, so decoupled and decoherence-free
     # phases are roots of the resultant too; a dark state needs decay to stand out
-    for phi, c, decay in at(_stationary_phases(resultant, 4 * degree)):
+    for phi, c, decay in at(_stationary_phases(resultant)):
         if decay >= 1e-6 * gamma:
             report = dark_modes(build_heff(c), initial)
             if report.classification is ModeClass.STEADY_PLATEAU and report.dark_overlap > 1e-6:

@@ -925,15 +925,24 @@ def test_special_phases_meet_their_conditions(preset, chi, coefficient_oracle):
 
 
 def test_stationary_phases_are_the_roots_of_the_derivative():
+    # each trigonometric polynomial is its coefficients c_k, k = -n..n
     sixths = np.arange(12) * math.pi / 6
-    assert np.abs(np.sort(_stationary_phases(lambda p: np.cos(3 * p), 3)) - sixths[::2]).max() < 1e-15
-    assert _stationary_phases(lambda p: np.full(p.shape, 2.5), 4).size == 0  # f' is the zero polynomial
-    assert np.sort(_stationary_phases(lambda p: np.cos(3 * (p + 1e-12)), 3))[0] == 0.0  # a root 1e-12 below 2pi
-    assert np.sort(_stationary_phases(lambda p: np.cos(3 * (p - 1e-12)), 3))[0] == 0.0  # a root 1e-12 above 0
-    # Gamma_a + Gamma_b of ababab has degree 4 below the padded 5: its roundoff leading coefficient is cut
+    cos3 = np.array([0.5, 0, 0, 0, 0, 0, 0.5])  # cos 3 phi
+    assert np.abs(np.sort(_stationary_phases(cos3)) - sixths[::2]).max() < 1e-15
+    assert _stationary_phases(np.r_[np.zeros(4), 2.5, np.zeros(4)]).size == 0  # f' is the zero polynomial
+    shifted = lambda s: np.r_[0.5 * np.exp(-3j * s), np.zeros(5), 0.5 * np.exp(3j * s)]  # cos 3 (phi + s)
+    assert np.sort(_stationary_phases(shifted(1e-12)))[0] == 0.0  # a root 1e-12 below 2pi
+    assert np.sort(_stationary_phases(shifted(-1e-12)))[0] == 0.0  # a root 1e-12 above 0
+    # Re(S_a + S_b) of ababab has degree 4 below the padded 5: its ends are exact zeros
     cfg = layout_from_pattern("ababab")
-    phis = _stationary_phases(lambda p: sum(experiments._coefficient_arrays(cfg, p, 0.5, 0.5)[2:4]), 5)
+    tr = np.zeros(11)
+    tr[5 + cfg.distances.astype(int)] = cfg.pair_counts[0] + cfg.pair_counts[1]
+    phis = _stationary_phases(tr + tr[::-1])
     assert phis.size == 8 and np.abs(phis[:, None] - sixths).min(axis=1).max() < 1e-15
+    # cos phi + a cos 2 phi: beside the root at z = -1, two at z = -1 -+ 0.005, off the
+    # circle and farther apart than a cluster; the on-circle test keeps neither
+    a = 0.25 / (1 + 1.25e-5)
+    assert np.sort(_stationary_phases(np.array([a / 2, 0.5, 0.0, 0.5, a / 2]))).tolist() == [0.0, math.pi]
 
 
 def test_special_phases_reject_a_pair_distance_past_the_limit():
@@ -1007,15 +1016,16 @@ def test_special_phase_counts_are_pinned(coefficient_oracle):
 
 
 def test_special_phases_do_not_depend_on_gamma_total():
-    # every rule scales with gamma, so the phases and kinds are those at gamma 1
+    # neither polynomial holds gamma and every rule scales with it, so the phases
+    # and kinds are those at gamma 1, bit for bit
     for pattern in all_orderings():
         cfg = layout_from_pattern(pattern)
         for chi in (0.0, 0.5, 1.0):
             unit = find_special_phases(cfg, ChiralitySpec(1.0, chi))
             for gamma in (0.3, 2.5, 1e3):
                 phases = find_special_phases(cfg, ChiralitySpec(gamma, chi))
-                assert [p.kind for p in phases] == [p.kind for p in unit], (pattern, chi, gamma)
-                assert all(abs(p.phi - q.phi) < 1e-12 for p, q in zip(phases, unit)), (pattern, chi, gamma)
+                bits = [(p.phi.hex(), p.kind) for p in phases]
+                assert bits == [(p.phi.hex(), p.kind) for p in unit], (pattern, chi, gamma)
 
 
 # layouts whose special phases are multiple roots, which np.roots scatters into
