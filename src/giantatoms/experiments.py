@@ -76,9 +76,9 @@ def _golden_step(bracket, left):
     return (a, b, c, d), d
 
 
-def _golden_max(f, a, b, tol):
+def _golden_max(f, a, b):
     """Golden-section maximization of f on [a, b]: the midpoint of the final
-    bracket, of width at most tol; needs a < b.
+    bracket, of width at most _MAX_REFINE_TOL; needs a < b.
 
     f maps a float array of points to their values, one for one, and is
     pointwise: a point's value does not depend on the points it is evaluated
@@ -93,7 +93,7 @@ def _golden_max(f, a, b, tol):
     """
     def ahead(bracket, depth):
         """The points the next depth steps from bracket can ask for."""
-        if depth == 0 or not bracket[1] - bracket[0] > tol:
+        if depth == 0 or not bracket[1] - bracket[0] > _MAX_REFINE_TOL:
             return []
         out = []
         for left in (True, False):
@@ -114,7 +114,7 @@ def _golden_max(f, a, b, tol):
 
     bracket = (a, b, b - _GOLDEN_INV * (b - a), a + _GOLDEN_INV * (b - a))
     fc, fd = fetch(list(bracket[2:]), bracket)
-    while bracket[1] - bracket[0] > tol:
+    while bracket[1] - bracket[0] > _MAX_REFINE_TOL:
         left = fc > fd
         bracket, x = _golden_step(bracket, left)
         (fx,) = fetch([x], bracket)
@@ -161,13 +161,13 @@ def _row_first_max(cells, rows, cols, values):
 # _NORM_ROUNDOFF (|p| + |q|)^2, far above the few eps (|p| + |q|)^2 that
 # its amplitudes' cancelling terms leave. A short incumbent prefix costs less
 # than the cells a later, higher one would prune (measured in CHANGES.md).
-# On calibrate_presets' default grids the scan computes 1.9% of the cells.
+# On calibrate_presets' grids the scan computes 1.9% of the cells.
 _ENVELOPE_SLACK = 1e-6
 _NORM_ROUNDOFF = 2.0**-40
 _INCUMBENT_COLUMNS = 32
 # Cells per scan block (at least one row): 256 kB per complex work array,
-# four rows of 4001 times; other budgets measured slower (CHANGES.md). The
-# sweep's blocks (_concurrence_matrix) take the same budget.
+# four rows of _SEARCH_T_POINTS times; other budgets measured slower
+# (CHANGES.md). The sweep's blocks (_concurrence_matrix) take the same budget.
 _SCAN_CELLS = 2**14
 
 
@@ -302,8 +302,8 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     (continuing one from a carried column does not always), so every
     computed cell has the bits of the full scan's, every cell equal to the
     maximum is computed, and the first of the rows' first maxima is the full
-    scan's. On calibrate_presets' default grids the scan computes 1.9% of the
-    cells (CHANGES.md).
+    scan's. On calibrate_presets' grids the scan computes 1.9% of the cells
+    (CHANGES.md).
 
     Blocks of at most _SCAN_CELLS cells (rows x columns) go one at a time
     into the front of work arrays allocated once per call (fresh memory for
@@ -449,6 +449,7 @@ def sweep(cfg, chirality, c0, phi_grid, t_grid) -> SweepGrid:
     return SweepGrid(phis, ts, _concurrence_matrix(cfg, chirality, c0, phis, ts))
 
 
+_SEARCH_T_POINTS = 4001  # find_max: the times of its one search grid on [0, t_horizon]
 _MAX_REFINE_TOL = 1e-6  # find_max: golden-section bracket width in t and phi
 
 
@@ -469,28 +470,27 @@ def find_max(
     phi_range: tuple[float, float] = (0.0, TWO_PI),
     t_horizon: float = 50.0,
     phi_points: int = 2001,
-    t_points: int = 4001,
 ) -> MaxResult:
     """Maximum concurrence over phi_range x [0, t_horizon].
 
-    Coarse grid scan followed by alternating golden-section refinement in t
-    and phi inside the bracketing grid cells; the result never falls below
-    the best coarse-grid sample. The scan skips the cells whose row bounds,
-    a decaying envelope and on spectral rows the state norm, lie below the
-    incumbent, which starts as the best of every row's first columns and is
+    Coarse grid scan, phi_points phases by _SEARCH_T_POINTS times, followed by
+    alternating golden-section refinement in t and phi inside the bracketing
+    grid cells, each down to a bracket of _MAX_REFINE_TOL; the result never
+    falls below the best coarse-grid sample. The scan skips the cells whose row
+    bounds, a decaying envelope and on spectral rows the state norm, lie below
+    the incumbent, which starts as the best of every row's first columns and is
     raised by each row computed past them, with the rows not yet computed cut
-    again each time it moves: 98% of calibrate_presets' default grids. It
-    computes the rest in blocks of a cell budget, each row once past the
-    incumbent's (_concurrence_scan_uniform); its result is the full scan's,
-    so the output is unchanged. Each golden-section chain fetches
-    its values in batches (_golden_max, _LOOK_AHEAD steps ahead), each batch
-    one array evaluation: a t-chain builds the effective matrix at its phase
-    once and evolves each batch of times, a phi-chain builds and evolves
-    each batch of phases. Every point has the bits of its one-point
-    evaluation, so the chains visit and compare what the one-point-at-a-time
-    search would. The rounds stop early once a phi-chain returns the phase
-    its round started from: the next round would get the same inputs and
-    return the same floats.
+    again each time it moves: 98% of calibrate_presets' grids. It computes the
+    rest in blocks of a cell budget, each row once past the incumbent's
+    (_concurrence_scan_uniform); its result is the full scan's, so the output
+    is unchanged. Each golden-section chain fetches its values in batches
+    (_golden_max, _LOOK_AHEAD steps ahead), each batch one array evaluation: a
+    t-chain builds the effective matrix at its phase once and evolves each
+    batch of times, a phi-chain builds and evolves each batch of phases. Every
+    point has the bits of its one-point evaluation, so the chains visit and
+    compare what the one-point-at-a-time search would. The rounds stop early
+    once a phi-chain returns the phase its round started from: the next round
+    would get the same inputs and return the same floats.
 
     The effective matrix obeys m(2pi - phi) = -conj(m(phi)), so C is
     symmetric under phi -> 2pi - phi when c0 is real up to a global phase
@@ -501,18 +501,16 @@ def find_max(
     from it in the last bits. Any other start or range scans every row.
     """
     _times("[0, t_horizon]", (0.0, t_horizon))
-    if t_points < 2:
-        raise ValueError(f"t_points must be at least 2, got {t_points}")
     if phi_points < 1:
         raise ValueError(f"phi_points must be at least 1, got {phi_points}")
     phi_lo, phi_hi = phi_range
     if not (-math.inf < phi_lo <= phi_hi < math.inf):
         raise ValueError(f"phi_range must be finite and not reversed, got ({phi_lo}, {phi_hi})")
     phis = np.linspace(phi_lo, phi_hi, phi_points) if phi_hi > phi_lo else np.asarray([phi_lo])
-    ts = np.linspace(0.0, t_horizon, t_points)
+    ts = np.linspace(0.0, t_horizon, _SEARCH_T_POINTS)
     mirrored = (c0.c_eg * c0.c_ge.conjugate()).imag == 0 and phi_lo + phi_hi == TWO_PI
     scanned = phis[: (phis.size + 1) // 2] if mirrored else phis
-    i, j, grid_best = _concurrence_scan_uniform(cfg, chirality, c0, scanned, t_points, t_horizon / (t_points - 1))
+    i, j, grid_best = _concurrence_scan_uniform(cfg, chirality, c0, scanned, ts.size, t_horizon / (ts.size - 1))
 
     def cell(phi, t):
         c1, c2 = _point_amplitudes(cfg, chirality, c0, [phi])(np.asarray([t]))
@@ -527,11 +525,11 @@ def find_max(
     # repeat the same t search
     for _ in range(3 if p_hi > p_lo else 1):
         at_phi = _point_amplitudes(cfg, chirality, c0, [phi_star])
-        t_star = _golden_max(lambda t_batch: concurrence_values(*at_phi(t_batch)), t_lo, t_hi, _MAX_REFINE_TOL)
+        t_star = _golden_max(lambda t_batch: concurrence_values(*at_phi(t_batch)), t_lo, t_hi)
         if p_hi > p_lo:
             at_t = np.asarray([t_star])
             phi_start, phi_star = phi_star, _golden_max(lambda phi_batch: concurrence_values(
-                *_point_amplitudes(cfg, chirality, c0, phi_batch)(at_t)), p_lo, p_hi, _MAX_REFINE_TOL)
+                *_point_amplitudes(cfg, chirality, c0, phi_batch)(at_t)), p_lo, p_hi)
             # the same bits back: every later round would repeat this one
             if phi_star.hex() == phi_start.hex():
                 break
@@ -823,19 +821,14 @@ _UNRESOLVED_SCORE = 0.02
 _TIE_TOL = 1e-6
 
 
-def _search_job(pattern, initial_label, chi, gamma_total, t_horizon, phi_points, t_points) -> float:
+def _search_job(pattern, initial_label, chi, gamma_total, t_horizon) -> float:
     """One value-table search of calibrate_presets, from plain values so a
     pool worker can run it."""
     return find_max(layout_from_pattern(pattern), ChiralitySpec(gamma_total, chi), INITIAL_STATES[initial_label],
-                    t_horizon=t_horizon, phi_points=phi_points, t_points=t_points).c_max
+                    t_horizon=t_horizon).c_max
 
 
-def calibrate_presets(
-    gamma_total: float = 1.0,
-    t_horizon: float = 50.0,
-    phi_points: int = 2001,
-    t_points: int = 4001,
-) -> CalibrationResult:
+def calibrate_presets(gamma_total: float = 1.0, t_horizon: float = 50.0) -> CalibrationResult:
     """Score all 20 point orderings against the benchmark maxima and assign
     the best name-consistent ordering to each named configuration.
 
@@ -847,8 +840,8 @@ def calibrate_presets(
     (ordering, start) in its orbit: swap(p) from the other start and, at
     chi = 0 only, p[::-1] from the same start. Reversing the waveguide
     exchanges the forward and backward pair sums, which keeps the
-    coefficients' bits only where gamma_R == gamma_L. Each search starts from
-    eg or ge over the full phase range, so find_max scans half the phase rows.
+    coefficients' bits only where gamma_R == gamma_L. Each search is a default
+    find_max from eg or ge over the full phase range: half the phase rows.
 
     The 30 value-table searches share no state, so they run on a pool of
     forked processes, one per CPU this process may use (at most one per
@@ -868,7 +861,7 @@ def calibrate_presets(
         orbit = [(p, label), (p.translate(_SWAP_LABELS), label[::-1])]  # label[::-1] swaps eg and ge
         if chi == 0.0:
             orbit += [(q[::-1], start) for q, start in orbit]
-        job_of[p, chi, label] = (*min(orbit), chi, gamma_total, t_horizon, phi_points, t_points)
+        job_of[p, chi, label] = (*min(orbit), chi, gamma_total, t_horizon)
     jobs = list(dict.fromkeys(job_of.values()))
     with multiprocessing.get_context("fork").Pool(min(len(os.sched_getaffinity(0)), len(jobs))) as pool:
         found = dict(zip(jobs, pool.starmap(_search_job, jobs, chunksize=1)))
@@ -890,8 +883,7 @@ def calibrate_presets(
         def peaks_pass(pattern):
             cfg = layout_from_pattern(pattern)
             for phi, value in peaks:
-                v = find_max(cfg, ChiralitySpec(gamma_total, 0.0), INITIAL_EG, (phi, phi), t_horizon,
-                             phi_points=1, t_points=t_points).c_max
+                v = find_max(cfg, ChiralitySpec(gamma_total, 0.0), INITIAL_EG, (phi, phi), t_horizon).c_max
                 if abs(v - value) > _PEAK_BAND:
                     return False
             return True

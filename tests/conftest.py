@@ -1,15 +1,17 @@
-"""Shared fixtures: independent brute-force oracles and sampling helpers.
+"""Shared fixtures: independent brute-force oracles, sampling helpers and
+the one default calibration run.
 
 The oracle implementations here deliberately avoid the package's vectorized
 code paths (plain python loops, cmath) so they can serve as cross-checks.
 """
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
-from giantatoms import all_orderings, layout_from_pattern
+from giantatoms import all_orderings, calibrate_presets, layout_from_pattern
 
 
 def brute_force_coefficients(pos_a, pos_b, phi, gamma_r, gamma_l):
@@ -63,6 +65,15 @@ def brute_force_nonchiral(pos_a, pos_b, phi, gamma):
     da, ga = within(pos_a)
     db, gb = within(pos_b)
     return da, db, ga, gb, gamma_coll, g
+
+
+@pytest.fixture(scope="session")
+def calibration():
+    """calibrate_presets() at its defaults and its wall time in seconds: one
+    run for the acceptance suite and the calibration tests."""
+    start = time.perf_counter()
+    result = calibrate_presets()
+    return result, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,10 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
 
-Criterion 6 runs the full 20-ordering calibration at default resolution;
-everything else completes in seconds.
+Criteria 6 and 7 read the full 20-ordering calibration, the session's
+`calibration` fixture (conftest.py); everything else completes in seconds.
 """
 import math
-import time
 from dataclasses import astuple
 
 import numpy as np
@@ -17,7 +16,6 @@ from giantatoms import (
     INITIAL_EG,
     INITIAL_GE,
     build_heff,
-    calibrate_presets,
     coefficients,
     compare_initial_states,
     find_max,
@@ -49,14 +47,6 @@ def heff(preset_or_cfg, phi, chi=0.0):
     cfg = make_preset(preset_or_cfg) if isinstance(preset_or_cfg, str) else preset_or_cfg
     gr, gl = rates_from_chirality(ChiralitySpec(1.0, chi))
     return build_heff(coefficients(cfg, phi, gr, gl))
-
-
-@pytest.fixture(scope="module")
-def calibration():
-    start = time.perf_counter()
-    result = calibrate_presets()
-    duration = time.perf_counter() - start
-    return result, duration
 
 
 def test_c01_decoupling_zeros():

@@ -21,7 +21,7 @@ from giantatoms import (
     rates_from_chirality,
     trajectory,
 )
-from giantatoms.dynamics import _evolve, eigen_split, heff_entries, propagate_numeric_batch
+from giantatoms.dynamics import _cos_sinc, _evolve, eigen_split, heff_entries, propagate_numeric_batch
 from giantatoms.experiments import _m_components, all_orderings, layout_from_pattern
 
 SQRT3 = math.sqrt(3.0)
@@ -280,6 +280,37 @@ def test_evolve_broadcast_grid_matches_rows_and_cells(per_row_starts):
         for j in range(times.size):
             cell = _evolve(*m[i], starts[i, 0], starts[i, 1], times[j : j + 1])
             assert all(g[i, j].tobytes() == c[0].tobytes() for g, c in zip(grid, cell))
+
+
+_ONE = ("0x1.0000000000000p+0", "0x0.0p+0")
+_NAN = ("nan", "nan")
+
+
+@pytest.mark.parametrize("z, cos, sinc", [
+    ([0.0], [("0x1.0000000000000p+0", "-0x0.0p+0")], [_ONE]),
+    ([5e-7], [("0x1.ffffffffffb9ap-1", "-0x0.0p+0")], [("0x1.ffffffffffe89p-1", "0x0.0p+0")]),
+    # the series' bound is strict: 1e-6 takes sin z / z
+    ([1e-6], [("0x1.fffffffffee68p-1", "-0x0.0p+0")], [("0x1.ffffffffffa23p-1", "0x0.0p+0")]),
+    ([complex("nan")], [("nan", "0x0.0p+0")], [_NAN]),
+    # no tiny cell, so no series
+    ([1e-6, 0.3 + 0.2j, -2.5j, 4.0 - 1e-3j],
+     [("0x1.fffffffffee68p-1", "-0x0.0p+0"), ("0x1.f2f294a134306p-1", "-0x1.e76a25a9c2c0ap-5"),
+      ("0x1.88776e4b30aa3p+2", "-0x0.0p+0"), ("-0x1.4eaa6b65131e5p-1", "-0x1.8cc85411a6e41p-11")],
+     [("0x1.ffffffffffa23p-1", "0x0.0p+0"), ("0x1.fbaec9ccd8771p-1", "-0x1.4609f6bde9327p-6"),
+      ("0x1.35c53d7c09243p+1", "-0x0.0p+0"), ("-0x1.837bae75955c2p-3", "0x1.e700f6b882d89p-14")]),
+    # tiny and other cells side by side: each keeps the bits it has alone
+    ([0.0, 5e-7, 1e-6, complex("nan")],
+     [("0x1.0000000000000p+0", "-0x0.0p+0"), ("0x1.ffffffffffb9ap-1", "-0x0.0p+0"),
+      ("0x1.fffffffffee68p-1", "-0x0.0p+0"), ("nan", "0x0.0p+0")],
+     [_ONE, ("0x1.ffffffffffe89p-1", "0x0.0p+0"), ("0x1.ffffffffffa23p-1", "0x0.0p+0"), _NAN]),
+], ids=["zero", "series", "boundary", "nan", "no-tiny-cell", "mixed"])
+def test_cos_sinc_keeps_its_bits(z, cos, sinc):
+    # both branches' bits, signed zeros included, as the propagator and the
+    # search scan read them
+    with np.errstate(invalid="ignore"):  # sin(nan) / nan is its NaN
+        got = _cos_sinc(np.asarray(z, dtype=complex))
+    hexes = [[(float(x.real).hex(), float(x.imag).hex()) for x in part] for part in got]
+    assert hexes == [cos, sinc]
 
 
 def test_eigenvalues_match_numpy():

@@ -78,14 +78,14 @@ def test_golden_max_finds_peak():
     def f(u):
         return -(u - 0.3) ** 2
 
-    x = _golden_max(f, 0.0, 1.0, 1e-6)
+    x = _golden_max(f, 0.0, 1.0)
     assert x == pytest.approx(0.3, abs=1e-6)
     assert f(x) == pytest.approx(0.0, abs=1e-12)
 
 
-def _golden_reference(f, a, b, tol):
+def _golden_reference(f, a, b):
     """The plain golden-section search: one point at a time, f of a float."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    inv, tol = (math.sqrt(5.0) - 1.0) / 2.0, experiments._MAX_REFINE_TOL
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = f(c), f(d)
@@ -119,7 +119,7 @@ _GOLDEN_OBJECTIVES = {
     "nan": lambda x: math.nan if 0.2 < x < 0.6 else math.cos(3.0 * x),
     "multimodal": lambda x: math.sin(40.0 * x) * math.cos(7.0 * x),
 }
-# brackets 1e6, 7e6, 3, 1 and 0.4 times tol = 1e-6 wide: 29, 33, 3, 0 and 0 steps
+# brackets 1e6, 7e6, 3, 1 and 0.4 times _MAX_REFINE_TOL = 1e-6 wide: 29, 33, 3, 0 and 0 steps
 _GOLDEN_BRACKETS = [(0.0, 1.0), (-2.0, 5.0), (0.3, 0.3 + 3e-6), (0.25, 0.25 + 1e-6), (0.7, 0.7 + 4e-7)]
 
 
@@ -135,7 +135,7 @@ def test_look_ahead_search_matches_the_sequential_search(name, monkeypatch):
             asked.append(x)
             return _Logged(x, g(x), log)
 
-        expected = _golden_reference(one, a, b, 1e-6)
+        expected = _golden_reference(one, a, b)
         for look_ahead in range(1, 7):
             monkeypatch.setattr(experiments, "_LOOK_AHEAD", look_ahead)
             ahead_log, batches = [], []
@@ -144,7 +144,7 @@ def test_look_ahead_search_matches_the_sequential_search(name, monkeypatch):
                 batches.append(list(xs))
                 return [_Logged(x, g(x), ahead_log) for x in xs]
 
-            assert _golden_max(batch, a, b, 1e-6) == expected, (name, a, b, look_ahead)
+            assert _golden_max(batch, a, b) == expected, (name, a, b, look_ahead)
             assert ahead_log == log, (name, a, b, look_ahead)
             evaluated = [x for xs in batches for x in xs]
             assert set(asked) <= set(evaluated)
@@ -203,15 +203,14 @@ def test_find_max_separated_nonchiral():
 
 def test_find_max_never_below_grid():
     cfg = make_preset("partially_nested")
-    res = find_max(cfg, NONCHIRAL, INITIAL_EG, phi_points=101, t_points=201)
+    res = find_max(cfg, NONCHIRAL, INITIAL_EG, phi_points=101)
     grid = sweep(cfg, NONCHIRAL, INITIAL_EG,
-                 np.linspace(0.0, 2 * math.pi, 101), np.linspace(0.0, 50.0, 201))
+                 np.linspace(0.0, 2 * math.pi, 101), np.linspace(0.0, 50.0, experiments._SEARCH_T_POINTS))
     assert res.c_max >= float(grid.c_matrix.max()) - 1e-12
 
 
 def test_find_max_consistency_invariant():
-    res = find_max(make_preset("partially_braided"), CASCADE, INITIAL_EG,
-                   phi_points=201, t_points=401)
+    res = find_max(make_preset("partially_braided"), CASCADE, INITIAL_EG, phi_points=201)
     from giantatoms import concurrence
 
     assert res.c_max == pytest.approx(concurrence(res.amplitudes_at_max), abs=1e-12)
@@ -692,11 +691,9 @@ def test_pruned_search_computes_no_cell_twice(monkeypatch):
         assert list(w[rows]) == sorted(w[rows], reverse=True)
 
 
-@pytest.mark.parametrize("kwargs", [{"t_points": 1}, {"t_points": 0}, {"phi_points": 0}])
-def test_find_max_rejects_grid_sizes(kwargs):
-    (name, _), = kwargs.items()
-    with pytest.raises(ValueError, match=name):
-        find_max(make_preset("separated"), CASCADE, INITIAL_EG, **kwargs)
+def test_find_max_rejects_grid_sizes():
+    with pytest.raises(ValueError, match="phi_points"):
+        find_max(make_preset("separated"), CASCADE, INITIAL_EG, phi_points=0)
 
 
 def test_find_max_rejects_reversed_phase_range():
@@ -717,7 +714,7 @@ def test_non_finite_times_rejected(entry, bad):
     cfg = make_preset("separated")
     spec = ChiralitySpec(1.0, 0.3)
     h = build_heff(coefficients(cfg, 1.0, 0.65, 0.35))
-    small = {"phi_points": 3, "t_points": 5}
+    small = {"phi_points": 3}
     grid = [bad, 2.0] if entry.endswith("_leading") else [0.0, bad]
     calls = {
         "evaluate_concurrence": lambda: evaluate_concurrence(cfg, spec, INITIAL_EG, 1.0, bad),
@@ -770,10 +767,10 @@ def _count_scan_rows(monkeypatch, full_phis=None):
 def test_mirror_reduced_search_matches_full_scan(monkeypatch, pattern, chi, c0, phi_points):
     cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
     rows = _count_scan_rows(monkeypatch)
-    res = find_max(cfg, spec, c0, phi_points=phi_points, t_points=401)
+    res = find_max(cfg, spec, c0, phi_points=phi_points)
     assert rows == [(phi_points + 1) // 2]
     _count_scan_rows(monkeypatch, np.linspace(0.0, 2 * math.pi, phi_points))
-    ref = find_max(cfg, spec, c0, phi_points=phi_points, t_points=401)
+    ref = find_max(cfg, spec, c0, phi_points=phi_points)
     assert res.c_max == pytest.approx(ref.c_max, abs=1e-12)
     assert min(abs(res.phi_star - ref.phi_star), abs(res.phi_star - (2 * math.pi - ref.phi_star))) < 1e-6
     assert res.t_star == pytest.approx(ref.t_star, abs=1e-6)
@@ -786,7 +783,7 @@ def test_mirror_reduced_search_matches_full_scan(monkeypatch, pattern, chi, c0, 
 ])
 def test_mirror_reduction_needs_real_start_and_symmetric_range(monkeypatch, c0, phi_range):
     rows = _count_scan_rows(monkeypatch)
-    find_max(layout_from_pattern("abbaab"), ChiralitySpec(1.0, 0.4), c0, phi_range, phi_points=101, t_points=201)
+    find_max(layout_from_pattern("abbaab"), ChiralitySpec(1.0, 0.4), c0, phi_range, phi_points=101)
     assert rows == [101]
 
 
@@ -795,8 +792,8 @@ def test_mirror_reduction_needs_real_start_and_symmetric_range(monkeypatch, c0, 
 def test_label_swap_maps_eg_onto_ge(pattern, chi):
     # calibrate_presets fills swap(p)'s row from p's: the physics behind it
     spec = ChiralitySpec(1.0, chi)
-    res = find_max(layout_from_pattern(pattern), spec, INITIAL_EG, phi_points=201, t_points=401)
-    twin = find_max(layout_from_pattern(_swap(pattern)), spec, INITIAL_GE, phi_points=201, t_points=401)
+    res = find_max(layout_from_pattern(pattern), spec, INITIAL_EG, phi_points=201)
+    twin = find_max(layout_from_pattern(_swap(pattern)), spec, INITIAL_GE, phi_points=201)
     assert twin.c_max == pytest.approx(res.c_max, abs=1e-12)
 
 
@@ -1203,24 +1200,25 @@ def test_find_max_results_keep_their_bits(pattern, chi, c0, kwargs, expected):
 
 
 def test_find_max_stops_when_a_round_repeats(monkeypatch):
-    # the cascade's concurrence does not depend on phi, so round 2's phi-chain
-    # returns the phase round 2 started from: round 3 would repeat round 2
+    # the cascade's concurrence does not depend on phi (up to roundoff), so
+    # round 2's phi-chain returns the phase round 2 started from, round 1's:
+    # round 3 would get round 2's inputs and repeat it
     calls = []
 
-    def spy(f, a, b, tol, *args):
-        calls.append((a, b, _golden_max(f, a, b, tol, *args)))
+    def spy(f, a, b):
+        calls.append((a, b, _golden_max(f, a, b)))
         return calls[-1][2]
 
     monkeypatch.setattr(experiments, "_golden_max", spy)
-    res = find_max(layout_from_pattern("aaabbb"), CASCADE, INITIAL_EG, phi_points=101, t_points=201)
+    res = find_max(layout_from_pattern("aaabbb"), CASCADE, INITIAL_EG, phi_points=101)
     assert len(calls) == 4
-    assert calls[:2] == calls[2:]
+    assert calls[3][2].hex() == calls[1][2].hex()
     # the bits found with all three rounds run
     a = res.amplitudes_at_max
     got = (res.c_max, res.phi_star, res.t_star, a.c_eg.real, a.c_eg.imag, a.c_ge.real, a.c_ge.imag)
     assert tuple(float(x).hex() for x in got) == (
-        "0x1.78b56362cef38p-1", "0x1.921fb54442d19p+1", "0x1.0000000000000p+0", "0x1.368b2fc6f960ap-1",
-        "0x0.0p+0", "0x1.368b2fc6f960ap-1", "0x1.43f39b6d446bcp-50")
+        "0x1.78b56362cef39p-1", "0x1.9229e69de1ae6p+1", "0x1.00000345d39c8p+0", "0x1.368b2fc2eb52dp-1",
+        "0x1.4124e5d4a2690p-36", "0x1.368b26ee85c57p-1", "0x1.28bf3b2a4311cp-11")
 
 
 @pytest.mark.parametrize("pattern, chi, c0", [
@@ -1230,7 +1228,7 @@ def test_find_max_stops_when_a_round_repeats(monkeypatch):
 ])
 def test_find_max_reports_its_cell_value(pattern, chi, c0):
     cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
-    res = find_max(cfg, spec, c0, phi_points=201, t_points=401)
+    res = find_max(cfg, spec, c0, phi_points=201)
     assert res.c_max == evaluate_concurrence(cfg, spec, c0, res.phi_star, res.t_star)
     assert res.c_max == sweep(cfg, spec, c0, [res.phi_star], [res.t_star]).c_matrix[0, 0]
 
@@ -1256,10 +1254,9 @@ def test_orderings_enumeration():
         layout_from_pattern("aaabb")
 
 
-def test_calibration_quick():
-    # reduced grids keep this fast; the full-resolution run is exercised by
-    # the acceptance suite
-    result = calibrate_presets(phi_points=501, t_points=1001)
+def test_calibration_quick(calibration):
+    # the acceptance suite's calibration at the defaults, the one search grid
+    result, _ = calibration
     chosen = {name: cal.pattern for name, cal in result.assignments.items()}
     assert chosen["separated"] == "aaabbb"
     assert chosen["fully_braided"] == "ababab"
@@ -1294,7 +1291,7 @@ def test_calibration_checks_each_ordering_peak_once(monkeypatch):
     checked = []
 
     def counted(cfg, chirality, c0, *args, **kwargs):
-        if kwargs["phi_points"] != 1:
+        if not args:  # a value-table search; a peak check passes its one phase
             return experiments.MaxResult(0.9, 0.0, 0.0, None)
         checked.append(cfg.positions_a)
         return search(cfg, chirality, c0, *args, **kwargs)
@@ -1302,7 +1299,7 @@ def test_calibration_checks_each_ordering_peak_once(monkeypatch):
     monkeypatch.setattr(experiments, "find_max", counted)
     monkeypatch.setattr(experiments, "CALIBRATION_TARGETS",
                         {Preset.FULLY_NESTED: CALIBRATION_TARGETS[Preset.FULLY_NESTED]})
-    result = calibrate_presets(t_points=401)
+    result = calibrate_presets()
     assert result.assignments["fully_nested"].peaks_ok
     nested = experiments._SHAPE_ORDERINGS[Preset.FULLY_NESTED]
     assert sorted(checked) == sorted(layout_from_pattern(p).positions_a for p in nested)
@@ -1316,7 +1313,7 @@ def test_calibration_without_a_passing_peak_takes_the_best_score(monkeypatch):
     checked = []
 
     def fake(cfg, chirality, c0, *args, **kwargs):
-        if kwargs["phi_points"] == 1:
+        if args:  # a peak check, at its one phase
             checked.append(cfg.positions_a)
             return experiments.MaxResult(0.0, 0.0, 0.0, None)
         lifted = (cfg.positions_a, chirality.chi, c0) == ((0, 4, 5), 1.0, INITIAL_EG)
@@ -1325,7 +1322,7 @@ def test_calibration_without_a_passing_peak_takes_the_best_score(monkeypatch):
     monkeypatch.setattr(experiments, "find_max", fake)
     monkeypatch.setattr(experiments, "CALIBRATION_TARGETS",
                         {Preset.FULLY_NESTED: CALIBRATION_TARGETS[Preset.FULLY_NESTED]})
-    cal = calibrate_presets(t_points=401).assignments["fully_nested"]
+    cal = calibrate_presets().assignments["fully_nested"]
     assert (cal.pattern, cal.peaks_ok, cal.unresolved) == ("baaabb", False, True)
     assert cal.score == pytest.approx(0.96 - 0.9)
     nested = experiments._SHAPE_ORDERINGS[Preset.FULLY_NESTED]
@@ -1337,7 +1334,7 @@ def test_calibration_never_assigns_a_nan_value(monkeypatch):
     # smallest, aabbba, wins; a NaN in its chiral eg cell (and, by label swap,
     # in bbaaab's chiral ge cell) puts both outside every band
     def fake(cfg, chirality, c0, *args, **kwargs):
-        if kwargs["phi_points"] == 1:
+        if args:  # a peak check, at its one phase
             return experiments.MaxResult(0.67, 0.0, 0.0, None)
         poisoned = (cfg.positions_a, chirality.chi, c0) == ((0, 1, 5), 1.0, INITIAL_EG)
         return experiments.MaxResult(math.nan if poisoned else 0.9, 0.0, 0.0, None)
@@ -1345,7 +1342,7 @@ def test_calibration_never_assigns_a_nan_value(monkeypatch):
     monkeypatch.setattr(experiments, "find_max", fake)
     monkeypatch.setattr(experiments, "CALIBRATION_TARGETS",
                         {Preset.FULLY_NESTED: CALIBRATION_TARGETS[Preset.FULLY_NESTED]})
-    result = calibrate_presets(t_points=401)
+    result = calibrate_presets()
     assert math.isnan(result.value_table["aabbba"][2]) and math.isnan(result.value_table["bbaaab"][3])
     cal = result.assignments["fully_nested"]
     assert (cal.pattern, cal.peaks_ok) == ("abbbaa", True)
@@ -1377,14 +1374,13 @@ def test_calibration_pool_matches_in_process_searches(monkeypatch):
         return starmap(pool, func, iterable, chunksize)
 
     monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", spy)
-    grid = {"phi_points": 101, "t_points": 201}
-    table = calibrate_presets(**grid).value_table
+    table = calibrate_presets().value_table
     assert list(table) == all_orderings()
     columns = [(chi, label) for chi in (0.0, 1.0) for label in ("eg", "ge")]
     cells = {(p, chi, label): table[p][columns.index((chi, label))]
              for p in all_orderings() for chi, label in columns}
     own = {(p, chi, label): find_max(layout_from_pattern(p), ChiralitySpec(1.0, chi),
-                                     INITIAL_EG if label == "eg" else INITIAL_GE, **grid).c_max
+                                     INITIAL_EG if label == "eg" else INITIAL_GE).c_max
            for p, chi, label in cells}
 
     searched = [(pattern, chi, label) for pattern, label, chi, *_ in handed]

@@ -731,6 +731,17 @@ def test_cli_flag_value_may_start_with_dash(capsysbinary, args):
     assert capsysbinary.readouterr().out == spaced
 
 
+def test_cli_find_max_reads_only_time_stop(tmp_path):
+    # find-max searches its own time grid: time.count changes no byte
+    outputs = []
+    for t in ("0:50:7", "0:50:2001", "0:50:4001"):
+        out = tmp_path / f"{t.replace(':', '_')}.csv"
+        assert cli_main(["find-max", "--preset", "partially_nested", "--chi", "0.5", "--initial", "0.6,0,0,0.8",
+                         "--t", t, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 @pytest.mark.parametrize("command", ["find-max", "calibrate"])
 def test_cli_scans_from_zero_reject_time_start(capsysbinary, tmp_path, command):
     # both commands scan t over [0, time.stop]; another start is an error,

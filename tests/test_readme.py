@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from giantatoms import cli_main
-from giantatoms.io_cli import _COMMANDS
+from giantatoms.experiments import _SEARCH_T_POINTS
+from giantatoms.io_cli import _COMMANDS, _help
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # the README's output contract of each command's CSV
@@ -77,3 +78,12 @@ def test_readme_command_line_runs(argv, tmp_path, capsysbinary):
         assert header == _contracts()[_CONTRACTS[argv[0]]]
     else:
         assert outputs[0]
+
+
+def test_readme_and_help_state_the_search_grid_size():
+    # find-max and calibrate scan one time grid; the README and --help give
+    # its size, as the README gives the scan block in rows of it
+    readme = README.read_text().replace("\n", " ")
+    stated = re.findall(r"(\d+)-point time grid", readme) + re.findall(r"phase rows of (\d+) time points", readme)
+    assert stated == [str(_SEARCH_T_POINTS)] * 2
+    assert re.findall(r"grid of (\d+) times", _help()) == [str(_SEARCH_T_POINTS)]
