@@ -119,11 +119,8 @@ def concurrence(c: AmplitudePair) -> float:
 def _cos_sinc(z):
     """(cos z, sin z / z) of a complex array, elementwise: the one place
     the propagator's cos/sinc form is written. Below _SINC_SERIES_MAX_Z in
-    |z| the quotient is 1 - z^2 / 6, exact there to rounding, and computed
-    only when a cell needs it."""
+    |z| the quotient is 1 - z^2 / 6, exact there to rounding."""
     tiny = np.abs(z) < _SINC_SERIES_MAX_Z
-    if not tiny.any():
-        return np.cos(z), np.sin(z) / z
     zsafe = np.where(tiny, 1.0, z)
     return np.cos(z), np.where(tiny, 1.0 - z * z / 6.0, np.sin(zsafe) / zsafe)
 

@@ -27,7 +27,7 @@ a repeated flag keeps its last value. Each flag is the text of one config
 field, laid over the --config document and checked with it, so it accepts
 exactly what that field accepts; --layout-a/-b win over --preset. --help or
 -h prints this text. find-max and calibrate scan t over [0, time.stop]
-(time.start = 0) on a grid of _SEARCH_T_POINTS times; they ignore time.count.
+(time.start = 0) on a grid of 4001 times; they ignore time.count.
 
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
 error, numerical overflow or a grid too large to allocate, 2 I/O error, 3
@@ -54,7 +54,6 @@ from .experiments import (
     SpecialPhase,
     SweepGrid,
     TWO_PI,
-    _SEARCH_T_POINTS,
     _heff_at,
     calibrate_presets,
     chirality_scan,
@@ -619,11 +618,10 @@ _USAGE = "usage: giantatoms {%s} [--flag value | --flag=value]..." % ",".join(_C
 
 
 def _help() -> str:
-    """The --help text: the usage line, the module docstring with its grid size, and the flags."""
+    """The --help text: the usage line, the module docstring and the flags."""
     flags = [f"  --{name:<10} {text}" + ("" if field is None else f" (field {field})")
              for name, field, _, text in _FLAGS]
-    doc = (__doc__ or "").strip().replace("_SEARCH_T_POINTS", str(_SEARCH_T_POINTS))
-    return "\n".join([_USAGE, "", doc, "", "flags:", *flags, ""])
+    return "\n".join([_USAGE, "", (__doc__ or "").strip(), "", "flags:", *flags, ""])
 
 
 def _run_command(command: str, spec: ExperimentSpec):

@@ -1210,9 +1210,18 @@ def test_find_max_stops_when_a_round_repeats(monkeypatch):
         return calls[-1][2]
 
     monkeypatch.setattr(experiments, "_golden_max", spy)
-    res = find_max(layout_from_pattern("aaabbb"), CASCADE, INITIAL_EG, phi_points=101)
+    cfg = layout_from_pattern("aaabbb")
+    res = find_max(cfg, CASCADE, INITIAL_EG, phi_points=101)
     assert len(calls) == 4
-    assert calls[3][2].hex() == calls[1][2].hex()
+    # round 3, run here from round 2's phase: its t-chain returns round 2's
+    # time and its phi-chain round 2's phase, so the stop kept the bits
+    (t_lo, t_hi, t_2), (p_lo, p_hi, phi_2) = calls[2], calls[3]
+    at_phi = experiments._point_amplitudes(cfg, CASCADE, INITIAL_EG, [phi_2])
+    t_3 = _golden_max(lambda t_batch: concurrence_values(*at_phi(t_batch)), t_lo, t_hi)
+    phi_3 = _golden_max(lambda phi_batch: concurrence_values(
+        *experiments._point_amplitudes(cfg, CASCADE, INITIAL_EG, phi_batch)(np.asarray([t_3]))), p_lo, p_hi)
+    assert (t_3.hex(), phi_3.hex()) == (t_2.hex(), phi_2.hex())
+    assert (res.t_star, res.phi_star) == (t_2, phi_2)
     # the bits found with all three rounds run
     a = res.amplitudes_at_max
     got = (res.c_max, res.phi_star, res.t_star, a.c_eg.real, a.c_eg.imag, a.c_ge.real, a.c_ge.imag)
