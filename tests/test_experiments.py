@@ -730,13 +730,6 @@ def test_non_finite_times_rejected(entry, bad):
         calls[entry.removesuffix("_leading")]()
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("name", ["window", "tol"])
-def test_detect_steady_rejects_bad_window_and_tol(name, bad):
-    with pytest.raises(ValueError, match="positive and finite"):
-        detect_steady(traj_for("separated", 0.0, t_max=20.0, n=41), **{name: bad})
-
-
 def _swap(pattern):
     return pattern.translate(str.maketrans("ab", "ba"))
 
@@ -1030,7 +1023,8 @@ def test_special_phases_do_not_depend_on_gamma_total():
 # phases, in steps of pi/12, where a ring member off the root read a dark state
 # that the root itself does not host
 _MULTIPLE_ROOT_LAYOUTS = [
-    ((2, 15, 16), (1, 19, 23), 1.0, {PhaseKind.DARK_STATE: 2}, ()),
+    # its dark modes at 2pi/3 and 4pi/3 lie on one atom (test_dark_state_lies_on_both_atoms)
+    ((2, 15, 16), (1, 19, 23), 1.0, {}, ()),
     ((0, 16, 27), (21, 22, 23), 1.0, {PhaseKind.DARK_STATE: 4}, (8,)),
     ((2, 15, 25), (4, 8, 12), 0.3493332801709793, {PhaseKind.DECOUPLED: 2}, (20,)),
     ((1, 22, 24), (3, 14, 16), 1.0, {}, (8, 16)),
@@ -1048,6 +1042,46 @@ def test_special_phases_at_multiple_roots_are_exact(pos_a, pos_b, chi, counts, n
     assert all(abs(p.phi - step * round(p.phi / step)) < 1e-12 for p in phases), phases
     for k in no_dark_state:
         assert dark_modes(experiments._heff_at(cfg, spec, k * step), INITIAL_EG).dark_overlap < 1e-12
+
+
+# layouts where one atom decouples by itself at 2pi/3 and 4pi/3: its decay, the
+# collective decay and g vanish there, so the resultant has a root whose dark
+# mode holds only that atom, and C stays 0. From eg: positions, chi, and the
+# dark-state phases reported, in steps of pi/12
+_ONE_ATOM_DARK_LAYOUTS = [
+    ((18, 19, 23), (3, 7, 10), 0.0, (0, 3, 9, 12, 15, 21)),
+    ((18, 19, 23), (3, 7, 10), 0.5, ()),
+    ((18, 19, 23), (3, 7, 10), 1.0, ()),
+    ((2, 15, 16), (1, 19, 23), 0.0, (0, 12)),
+    ((2, 15, 16), (1, 19, 23), 1.0, ()),
+]
+
+
+@pytest.mark.parametrize("pos_a, pos_b, chi, reported", _ONE_ATOM_DARK_LAYOUTS,
+                         ids=["-".join(map(str, a + b)) + f"-chi{chi}" for a, b, chi, _ in _ONE_ATOM_DARK_LAYOUTS])
+def test_dark_state_lies_on_both_atoms(monkeypatch, pos_a, pos_b, chi, reported):
+    step, cfg, spec = math.pi / 12, make_layout(pos_a, pos_b), ChiralitySpec(1.0, chi)
+    candidates = []  # every root find_special_phases reads through coefficients()
+    read = experiments.coefficients
+    monkeypatch.setattr(experiments, "coefficients", lambda cfg, phi, *rates: candidates.append(phi) or read(cfg, phi, *rates))
+    phases = find_special_phases(cfg, spec, INITIAL_EG)
+    assert [(round(p.phi / step), p.kind) for p in phases] == [(k, PhaseKind.DARK_STATE) for k in reported]
+
+    def dark_mode(phi):
+        report = dark_modes(experiments._heff_at(cfg, spec, phi), INITIAL_EG)
+        assert report.classification is ModeClass.STEADY_PLATEAU
+        amplitudes = sorted(map(abs, (report.dark_projection.c_eg, report.dark_projection.c_ge)))
+        return amplitudes[0] / amplitudes[1], report.predicted_c_ss
+
+    for p in phases:
+        share, c_ss = dark_mode(p.phi)
+        assert share > 0.3 and c_ss > 0.49, (p, share, c_ss)
+    # the roots at 2pi/3 and 4pi/3 are found, and dropped: their dark mode is one atom's
+    for k in (8, 16):
+        phi = min(candidates, key=lambda x: abs(x - k * step))
+        assert abs(phi - k * step) < 1e-12
+        share, c_ss = dark_mode(phi)
+        assert share < 1e-11 and c_ss < 1e-11, (phi, share, c_ss)
 
 
 def test_chirality_scan_overlap_and_peaks():
@@ -1183,6 +1217,11 @@ _PINNED_SEARCHES = [
                                                 -0.005356172642051363 + 0.7023696980797246j), {},
      ("0x1.fff80c773f42ep-1", "0x1.0be8534f05f62p+1", "0x1.2cccc7812b06cp+0", "0x1.6b65b2bc87553p-1",
       "0x1.d00494748f694p-6", "0x1.3265db423f218p-1", "0x1.7b6dc83a54baap-2")),
+    # the cascade's C does not depend on phi up to roundoff, on a coarse phase grid
+    ("aaabbb", 1.0, INITIAL_EG, {"phi_points": 101}, ("0x1.78b56362cef39p-1", "0x1.9229e69de1ae6p+1",
+                                                      "0x1.00000345d39c8p+0", "0x1.368b2fc2eb52dp-1",
+                                                      "0x1.4124e5d4a2690p-36", "0x1.368b26ee85c57p-1",
+                                                      "0x1.28bf3b2a4311cp-11")),
     # calibrate_presets' peak check of the chosen partially braided ordering
     ("aababb", 0.0, INITIAL_EG, {"phi_range": (11 * math.pi / 25, 11 * math.pi / 25), "phi_points": 1},
      ("0x1.85f2d7f7824c4p-1", "0x1.61de768dfd5c3p+0", "0x1.5d9174a959b18p-1", "0x1.4dd3e49cd92cdp-1",
@@ -1191,43 +1230,13 @@ _PINNED_SEARCHES = [
 
 
 @pytest.mark.parametrize("pattern, chi, c0, kwargs, expected", _PINNED_SEARCHES,
-                         ids=["fully-braided", "cascade-eg", "cascade-ge", "complex-start", "complex-random", "peak"])
+                         ids=["fully-braided", "cascade-eg", "cascade-ge", "complex-start", "complex-random", "cascade-101",
+                              "peak"])
 def test_find_max_results_keep_their_bits(pattern, chi, c0, kwargs, expected):
     res = find_max(layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0, **kwargs)
     a = res.amplitudes_at_max
     got = (res.c_max, res.phi_star, res.t_star, a.c_eg.real, a.c_eg.imag, a.c_ge.real, a.c_ge.imag)
     assert tuple(float(x).hex() for x in got) == expected
-
-
-def test_find_max_stops_when_a_round_repeats(monkeypatch):
-    # the cascade's concurrence does not depend on phi (up to roundoff), so
-    # round 2's phi-chain returns the phase round 2 started from, round 1's:
-    # round 3 would get round 2's inputs and repeat it
-    calls = []
-
-    def spy(f, a, b):
-        calls.append((a, b, _golden_max(f, a, b)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(experiments, "_golden_max", spy)
-    cfg = layout_from_pattern("aaabbb")
-    res = find_max(cfg, CASCADE, INITIAL_EG, phi_points=101)
-    assert len(calls) == 4
-    # round 3, run here from round 2's phase: its t-chain returns round 2's
-    # time and its phi-chain round 2's phase, so the stop kept the bits
-    (t_lo, t_hi, t_2), (p_lo, p_hi, phi_2) = calls[2], calls[3]
-    at_phi = experiments._point_amplitudes(cfg, CASCADE, INITIAL_EG, [phi_2])
-    t_3 = _golden_max(lambda t_batch: concurrence_values(*at_phi(t_batch)), t_lo, t_hi)
-    phi_3 = _golden_max(lambda phi_batch: concurrence_values(
-        *experiments._point_amplitudes(cfg, CASCADE, INITIAL_EG, phi_batch)(np.asarray([t_3]))), p_lo, p_hi)
-    assert (t_3.hex(), phi_3.hex()) == (t_2.hex(), phi_2.hex())
-    assert (res.t_star, res.phi_star) == (t_2, phi_2)
-    # the bits found with all three rounds run
-    a = res.amplitudes_at_max
-    got = (res.c_max, res.phi_star, res.t_star, a.c_eg.real, a.c_eg.imag, a.c_ge.real, a.c_ge.imag)
-    assert tuple(float(x).hex() for x in got) == (
-        "0x1.78b56362cef39p-1", "0x1.9229e69de1ae6p+1", "0x1.00000345d39c8p+0", "0x1.368b2fc2eb52dp-1",
-        "0x1.4124e5d4a2690p-36", "0x1.368b26ee85c57p-1", "0x1.28bf3b2a4311cp-11")
 
 
 @pytest.mark.parametrize("pattern, chi, c0", [
