@@ -38,13 +38,11 @@ from .experiments import (
     MaxResult,
     PhaseKind,
     SpecialPhase,
-    SteadyStateReport,
     SweepGrid,
     all_orderings,
     calibrate_presets,
     chirality_scan,
     compare_initial_states,
-    detect_steady,
     evaluate_concurrence,
     find_max,
     find_special_phases,

@@ -146,11 +146,26 @@ def _evolve(m11, m12, m21, m22, c1, c2, t):
     differently from a * b: a cell's last bit would depend on how many
     cells share the call. None writes into an operand (out=), as numpy
     rounds such a product of one-element arrays differently too.
+
+    Matrix entries of more than one dimension form the row constants on one
+    flat row axis, a one-element start as given, and reshape them after:
+    numpy rounds a complex product of a (1, 1) and a (1,) operand unlike the
+    1-d products of every other call, so a grid's lone row would not have
+    the bits of its point evaluation. 1-d entries skip this, at no cost to
+    the refinement's calls.
     """
-    m11, m12, m21, m22, c1, c2 = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (m11, m12, m21, m22, c1, c2))
+    entries = [np.atleast_1d(np.asarray(x, dtype=complex)) for x in (m11, m12, m21, m22, c1, c2)]
+    shape = None
+    if entries[0].ndim > 1:
+        shape = np.broadcast_shapes(*(x.shape for x in entries))
+        entries = [x.reshape(-1) if x.size == 1 else np.broadcast_to(x, shape).reshape(-1) for x in entries]
+    m11, m12, m21, m22, c1, c2 = entries
     mu, dd, s = eigen_split(m11, m12, m21, m22)
     d1 = dd * c1 + m12 * c2  # (m - mu I) @ c
     d2 = m21 * c1 - dd * c2
+    if shape is not None:
+        size = math.prod(shape)
+        mu, s, c1, c2, d1, d2 = (x.reshape(shape) if x.size == size else x for x in (mu, s, c1, c2, d1, d2))
     mu, s, c1, c2, d1, d2, t = np.broadcast_arrays(mu, s, c1, c2, d1, d2, np.asarray(t, dtype=complex))
     z = s * t
 

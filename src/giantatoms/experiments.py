@@ -1,4 +1,4 @@
-"""Parameter sweeps, extremum searches, steady-state and special-phase studies.
+"""Parameter sweeps, extremum searches and special-phase studies.
 
 Everything here is deterministic: sweep grids are evaluated with the exact
 propagator cell by cell (no accumulated state), searches are grid scans
@@ -530,48 +530,6 @@ def find_max(
     return cell(float(phis[i]), float(ts[j])) if best.c_max < grid_best else best
 
 
-@dataclass(frozen=True)
-class SteadyStateReport:
-    """Whether and where a trajectory settles on a plateau."""
-
-    is_steady: bool
-    c_ss: float
-    settle_time: float
-
-
-# detect_steady: the plateau's length in time and the tolerance both of its
-# variation and of its floor
-_STEADY_WINDOW = 10.0
-_STEADY_TOL = 1e-3
-
-
-def detect_steady(traj: Trajectory) -> SteadyStateReport:
-    """Detect a concurrence plateau: a time T from which the concurrence
-    varies by less than _STEADY_TOL over [T, T + _STEADY_WINDOW] while
-    staying above _STEADY_TOL.
-
-    Requiring the whole window (not just its first sample) to sit above the
-    tolerance keeps slow decays that merely drift through the threshold from
-    registering as plateaus.  The trajectory must extend at least one window
-    beyond its start.  Only the trajectory's times and concurrence are read;
-    dark_modes(h, c0) gives the decay-mode analysis of the matrix and start
-    behind it.
-    """
-    t = traj.times
-    c = traj.concurrence
-    if t[-1] - t[0] < _STEADY_WINDOW:
-        raise ValueError(f"trajectory horizon {t[-1]} too short for window {_STEADY_WINDOW}")
-    limit = t[-1] - _STEADY_WINDOW
-    ends = np.searchsorted(t, t + _STEADY_WINDOW, side="right")
-    for i in range(t.size):
-        if t[i] > limit:
-            break
-        seg = c[i : max(ends[i], i + 2)]
-        if float(seg.min()) > _STEADY_TOL and float(seg.max() - seg.min()) < _STEADY_TOL:
-            return SteadyStateReport(True, float(seg.mean()), float(t[i]))
-    return SteadyStateReport(False, 0.0, math.nan)
-
-
 class PhaseKind(Enum):
     DECOUPLED = "decoupled"
     DECOHERENCE_FREE = "decoherence_free"
@@ -825,16 +783,18 @@ _UNRESOLVED_SCORE = 0.02
 _TIE_TOL = 1e-6
 
 
-def _search_job(pattern, initial_label, chi, gamma_total, t_horizon) -> float:
+def _search_job(pattern, initial_label, chi) -> float:
     """One value-table search of calibrate_presets, from plain values so a
     pool worker can run it."""
-    return find_max(layout_from_pattern(pattern), ChiralitySpec(gamma_total, chi), INITIAL_STATES[initial_label],
-                    t_horizon=t_horizon).c_max
+    return find_max(layout_from_pattern(pattern), ChiralitySpec(1.0, chi), INITIAL_STATES[initial_label]).c_max
 
 
-def calibrate_presets(gamma_total: float = 1.0, t_horizon: float = 50.0) -> CalibrationResult:
+def calibrate_presets() -> CalibrationResult:
     """Score all 20 point orderings against the benchmark maxima and assign
     the best name-consistent ordering to each named configuration.
+
+    Every search runs at the setting of CALIBRATION_TARGETS: gamma_total = 1
+    over find_max's default horizon.
 
     The canonical presets are never modified; a chosen ordering that differs
     from the preset default is reported via matches_default=False, and a
@@ -865,7 +825,7 @@ def calibrate_presets(gamma_total: float = 1.0, t_horizon: float = 50.0) -> Cali
         orbit = [(p, label), (p.translate(_SWAP_LABELS), label[::-1])]  # label[::-1] swaps eg and ge
         if chi == 0.0:
             orbit += [(q[::-1], start) for q, start in orbit]
-        job_of[p, chi, label] = (*min(orbit), chi, gamma_total, t_horizon)
+        job_of[p, chi, label] = (*min(orbit), chi)
     jobs = list(dict.fromkeys(job_of.values()))
     with multiprocessing.get_context("fork").Pool(min(len(os.sched_getaffinity(0)), len(jobs))) as pool:
         found = dict(zip(jobs, pool.starmap(_search_job, jobs, chunksize=1)))
@@ -887,7 +847,7 @@ def calibrate_presets(gamma_total: float = 1.0, t_horizon: float = 50.0) -> Cali
         def peaks_pass(pattern):
             cfg = layout_from_pattern(pattern)
             for phi, value in peaks:
-                v = find_max(cfg, ChiralitySpec(gamma_total, 0.0), INITIAL_EG, (phi, phi), t_horizon).c_max
+                v = find_max(cfg, ChiralitySpec(1.0, 0.0), INITIAL_EG, (phi, phi)).c_max
                 if abs(v - value) > _PEAK_BAND:
                     return False
             return True

@@ -26,8 +26,11 @@ A command line is a command, then flags spelled in full: --name value or
 a repeated flag keeps its last value. Each flag is the text of one config
 field, laid over the --config document and checked with it, so it accepts
 exactly what that field accepts; --layout-a/-b win over --preset. --help or
--h prints this text. find-max and calibrate scan t over [0, time.stop]
-(time.start = 0) on a grid of 4001 times; they ignore time.count.
+-h prints this text. find-max scans t over [0, time.stop] (time.start = 0)
+on a grid of 4001 times; it ignores time.count. calibrate searches at the
+setting of its benchmark maxima (gamma = 1, t over [0, 50]) on that same
+grid; it uses only the output format and path, and checks but ignores every
+other field.
 
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
 error, numerical overflow or a grid too large to allocate, 2 I/O error, 3
@@ -314,22 +317,11 @@ _CAL_HEADER = ("config", "ordering", "score", "unresolved", "matches_default")
 _CAL_TEXT = ("config", "ordering", "unresolved", "matches_default", "target", "values", "residuals")
 
 
-@dataclass(frozen=True)
-class _Table:
-    """The columns a result emits, in order: a float array or a list of
-    str/bool/dict values per header name, plus an optional record that
-    closes the NDJSON stream."""
-
-    header: tuple[str, ...]
-    columns: tuple
-    trailer: dict | None = None
-
-
-def _row_table(header, rows, text=()) -> _Table:
+def _row_table(header, rows, text=()) -> tuple:
     """A table from row tuples: the columns named in `text` keep their
     values, every other column becomes a float array."""
     columns = list(zip(*rows)) or [()] * len(header)
-    return _Table(header, tuple(list(c) if h in text else np.array(c, dtype=float) for h, c in zip(header, columns)))
+    return header, tuple(list(c) if h in text else np.array(c, dtype=float) for h, c in zip(header, columns)), None
 
 
 def _trajectory_block(traj: Trajectory) -> np.ndarray:
@@ -343,14 +335,17 @@ def _grid_axes(grid: SweepGrid) -> tuple:
     return np.repeat(grid.phi_values, len(grid.t_values)), np.tile(grid.t_values, len(grid.phi_values))
 
 
-def _table(result, fmt: str = "csv") -> _Table:
-    """The column table of a result.  Its CSV table holds every number that
-    CSV, NDJSON or SVG output emits; only calibration has another NDJSON
-    table, one record per configuration with nested values/residuals maps."""
+def _table(result, fmt: str = "csv") -> tuple:
+    """The column table (header, columns, trailer) of a result: the header
+    names in order, one column per name (a float array or a list of
+    str/bool/dict values), and a record that closes the NDJSON stream, or
+    None.  Its CSV table holds every number that CSV, NDJSON or SVG output
+    emits; only calibration has another NDJSON table, one record per
+    configuration with nested values/residuals maps."""
     if isinstance(result, SweepGrid):
-        return _Table(("phi", "t", "concurrence"), (*_grid_axes(result), result.c_matrix.ravel()))
+        return ("phi", "t", "concurrence"), (*_grid_axes(result), result.c_matrix.ravel()), None
     if isinstance(result, Trajectory):
-        return _Table(_TRAJ_HEADER, tuple(_trajectory_block(result).T))
+        return _TRAJ_HEADER, tuple(_trajectory_block(result).T), None
     if isinstance(result, MaxResult):
         a = result.amplitudes_at_max
         return _row_table(("c_max", "phi_star", "t_star", "c_eg_re", "c_eg_im", "c_ge_re", "c_ge_im"),
@@ -359,11 +354,11 @@ def _table(result, fmt: str = "csv") -> _Table:
     if isinstance(result, ChiralityScanResult):
         blocks = [np.column_stack([np.full(len(tr.times), chi), _trajectory_block(tr)])
                   for chi, tr in zip(result.chis, result.trajectories)]
-        return _Table(("chi",) + _TRAJ_HEADER, tuple(np.vstack([np.empty((0, 7)), *blocks]).T))
+        return ("chi",) + _TRAJ_HEADER, tuple(np.vstack([np.empty((0, 7)), *blocks]).T), None
     if isinstance(result, InitialStateComparison):
         eg, ge = result.grid_eg.c_matrix.ravel(), result.grid_ge.c_matrix.ravel()
-        return _Table(("phi", "t", "c_from_eg", "c_from_ge", "abs_diff"),
-                      (*_grid_axes(result.grid_eg), eg, ge, np.abs(eg - ge)), {"max_abs_diff": result.max_abs_diff})
+        return (("phi", "t", "c_from_eg", "c_from_ge", "abs_diff"),
+                (*_grid_axes(result.grid_eg), eg, ge, np.abs(eg - ge)), {"max_abs_diff": result.max_abs_diff})
     if isinstance(result, CalibrationResult):
         lead = [((name, c.pattern, c.score, c.unresolved, c.matches_default), c)
                 for name, c in result.assignments.items()]
@@ -395,21 +390,21 @@ def _cells(column, fmt: str) -> list[str]:
 
 def serialize_results(result, fmt: str = "csv") -> bytes:
     """Render a result object to CSV or NDJSON bytes (deterministic)."""
-    table = _table(result, fmt)
+    header, columns, trailer = _table(result, fmt)
     if fmt == "csv":
-        head, join = ",".join(table.header) + "\n", ",".join
+        head, join = ",".join(header) + "\n", ",".join
     elif fmt == "ndjson":
         head = ""
-        join = ("{" + ",".join(json.dumps(h) + ":%s" for h in table.header) + "}").__mod__
+        join = ("{" + ",".join(json.dumps(h) + ":%s" for h in header) + "}").__mod__
     else:
         raise ValueError(f"unsupported format {fmt!r}")
     out = io.BytesIO()
     out.write(head.encode())
-    for lo in range(0, len(table.columns[0]), _BLOCK_ROWS):
-        cells = [_cells(c[lo:lo + _BLOCK_ROWS], fmt) for c in table.columns]
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = [_cells(c[lo:lo + _BLOCK_ROWS], fmt) for c in columns]
         out.write(("\n".join(map(join, zip(*cells))) + "\n").encode())
-    if fmt == "ndjson" and table.trailer is not None:
-        out.write((_emit_json(table.trailer) + "\n").encode())
+    if fmt == "ndjson" and trailer is not None:
+        out.write((_emit_json(trailer) + "\n").encode())
     return out.getvalue() or b"\n"  # an empty NDJSON stream is one newline
 
 
@@ -612,7 +607,7 @@ _COMMANDS = {
     "chirality-scan": _chirality_scan,
     "compare-initial": lambda spec: compare_initial_states(spec.layout(), spec.chirality(), _phi_grid(spec),
                                                            spec.time.linspace()),
-    "calibrate": lambda spec: calibrate_presets(gamma_total=spec.gamma, t_horizon=spec.time.stop),
+    "calibrate": lambda spec: calibrate_presets(),
 }
 _USAGE = "usage: giantatoms {%s} [--flag value | --flag=value]..." % ",".join(_COMMANDS)
 
@@ -625,8 +620,8 @@ def _help() -> str:
 
 
 def _run_command(command: str, spec: ExperimentSpec):
-    if command in ("find-max", "calibrate") and spec.time.start != 0:
-        raise ConfigValidationError("time.start", f"{command} scans t from 0 to time.stop; must be 0")
+    if command == "find-max" and spec.time.start != 0:
+        raise ConfigValidationError("time.start", "find-max scans t from 0 to time.stop; must be 0")
     if spec.fmt == "svg" and command != "sweep":
         raise ConfigValidationError("format", "svg output is only available for sweep grids")
     return _COMMANDS[command](spec)
@@ -636,7 +631,8 @@ def _require_finite(result) -> None:
     """Raise ValueError unless every number in the result's CSV table is
     finite; that table holds every number CSV, NDJSON or SVG output emits,
     so a run that exits 0 emits only finite values."""
-    if not all(np.isfinite(c).all() for c in _table(result).columns if isinstance(c, np.ndarray)):
+    _, columns, _ = _table(result)
+    if not all(np.isfinite(c).all() for c in columns if isinstance(c, np.ndarray)):
         raise ValueError("numerical overflow: the result holds non-finite values")
 
 

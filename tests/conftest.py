@@ -1,5 +1,5 @@
-"""Shared fixtures: independent brute-force oracles, sampling helpers and
-the one default calibration run.
+"""Shared fixtures: independent brute-force oracles, the trajectory plateau
+detector, sampling helpers and the one default calibration run.
 
 The oracle implementations here deliberately avoid the package's vectorized
 code paths (plain python loops, cmath) so they can serve as cross-checks.
@@ -7,11 +7,12 @@ code paths (plain python loops, cmath) so they can serve as cross-checks.
 import cmath
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from giantatoms import all_orderings, calibrate_presets, layout_from_pattern
+from giantatoms import Trajectory, all_orderings, calibrate_presets, layout_from_pattern
 
 
 def brute_force_coefficients(pos_a, pos_b, phi, gamma_r, gamma_l):
@@ -67,9 +68,51 @@ def brute_force_nonchiral(pos_a, pos_b, phi, gamma):
     return da, db, ga, gb, gamma_coll, g
 
 
+@dataclass(frozen=True)
+class SteadyStateReport:
+    """Whether and where a trajectory settles on a plateau."""
+
+    is_steady: bool
+    c_ss: float
+    settle_time: float
+
+
+# detect_steady: the plateau's length in time and the tolerance both of its
+# variation and of its floor
+_STEADY_WINDOW = 10.0
+_STEADY_TOL = 1e-3
+
+
+def detect_steady(traj: Trajectory) -> SteadyStateReport:
+    """Detect a concurrence plateau: a time T from which the concurrence
+    varies by less than _STEADY_TOL over [T, T + _STEADY_WINDOW] while
+    staying above _STEADY_TOL.
+
+    Requiring the whole window (not just its first sample) to sit above the
+    tolerance keeps slow decays that merely drift through the threshold from
+    registering as plateaus.  The trajectory must extend at least one window
+    beyond its start.  Only the trajectory's times and concurrence are read;
+    dark_modes(h, c0) gives the decay-mode analysis of the matrix and start
+    behind it.
+    """
+    t = traj.times
+    c = traj.concurrence
+    if t[-1] - t[0] < _STEADY_WINDOW:
+        raise ValueError(f"trajectory horizon {t[-1]} too short for window {_STEADY_WINDOW}")
+    limit = t[-1] - _STEADY_WINDOW
+    ends = np.searchsorted(t, t + _STEADY_WINDOW, side="right")
+    for i in range(t.size):
+        if t[i] > limit:
+            break
+        seg = c[i : max(ends[i], i + 2)]
+        if float(seg.min()) > _STEADY_TOL and float(seg.max() - seg.min()) < _STEADY_TOL:
+            return SteadyStateReport(True, float(seg.mean()), float(t[i]))
+    return SteadyStateReport(False, 0.0, math.nan)
+
+
 @pytest.fixture(scope="session")
 def calibration():
-    """calibrate_presets() at its defaults and its wall time in seconds: one
+    """calibrate_presets() and its wall time in seconds: one
     run for the acceptance suite and the calibration tests."""
     start = time.perf_counter()
     result = calibrate_presets()

@@ -281,6 +281,15 @@ def test_evolve_broadcast_grid_matches_rows_and_cells(per_row_starts):
             cell = _evolve(*m[i], starts[i, 0], starts[i, 1], times[j : j + 1])
             assert all(g[i, j].tobytes() == c[0].tobytes() for g, c in zip(grid, cell))
 
+    # a grid of one row has (1, 1) entries: its row constants must round as
+    # a row's, also against a shared start with four nonzero parts
+    for i in range(len(rows)):
+        start = starts[i] if per_row_starts else (0.36 + 0.48j, 0.48 + 0.64j)
+        c1, c2 = (starts[i : i + 1, k, None] for k in range(2)) if per_row_starts else start
+        lone = _evolve(*(m[i : i + 1, k, None] for k in range(4)), c1, c2, times[None, :])
+        row = _evolve(*m[i], *start, times)
+        assert all(g[0].tobytes() == r.tobytes() for g, r in zip(lone, row))
+
 
 _ONE = ("0x1.0000000000000p+0", "0x0.0p+0")
 _NAN = ("nan", "nan")

@@ -25,7 +25,6 @@ from giantatoms import (
     coefficients,
     compare_initial_states,
     dark_modes,
-    detect_steady,
     evaluate_concurrence,
     find_max,
     find_special_phases,
@@ -53,7 +52,7 @@ from giantatoms.experiments import (
     layout_from_pattern,
 )
 
-from conftest import brute_force_nonchiral
+from conftest import brute_force_nonchiral, detect_steady
 
 SQRT3 = math.sqrt(3.0)
 NONCHIRAL = ChiralitySpec(1.0, 0.0)
@@ -434,13 +433,17 @@ def test_scan_matches_exact_propagator_without_evolve(monkeypatch, pattern, chi,
 @pytest.mark.parametrize("pattern, chi", [("abaabb", 0.37), ("aaabbb", 1.0)])
 def test_sweep_does_not_depend_on_block_size(monkeypatch, pattern, chi):
     # one block of all 101 rows puts 40 501 cells into one _evolve call, past
-    # numpy's in-place size for complex temporaries (16 384); one row does not
-    args = (layout_from_pattern(pattern), ChiralitySpec(1.0, chi), InitialState(0.6, 0.8j),
-            np.linspace(0.0, 2 * math.pi, 101), np.linspace(0.0, 50.0, 401))
-    grid = sweep(*args).c_matrix
+    # numpy's in-place size for complex temporaries (16 384); one row does not.
+    # A block of one row must round its row constants as the others do; only
+    # a start with all four parts nonzero makes those products inexact
+    runs = [(layout_from_pattern(pattern), ChiralitySpec(1.0, chi), c0,
+             np.linspace(0.0, 2 * math.pi, 101), np.linspace(0.0, 50.0, 401))
+            for c0 in (InitialState(0.6, 0.8j), InitialState(0.36 + 0.48j, 0.48 + 0.64j))]
+    grids = [sweep(*args).c_matrix for args in runs]
     for rows in (1, 101):
         monkeypatch.setattr(experiments, "_SCAN_CELLS", rows * 401)
-        assert sweep(*args).c_matrix.tobytes() == grid.tobytes()
+        for args, grid in zip(runs, grids):
+            assert sweep(*args).c_matrix.tobytes() == grid.tobytes()
 
 
 _PLAIN_SCANS = [

@@ -453,6 +453,20 @@ def test_cli_evolve_decoupled(tmp_path):
         assert abs(conc) < 1e-12
 
 
+@pytest.mark.parametrize("preset", ["partially_braided", "fully_nested"])
+def test_cli_sweep_prints_the_concurrence_evolve_prints(capsysbinary, preset):
+    # a one-phase sweep is a block of one row; each of its cells must print
+    # the bits evolve prints at that phase, here from a start whose four
+    # parts are all nonzero, so that no complex product is exact
+    args = ["--preset", preset, "--chi", "0.37", "--phi", "1.3", "--t", "0:50:2001", "--initial=0.36,0.48,0.48,0.64"]
+    columns = []
+    for command in ("sweep", "evolve"):
+        assert cli_main([command, *args]) == 0
+        columns.append([row.rsplit(b",", 1)[1] for row in capsysbinary.readouterr().out.splitlines()])
+    assert columns[0][0] == columns[1][0] == b"concurrence"
+    assert len(columns[0]) == 2002 and columns[0] == columns[1]
+
+
 def test_cli_svg_output(tmp_path):
     out = tmp_path / "fb.svg"
     code = cli_main(["sweep", "--preset", "fully_braided", "--phi", "0:6.283:9",
@@ -742,13 +756,12 @@ def test_cli_find_max_reads_only_time_stop(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("command", ["find-max", "calibrate"])
-def test_cli_scans_from_zero_reject_time_start(capsysbinary, tmp_path, command):
-    # both commands scan t over [0, time.stop]; another start is an error,
-    # not a silent [0, time.stop] scan
+def test_cli_find_max_rejects_time_start(capsysbinary, tmp_path):
+    # find-max scans t over [0, time.stop]; another start is an error, not a
+    # silent [0, time.stop] scan
     out = tmp_path / "x.csv"
-    assert cli_main([command, "--preset", "separated", "--t", "5:20:11"]) == 1
-    assert cli_main([command, "--preset", "separated", "--t", "5:20:11", "--out", str(out)]) == 1
+    assert cli_main(["find-max", "--preset", "separated", "--t", "5:20:11"]) == 1
+    assert cli_main(["find-max", "--preset", "separated", "--t", "5:20:11", "--out", str(out)]) == 1
     captured = capsysbinary.readouterr()
     assert captured.out == b""
     assert b"invalid field 'time.start'" in captured.err
@@ -814,15 +827,18 @@ def test_cli_calibrate_needs_no_layout(monkeypatch, tmp_path):
 
     calls = []
 
-    def stub(**kwargs):
-        calls.append(kwargs)
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
         return CalibrationResult({}, {})
 
+    # calibrate searches at its targets' one setting: no study field reaches
+    # it, not even a rate or a time grid that find-max would reject
     monkeypatch.setattr(io_cli, "calibrate_presets", stub)
     out = tmp_path / "calibration.ndjson"
     assert cli_main(["calibrate", "--format", "ndjson", "--out", str(out)]) == 0
     assert cli_main(["calibrate", "--preset", "separated", "--format", "ndjson", "--out", str(out)]) == 0
-    assert calls == [{"gamma_total": 1.0, "t_horizon": 50.0}] * 2
+    assert cli_main(["calibrate", "--gamma", "2", "--t", "5:20:11", "--out", str(out)]) == 0
+    assert calls == [((), {})] * 3
 
 
 # --- flags and config documents accept and reject alike -----------------------
