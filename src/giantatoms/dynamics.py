@@ -126,7 +126,11 @@ def _cos_sinc(z):
 
 
 def _evolve(m11, m12, m21, m22, c1, c2, t):
-    """Apply exp(-i m t) to (c1, c2), broadcasting over every argument.
+    """Apply exp(-i m t) to (c1, c2).
+
+    Matrix entries and starts are scalars or 1-d arrays, one element per
+    row; the times broadcast against them: a 1-d array along one row, or
+    times[:, None] for a times x rows grid.
 
     Writes exp(-i m t) = e^{-i mu t} [cos(z) I - i t sinc(z) (m - mu I)] with
     mu the mean eigenvalue, s^2 the squared half-splitting and z = s t; for
@@ -146,26 +150,11 @@ def _evolve(m11, m12, m21, m22, c1, c2, t):
     differently from a * b: a cell's last bit would depend on how many
     cells share the call. None writes into an operand (out=), as numpy
     rounds such a product of one-element arrays differently too.
-
-    Matrix entries of more than one dimension form the row constants on one
-    flat row axis, a one-element start as given, and reshape them after:
-    numpy rounds a complex product of a (1, 1) and a (1,) operand unlike the
-    1-d products of every other call, so a grid's lone row would not have
-    the bits of its point evaluation. 1-d entries skip this, at no cost to
-    the refinement's calls.
     """
-    entries = [np.atleast_1d(np.asarray(x, dtype=complex)) for x in (m11, m12, m21, m22, c1, c2)]
-    shape = None
-    if entries[0].ndim > 1:
-        shape = np.broadcast_shapes(*(x.shape for x in entries))
-        entries = [x.reshape(-1) if x.size == 1 else np.broadcast_to(x, shape).reshape(-1) for x in entries]
-    m11, m12, m21, m22, c1, c2 = entries
+    m11, m12, m21, m22, c1, c2 = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (m11, m12, m21, m22, c1, c2))
     mu, dd, s = eigen_split(m11, m12, m21, m22)
     d1 = dd * c1 + m12 * c2  # (m - mu I) @ c
     d2 = m21 * c1 - dd * c2
-    if shape is not None:
-        size = math.prod(shape)
-        mu, s, c1, c2, d1, d2 = (x.reshape(shape) if x.size == size else x for x in (mu, s, c1, c2, d1, d2))
     mu, s, c1, c2, d1, d2, t = np.broadcast_arrays(mu, s, c1, c2, d1, d2, np.asarray(t, dtype=complex))
     z = s * t
 
@@ -323,18 +312,22 @@ def dark_modes(h: EffectiveHamiltonian, c0: InitialState) -> ModeReport:
     state is projected onto it through the left (dual) eigenvector and the
     plateau concurrence follows from the surviving amplitudes.
     """
-    m = h.matrix
+    # scaled exactly by a power of two to a largest entry in [1/2, 1), so
+    # eigen_split's products neither underflow nor overflow at any rate scale
+    exp = math.frexp(float(np.max(np.abs(h.matrix))))[1]
+    m = np.ldexp(np.ascontiguousarray(h.matrix, complex).view(float), -exp).view(complex)
     mu, _, s = eigen_split(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
     lam1, lam2 = mu + s, mu - s
+    eigenvalues = tuple(complex(math.ldexp(lam.real, exp), math.ldexp(lam.imag, exp)) for lam in (lam1, lam2))
     scale = float(np.max(np.abs(m)))
     thr = _DARK_TOL * scale if scale > 0 else _DARK_TOL
     real_flags = [abs(lam.imag) < thr for lam in (lam1, lam2)]
     n_real = sum(real_flags)
 
     if n_real == 2:
-        return ModeReport((complex(lam1), complex(lam2)), ModeClass.PERSISTENT_OSCILLATION, None)
+        return ModeReport(eigenvalues, ModeClass.PERSISTENT_OSCILLATION, None)
     if n_real == 0:
-        return ModeReport((complex(lam1), complex(lam2)), ModeClass.DECAYS_TO_ZERO, 0.0)
+        return ModeReport(eigenvalues, ModeClass.DECAYS_TO_ZERO, 0.0)
 
     lam = lam1 if real_flags[0] else lam2
     # Right eigenvector and left (row) eigenvector of lam; pick the
@@ -346,12 +339,12 @@ def dark_modes(h: EffectiveHamiltonian, c0: InitialState) -> ModeReport:
     c0_vec = np.array([c0.c_eg, c0.c_ge])
     denom = w @ r
     if denom == 0:
-        return ModeReport((complex(lam1), complex(lam2)), ModeClass.STEADY_PLATEAU, 0.0)
+        return ModeReport(eigenvalues, ModeClass.STEADY_PLATEAU, 0.0)
     p = r * ((w @ c0_vec) / denom)
     overlap = float(abs(w @ c0_vec) / (np.linalg.norm(w) * np.linalg.norm(c0_vec)))
     c_ss = concurrence_values(p[:1], p[1:])[0]
     return ModeReport(
-        (complex(lam1), complex(lam2)),
+        eigenvalues,
         ModeClass.STEADY_PLATEAU,
         float(c_ss),
         overlap,

@@ -130,15 +130,13 @@ def _m_components(cfg, gamma_r, gamma_l, phis):
 
 def _concurrence_matrix(cfg, chirality, c0, phis, ts):
     """Exact concurrence over phis x ts, in blocks of as many phase rows as
-    the scan's cell budget (_SCAN_CELLS) holds, and at least one."""
-    gamma_r, gamma_l = rates_from_chirality(chirality)
-    m = _m_components(cfg, gamma_r, gamma_l, phis)
+    the scan's cell budget (_SCAN_CELLS) holds, and at least one; a block is
+    one point-evaluator call (_point_amplitudes) over times x rows."""
     out = np.empty((phis.size, ts.size), dtype=float)
     rows = max(1, _SCAN_CELLS // ts.size)
     for lo in range(0, phis.size, rows):
-        m11, m12, m21, m22 = (x[lo : lo + rows, None] for x in m)
-        c1, c2 = _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, ts[None, :])
-        out[lo : lo + rows] = concurrence_values(c1, c2)
+        c1, c2 = _point_amplitudes(cfg, chirality, c0, phis[lo : lo + rows])(ts[:, None])
+        out[lo : lo + rows] = concurrence_values(c1, c2).T
     return out
 
 
@@ -409,8 +407,9 @@ def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
 
 
 def _point_amplitudes(cfg, chirality, c0, phis):
-    """Exact amplitudes (c_eg, c_ge) at the array of phases phis, as a
-    function of a float array of times broadcast against phis.
+    """Exact amplitudes (c_eg, c_ge) at the 1-d array of phases phis, as a
+    function of a float array of times broadcast against phis (ts[:, None]
+    gives a times x phases grid).
 
     The effective matrix is built once, here; each call of the function is
     one _evolve call. An element has the bits of the same point evaluated
@@ -635,8 +634,6 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
 class ChiralityScanResult:
     """Trajectories at one phase over a chirality grid."""
 
-    phi: float
-    gamma_total: float
     chis: tuple[float, ...]
     trajectories: tuple[Trajectory, ...]
 
@@ -649,7 +646,7 @@ def chirality_scan(cfg, phi, chi_values, c0, t_grid, gamma_total: float = 1.0) -
     """
     trajs = tuple(trajectory(_heff_at(cfg, ChiralitySpec(gamma_total, chi), phi), c0, t_grid)
                   for chi in chi_values)
-    return ChiralityScanResult(phi, gamma_total, tuple(float(c) for c in chi_values), trajs)
+    return ChiralityScanResult(tuple(float(c) for c in chi_values), trajs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -368,8 +368,6 @@ def _table(result, fmt: str = "csv") -> tuple:
         return _row_table(_CAL_HEADER + ("target", "computed", "residual"),
                           [row + (label, value, c.residuals[label])
                            for row, c in lead for label, value in c.values.items()], _CAL_TEXT)
-    if isinstance(result, CoefficientSet):
-        result = [(math.nan, result)]
     if isinstance(result, (list, tuple)):
         if all(isinstance(x, SpecialPhase) for x in result):
             return _row_table(("phi", "kind"), [(sp.phi, sp.kind.value) for sp in result], ("kind",))
@@ -672,7 +670,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, LayoutError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

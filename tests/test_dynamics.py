@@ -7,6 +7,7 @@ from giantatoms import (
     AmplitudePair,
     ChiralitySpec,
     CoefficientSet,
+    EffectiveHamiltonian,
     InitialState,
     INITIAL_EG,
     INITIAL_GE,
@@ -254,10 +255,11 @@ def test_long_cascade_trajectory_matches_pointwise_propagation():
 
 @pytest.mark.parametrize("per_row_starts", [True, False])
 def test_evolve_broadcast_grid_matches_rows_and_cells(per_row_starts):
-    # the row constants are computed before broadcasting; a (R, 1) x (1, T)
-    # grid must equal one call per row (a trajectory: 0-d matrix, times
-    # vector) and one call per cell, in every branch, with per-row starts (as
-    # c09 and c10 use) or one shared start (as sweep and the scan use)
+    # the row constants are computed before broadcasting; a times x rows grid
+    # (1-d entries, times[:, None]) must equal one call per row (a trajectory:
+    # 0-d matrix, times vector) and one call per cell, in every branch, with
+    # per-row starts (as c09 and c10 use) or one shared start (as sweep and
+    # the scan use)
     named = [("aaabbb", 1.0, 1.0), ("aaabbb", 0.0, 0.3), ("abaabb", 0.37, 2.0), ("ababab", 0.8, 4.4)]
     rng = np.random.default_rng(11)
     rows = named + [(p, rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)) for p in all_orderings() * 15]
@@ -271,24 +273,24 @@ def test_evolve_broadcast_grid_matches_rows_and_cells(per_row_starts):
     assert np.any(z < 1e-6) and np.any((z >= 1e-6) & (z <= 1.0)) and np.any(z > 1.0)
     assert np.all(eigen_split(*m[0])[2] == 0)  # the cascade row: series branch throughout
 
-    c1, c2 = (starts[:, k, None] for k in range(2)) if per_row_starts else (0.6, 0.8j)
-    grid = _evolve(*(m[:, k, None] for k in range(4)), c1, c2, times[None, :])
+    c1, c2 = starts.T if per_row_starts else (0.6, 0.8j)
+    grid = _evolve(*m.T, c1, c2, times[:, None])
     for i in range(len(rows)):
         row = _evolve(*m[i], starts[i, 0], starts[i, 1], times)
-        assert all(g[i].tobytes() == r.tobytes() for g, r in zip(grid, row))
+        assert all(g[:, i].tobytes() == r.tobytes() for g, r in zip(grid, row))
     for i in range(len(named)):
         for j in range(times.size):
             cell = _evolve(*m[i], starts[i, 0], starts[i, 1], times[j : j + 1])
-            assert all(g[i, j].tobytes() == c[0].tobytes() for g, c in zip(grid, cell))
+            assert all(g[j, i].tobytes() == c[0].tobytes() for g, c in zip(grid, cell))
 
-    # a grid of one row has (1, 1) entries: its row constants must round as
-    # a row's, also against a shared start with four nonzero parts
+    # a grid of one row has one-element entries: its row constants must round
+    # as a row's, also against a shared start with four nonzero parts
     for i in range(len(rows)):
         start = starts[i] if per_row_starts else (0.36 + 0.48j, 0.48 + 0.64j)
-        c1, c2 = (starts[i : i + 1, k, None] for k in range(2)) if per_row_starts else start
-        lone = _evolve(*(m[i : i + 1, k, None] for k in range(4)), c1, c2, times[None, :])
+        c1, c2 = starts[i : i + 1].T if per_row_starts else start
+        lone = _evolve(*m[i : i + 1].T, c1, c2, times[:, None])
         row = _evolve(*m[i], *start, times)
-        assert all(g[0].tobytes() == r.tobytes() for g, r in zip(lone, row))
+        assert all(g[:, 0].tobytes() == r.tobytes() for g, r in zip(lone, row))
 
 
 _ONE = ("0x1.0000000000000p+0", "0x0.0p+0")
@@ -337,10 +339,18 @@ def test_eigenvalues_match_numpy():
 
 
 def test_dark_modes_plateau():
-    report = dark_modes(heff_for("separated", math.pi / 3), INITIAL_EG)
+    h = heff_for("separated", math.pi / 3)
+    report = dark_modes(h, INITIAL_EG)
     assert report.classification is ModeClass.STEADY_PLATEAU
     assert report.predicted_c_ss == pytest.approx(0.5, abs=1e-12)
     assert abs(report.dark_projection.c_eg) == pytest.approx(0.5, abs=1e-12)
+    # a power-of-two rate scale far past where a product of two entries
+    # under- or overflows scales the eigenvalues and nothing else
+    for scale in (2.0**-600, 2.0**600):
+        scaled = dark_modes(EffectiveHamiltonian(h.matrix * scale), INITIAL_EG)
+        assert scaled.classification is report.classification, scale
+        assert scaled.predicted_c_ss.hex() == report.predicted_c_ss.hex(), scale
+        assert scaled.eigenvalues == tuple(lam * scale for lam in report.eigenvalues), scale
 
 
 def test_dark_modes_oscillation():

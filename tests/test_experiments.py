@@ -1010,12 +1010,13 @@ def test_special_phase_counts_are_pinned(coefficient_oracle):
 
 def test_special_phases_do_not_depend_on_gamma_total():
     # neither polynomial holds gamma and every rule scales with it, so the phases
-    # and kinds are those at gamma 1, bit for bit
+    # and kinds are those at gamma 1, bit for bit, also where a product of two
+    # rates under- or overflows
     for pattern in all_orderings():
         cfg = layout_from_pattern(pattern)
         for chi in (0.0, 0.5, 1.0):
             unit = find_special_phases(cfg, ChiralitySpec(1.0, chi))
-            for gamma in (0.3, 2.5, 1e3):
+            for gamma in (0.3, 2.5, 1e3, 1e-170, 1e170):
                 phases = find_special_phases(cfg, ChiralitySpec(gamma, chi))
                 bits = [(p.phi.hex(), p.kind) for p in phases]
                 assert bits == [(p.phi.hex(), p.kind) for p in unit], (pattern, chi, gamma)

@@ -232,11 +232,10 @@ def edge_results():
     return {
         "sweep": grid_a,
         "trajectory": edge_trajectory([-0.0, 5e-324]),
-        "coefficients": coeff,
         "coefficient_list": [(-0.0, coeff), (2.0**53, coeff)],
         "max": MaxResult(1 / 3, -0.0, 1e20, AmplitudePair(complex(5e-324, -0.0), complex(2.0**53, 0.5))),
         "chirality_scan": ChiralityScanResult(
-            1.0, 1.0, (-0.0, 1.0), (edge_trajectory([0.0]), edge_trajectory([1.0, 2.0**53]))),
+            (-0.0, 1.0), (edge_trajectory([0.0]), edge_trajectory([1.0, 2.0**53]))),
         "comparison": InitialStateComparison(grid_a, grid_b, 1e20),
         "calibration": CalibrationResult({"separated": separated, "fully_braided": braided}, {}),
         "special_phases": [SpecialPhase(-0.0, PhaseKind.DECOUPLED),
@@ -270,9 +269,6 @@ PINNED_BYTES = {
         b"-0," + _AMPS_CSV + _TINY + b"," + _AMPS_CSV,
     ("trajectory", "ndjson"):
         b'{"t":-0.0,' + _AMPS_JSON + b'{"t":' + _TINY + b"," + _AMPS_JSON,
-    ("coefficients", "csv"):
-        b"phi,delta_a,delta_b,gamma_a,gamma_b,gcoll_re,gcoll_im,g_re,g_im\nnan," + _COEFF_CSV,
-    ("coefficients", "ndjson"): b'{"phi":nan,' + _COEFF_JSON,
     ("coefficient_list", "csv"):
         b"phi,delta_a,delta_b,gamma_a,gamma_b,gcoll_re,gcoll_im,g_re,g_im\n"
         b"-0," + _COEFF_CSV + b"9007199254740992," + _COEFF_CSV,
@@ -329,12 +325,8 @@ def test_serialized_bytes_are_pinned(name, fmt):
 
 
 def test_finite_check_reads_every_emitted_number():
-    for name, result in edge_results().items():
-        if name == "coefficients":  # a bare set emits phi as nan
-            with pytest.raises(ValueError, match="overflow"):
-                _require_finite(result)
-        else:
-            _require_finite(result)
+    for result in edge_results().values():
+        _require_finite(result)
     # calibration NDJSON nests values/residuals; the CSV table carries them
     cal = ConfigCalibration("aaabbb", 0.0, {"x": 0.0}, {"x": math.inf}, True, False, True)
     for bad in (CalibrationResult({"separated": cal}, {}), edge_trajectory([math.nan])):
