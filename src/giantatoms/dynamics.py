@@ -83,13 +83,26 @@ def eigen_split(m11, m12, m21, m22):
 
     m12 * m21 is formed from real products, which commute, so exchanging m12
     and m21 (the atom label swap) keeps its bits; numpy's complex multiply
-    kernels can round a*b and b*a differently."""
+    kernels can round a*b and b*a differently. The products are formed on
+    each row scaled exactly, by its own power of two, to a largest entry in
+    [1/2, 1), so none under- or overflows and no row's bits depend on another."""
     mu = 0.5 * (m11 + m22)
     dd = 0.5 * (m11 - m22)
-    off = np.empty(np.broadcast(m12, m21).shape, complex)
-    off.real = m12.real * m21.real - m12.imag * m21.imag
-    off.imag = m12.real * m21.imag + m12.imag * m21.real
-    return mu, dd, np.sqrt(dd * dd + off)
+    k = -np.frexp(np.maximum(np.maximum(np.abs(dd), np.abs(m12)), np.abs(m21)))[1]
+    a = _ldexp(dd, k)
+    br, bi, cr, ci = (np.ldexp(x, k) for x in (m12.real, m12.imag, m21.real, m21.imag))
+    off = np.empty_like(a)
+    off.real = br * cr - bi * ci
+    off.imag = br * ci + bi * cr
+    return mu, dd, _ldexp(np.sqrt(a * a + off), -k)
+
+
+def _ldexp(z, k):
+    """z * 2**k for complex z, shaped as k: exact while the result is normal."""
+    out = np.empty(np.shape(k), complex)
+    np.ldexp(z.real, k, out=out.real)
+    np.ldexp(z.imag, k, out=out.imag)
+    return out
 
 
 def spectral_weights(s, c1, c2, d1, d2):
@@ -312,8 +325,8 @@ def dark_modes(h: EffectiveHamiltonian, c0: InitialState) -> ModeReport:
     state is projected onto it through the left (dual) eigenvector and the
     plateau concurrence follows from the surviving amplitudes.
     """
-    # scaled exactly by a power of two to a largest entry in [1/2, 1), so
-    # eigen_split's products neither underflow nor overflow at any rate scale
+    # scaled exactly by a power of two to a largest entry in [1/2, 1), so the
+    # eigenvector products neither underflow nor overflow at any rate scale
     exp = math.frexp(float(np.max(np.abs(h.matrix))))[1]
     m = np.ldexp(np.ascontiguousarray(h.matrix, complex).view(float), -exp).view(complex)
     mu, _, s = eigen_split(m[0, 0], m[0, 1], m[1, 0], m[1, 1])

@@ -25,12 +25,14 @@ A command line is a command, then flags spelled in full: --name value or
 --name=value. A flag's value is the next token, even one starting with "-";
 a repeated flag keeps its last value. Each flag is the text of one config
 field, laid over the --config document and checked with it, so it accepts
-exactly what that field accepts; --layout-a/-b win over --preset. --help or
--h prints this text. find-max scans t over [0, time.stop] (time.start = 0)
-on a grid of 4001 times; it ignores time.count. calibrate searches at the
-setting of its benchmark maxima (gamma = 1, t over [0, 50]) on that same
-grid; it uses only the output format and path, and checks but ignores every
-other field.
+exactly what that field accepts; --layout-a/-b win over --preset. A field
+is checked by the model type it builds (gamma, chi and chis a ChiralitySpec,
+time.start the time rule), with its message. chis defaults to
+0,0.25,0.5,0.75,1. --help or -h prints this text. find-max scans t over
+[0, time.stop] (time.start = 0) on a grid of 4001 times; it ignores
+time.count. calibrate searches at the setting of its benchmark maxima
+(gamma = 1, t over [0, 50]) on that same grid; it uses only the output
+format and path, and checks but ignores every other field.
 
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
 error, numerical overflow or a grid too large to allocate, 2 I/O error, 3
@@ -48,7 +50,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet, _coefficient_arrays
-from .dynamics import PhysicalityError, Trajectory, trajectory
+from .dynamics import PhysicalityError, Trajectory, _times, trajectory
 from .experiments import (
     CalibrationResult,
     ChiralityScanResult,
@@ -69,7 +71,6 @@ from .model import (
     ChiralitySpec,
     InitialState,
     INITIAL_STATES,
-    LayoutError,
     Preset,
     make_layout,
     make_preset,
@@ -144,7 +145,7 @@ class ExperimentSpec:
     phi: float | GridRange = GridRange(0.0, TWO_PI, 2001)
     time: GridRange = GridRange(0.0, 50.0, 2001)
     initial: str | tuple[float, float, float, float] = "eg"
-    chis: tuple[float, ...] | None = None
+    chis: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     out: str | None = None
     fmt: str = "csv"
 
@@ -174,8 +175,7 @@ class ExperimentSpec:
         doc["phi"] = asdict(self.phi) if isinstance(self.phi, GridRange) else self.phi
         doc["time"] = asdict(self.time)
         doc["initial"] = self.initial if isinstance(self.initial, str) else list(self.initial)
-        if self.chis is not None:
-            doc["chis"] = list(self.chis)
+        doc["chis"] = list(self.chis)
         if self.out is not None:
             doc["out"] = self.out
         doc["format"] = self.fmt
@@ -186,12 +186,16 @@ def serialize_spec(spec: ExperimentSpec) -> bytes:
     return (_emit_json(spec.to_document()) + "\n").encode()
 
 
-_POSITIVE = ("must be positive", lambda x: x > 0)
-_UNIT = ("must lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+def _checked(field: str, build, *args):
+    """build(*args), the model type's ValueError reported as the field's."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigValidationError(field, str(exc)) from None
 
 
-def _as_float(field: str, v, rule: str = "", ok=lambda x: True) -> float:
-    """A document number as a finite float in the field's range `ok`."""
+def _as_float(field: str, v) -> float:
+    """A document number as a finite float."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigValidationError(field, f"expected a number, got {v!r}")
     try:
@@ -200,12 +204,10 @@ def _as_float(field: str, v, rule: str = "", ok=lambda x: True) -> float:
         v = math.inf
     if not math.isfinite(v):
         raise ConfigValidationError(field, "must be finite")
-    if not ok(v):
-        raise ConfigValidationError(field, rule)
     return v
 
 
-def _parse_grid(field: str, v, t0_min=None) -> GridRange:
+def _parse_grid(field: str, v) -> GridRange:
     if not isinstance(v, dict) or set(v) != {"start", "stop", "count"}:
         raise ConfigValidationError(field, "expected {start, stop, count}")
     start = _as_float(field + ".start", v["start"])
@@ -216,8 +218,6 @@ def _parse_grid(field: str, v, t0_min=None) -> GridRange:
         raise ConfigValidationError(field + ".count", f"must be at most {np.iinfo(np.intp).max}")
     if stop < start:
         raise ConfigValidationError(field, "stop must be >= start")
-    if t0_min is not None and start < t0_min:
-        raise ConfigValidationError(field + ".start", f"must be >= {t0_min}")
     return GridRange(start, stop, v["count"])
 
 
@@ -232,11 +232,9 @@ def _load_document(text: str) -> dict:
 
 
 def parse_experiment_config(text: str) -> ExperimentSpec:
-    """Parse and validate a JSON experiment document, applying defaults."""
-    doc = _load_document(text)
-    if "layout" not in doc:
-        raise ConfigValidationError("layout", "required")
-    return _spec_from_document(doc)
+    """Parse and validate a JSON experiment document, applying defaults, as
+    --config reads it: a missing layout is reported when a study asks for it."""
+    return _spec_from_document(_load_document(text))
 
 
 def _spec_from_document(doc: dict) -> ExperimentSpec:
@@ -250,26 +248,20 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
     positions = None
     layout = doc.get("layout")
     if isinstance(layout, str):
-        try:
-            preset = Preset(layout)
-        except ValueError:
-            raise ConfigValidationError("layout", f"unknown preset {layout!r}") from None
+        preset = _checked("layout", Preset, layout)
     elif isinstance(layout, dict) and set(layout) == {"a", "b"}:
         for key in ("a", "b"):
             pts = layout[key]
             if not isinstance(pts, list) or not all(isinstance(p, int) and not isinstance(p, bool) for p in pts):
                 raise ConfigValidationError(f"layout.{key}", "expected a list of integers")
         positions = (tuple(sorted(layout["a"])), tuple(sorted(layout["b"])))
-        try:
-            make_layout(*positions)
-        except LayoutError as exc:
-            raise ConfigValidationError("layout", str(exc)) from None
+        _checked("layout", make_layout, *positions)
     elif "layout" in doc:
         raise ConfigValidationError("layout", "expected a preset name or {a: [...], b: [...]}")
 
     defaults = ExperimentSpec()
-    gamma = _as_float("gamma", doc.get("gamma", defaults.gamma), *_POSITIVE)
-    chi = _as_float("chi", doc.get("chi", defaults.chi), *_UNIT)
+    gamma = _checked("gamma", ChiralitySpec, _as_float("gamma", doc.get("gamma", defaults.gamma))).gamma_total
+    chi = _checked("chi", ChiralitySpec, gamma, _as_float("chi", doc.get("chi", defaults.chi))).chi
 
     phi_doc = doc.get("phi")
     if phi_doc is None:
@@ -280,23 +272,20 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
         phi = _as_float("phi", phi_doc)
 
     time_doc = doc.get("time")
-    time = defaults.time if time_doc is None else _parse_grid("time", time_doc, t0_min=0.0)
+    time = defaults.time if time_doc is None else _parse_grid("time", time_doc)
+    _checked("time.start", _times, "time.start", time.start)
 
     initial = doc.get("initial", defaults.initial)
     if isinstance(initial, list) and len(initial) == 4:
         initial = tuple(_as_float("initial", v) for v in initial)
-        try:
-            InitialState(complex(*initial[:2]), complex(*initial[2:]))
-        except ValueError as exc:
-            raise ConfigValidationError("initial", str(exc)) from None
+        _checked("initial", InitialState, complex(*initial[:2]), complex(*initial[2:]))
     elif not isinstance(initial, str) or initial not in INITIAL_STATES:
         raise ConfigValidationError("initial", "expected 'eg', 'ge' or [re, im, re, im]")
 
-    chis = None
-    if "chis" in doc:
-        if not isinstance(doc["chis"], list) or not doc["chis"]:
-            raise ConfigValidationError("chis", "expected a non-empty list of numbers")
-        chis = tuple(_as_float("chis", v, *_UNIT) for v in doc["chis"])
+    chis = doc.get("chis", list(defaults.chis))
+    if not isinstance(chis, list) or not chis:
+        raise ConfigValidationError("chis", "expected a non-empty list of numbers")
+    chis = tuple(_checked("chis", ChiralitySpec, gamma, _as_float("chis", v)).chi for v in chis)
 
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
@@ -586,13 +575,6 @@ def _find_max(spec: ExperimentSpec):
                     t_horizon=spec.time.stop, phi_points=phi_points)
 
 
-def _chirality_scan(spec: ExperimentSpec):
-    cfg = spec.layout()
-    chis = spec.chis if spec.chis is not None else (0.0, 0.25, 0.5, 0.75, 1.0)
-    return chirality_scan(cfg, _scalar_phi(spec), chis, spec.initial_state(), spec.time.linspace(),
-                          gamma_total=spec.gamma)
-
-
 # Every command, in --help order, and the study it runs on the validated spec
 _COMMANDS = {
     "coeffs": _coeffs,
@@ -602,7 +584,8 @@ _COMMANDS = {
                                 spec.time.linspace()),
     "find-max": _find_max,
     "special-phases": lambda spec: find_special_phases(spec.layout(), spec.chirality(), spec.initial_state()),
-    "chirality-scan": _chirality_scan,
+    "chirality-scan": lambda spec: chirality_scan(spec.layout(), _scalar_phi(spec), spec.chis, spec.initial_state(),
+                                                  spec.time.linspace(), gamma_total=spec.gamma),
     "compare-initial": lambda spec: compare_initial_states(spec.layout(), spec.chirality(), _phi_grid(spec),
                                                            spec.time.linspace()),
     "calibrate": lambda spec: calibrate_presets(),

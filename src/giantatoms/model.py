@@ -121,6 +121,8 @@ class ChiralitySpec:
     def __post_init__(self):
         if not (0 < self.gamma_total < math.inf):
             raise ValueError(f"gamma_total must be positive and finite, got {self.gamma_total}")
+        if 0.5 * self.gamma_total == 0:  # rates_from_chirality's first product
+            raise ValueError(f"gamma_total {self.gamma_total} is too small: its split into two rates underflows to 0")
         if not (0.0 <= self.chi <= 1.0):
             raise ValueError(f"chi must lie in [0, 1], got {self.chi}")
 

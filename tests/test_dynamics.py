@@ -253,6 +253,25 @@ def test_long_cascade_trajectory_matches_pointwise_propagation():
         assert traj.concurrence[k] == concurrence(single), k
 
 
+@pytest.mark.parametrize("exp", [600, -600])
+def test_eigen_split_is_exact_under_power_of_two_scaling(exp):
+    # s of a matrix scaled by 2**exp is the unscaled s times 2**exp, bit for
+    # bit: the products that would over- or underflow at that scale are
+    # formed on entries scaled back to [1/2, 1), each row by its own scale,
+    # so a row alone gives the bits it gives among other rows
+    rng = np.random.default_rng(5)
+    rows = [(p, chi, rng.uniform(0, 2 * math.pi)) for p in all_orderings() for chi in (0.0, rng.uniform(0, 1), 1.0)]
+    m = np.array([_m_components(layout_from_pattern(p), *rates_from_chirality(ChiralitySpec(1.0, chi)),
+                                np.array([phi])) for p, chi, phi in rows])[:, :, 0]  # (R, 4)
+    scaled = np.ldexp(m.view(float), exp).view(complex)
+    s = eigen_split(*m.T)[2]
+    s_scaled = eigen_split(*scaled.T)[2]
+    assert np.all(np.isfinite(s_scaled)) and np.any(s_scaled != 0)
+    assert s_scaled.tobytes() == np.ldexp(s.view(float), exp).view(complex).tobytes()
+    for i in range(len(rows)):
+        assert eigen_split(*scaled[i:i + 1].T)[2].tobytes() == s_scaled[i:i + 1].tobytes()
+
+
 @pytest.mark.parametrize("per_row_starts", [True, False])
 def test_evolve_broadcast_grid_matches_rows_and_cells(per_row_starts):
     # the row constants are computed before broadcasting; a times x rows grid

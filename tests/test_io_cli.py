@@ -28,6 +28,7 @@ from giantatoms import (
     serialize_spec,
     trajectory,
 )
+from giantatoms.dynamics import _times
 from giantatoms.experiments import ConfigCalibration, SweepGrid, layout_from_pattern
 from giantatoms.io_cli import (
     ConfigSyntaxError,
@@ -39,7 +40,7 @@ from giantatoms.io_cli import (
     _spec_from_args,
     _spec_from_document,
 )
-from giantatoms.model import ChiralitySpec, rates_from_chirality
+from giantatoms.model import ChiralitySpec, InitialState, make_layout, rates_from_chirality
 
 TAU = 2 * math.pi
 ZERO_SET = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0j, 0j)
@@ -117,9 +118,41 @@ def test_emit_json_null_and_unsupported_values():
         _emit_json([1j])
 
 
-def test_parse_rejects_missing_layout():
-    with pytest.raises(ConfigValidationError):
-        parse_experiment_config('{"gamma":1.0}')
+def test_parse_rejects_missing_layout(monkeypatch, tmp_path, capsys):
+    # parse_experiment_config reads a document as --config does: a missing
+    # layout is an error where a study asks for the layout
+    import giantatoms.io_cli as io_cli
+
+    spec = parse_experiment_config('{"gamma":1.0}')
+    with pytest.raises(ConfigValidationError) as err:
+        spec.layout()
+    assert err.value.field == "layout"
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"gamma":1.0}')
+    monkeypatch.setattr(io_cli, "calibrate_presets", lambda: CalibrationResult({}, {}))
+    assert cli_main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+    assert cli_main(["coeffs", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"validation error: {err.value}\n"
+
+
+@pytest.mark.parametrize("field, doc, build", [
+    ("gamma", {"gamma": -1}, lambda: ChiralitySpec(-1.0)),
+    ("gamma", {"gamma": 5e-324}, lambda: ChiralitySpec(5e-324)),  # its split into two rates underflows
+    ("chi", {"chi": 1.5}, lambda: ChiralitySpec(1.0, 1.5)),
+    ("chis", {"chis": [0, 2]}, lambda: ChiralitySpec(1.0, 2.0)),
+    ("time.start", {"time": {"start": -1, "stop": 5, "count": 3}}, lambda: _times("time.start", -1.0)),
+    ("initial", {"initial": [1, 0, 1, 0]}, lambda: InitialState(1.0 + 0j, 1.0 + 0j)),
+    ("layout", {"layout": {"a": [0, 1, 2], "b": [2, 3, 4]}}, lambda: make_layout((0, 1, 2), (2, 3, 4))),
+    ("layout", {"layout": "bogus"}, lambda: Preset("bogus")),
+])
+def test_config_field_reports_the_error_of_the_type_it_builds(tmp_path, capsys, field, doc, build):
+    # each range rule is stated once, by the model type the field builds
+    with pytest.raises(ValueError) as direct:
+        build()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"layout": "separated", "phi": 1.0, **doc}))
+    assert cli_main(["coeffs", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"validation error: invalid field '{field}': {direct.value}\n"
 
 
 def test_parse_rejects_unnormalized_initial():
@@ -160,6 +193,7 @@ def test_spec_round_trip(text):
 
 def test_spec_without_layout_round_trips():
     assert _spec_from_document(json.loads(serialize_spec(ExperimentSpec()))) == ExperimentSpec()
+    assert json.loads(serialize_spec(ExperimentSpec()))["chis"] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_serialize_spec_is_deterministic():
@@ -791,9 +825,33 @@ def test_cli_grid_too_large_exits_1(tmp_path, capsys, count, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["evolve", "--preset", "fully_nested", "--phi", "0", "--chi", "0", "--t", "0:50:6"],
+    ["find-max", "--preset", "partially_nested", "--chi", "0.3"],
+])
+def test_cli_runs_at_a_huge_rate(capsysbinary, args):
+    # no intermediate of the propagator overflows at gamma 1e170, where
+    # products of two matrix entries would
+    assert cli_main(args + ["--gamma", "1e170"]) == 0
+    rows = capsysbinary.readouterr().out.decode().splitlines()
+    values = np.array([row.split(",") for row in rows[1:]], dtype=float)
+    assert np.all(np.isfinite(values))
+    if args[0] == "evolve":  # the fully nested dark-state plateau of every rate scale
+        assert values[1:, -1] == pytest.approx(0.5, abs=1e-15)
+
+
+def test_cli_chirality_scan_default_chis(capsysbinary):
+    base = ["chirality-scan", "--preset", "fully_braided", "--phi", "1.0471975511965976", "--t", "0:5:11"]
+    assert cli_main(base) == 0
+    default = capsysbinary.readouterr().out
+    assert cli_main(base + ["--chis", "0,0.25,0.5,0.75,1"]) == 0
+    assert capsysbinary.readouterr().out == default
+
+
 def test_cli_rate_overflow_is_validation_error(tmp_path, capsys):
+    # the coefficients stay finite at gamma 1e307, but (mu - s) t does not at t = 5
     out = tmp_path / "e.csv"
-    code = cli_main(["evolve", "--preset", "separated", "--phi", "1.0", "--gamma", "1e200",
+    code = cli_main(["evolve", "--preset", "separated", "--phi", "1.0", "--gamma", "1e307",
                      "--t", "0:5:6", "--out", str(out)])
     assert code == 1
     assert "overflow" in capsys.readouterr().err
@@ -801,7 +859,7 @@ def test_cli_rate_overflow_is_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["evolve", "--preset", "separated", "--phi", "1.0", "--gamma", "1e154", "--t", "0:5:6"],
+    ["evolve", "--preset", "separated", "--phi", "1.0", "--gamma", "1e307", "--t", "0:5:6"],
     ["sweep", "--preset", "separated", "--phi", "0:6.283:5", "--t", "0:1e308:3"],
 ])
 def test_cli_non_finite_result_is_not_emitted(tmp_path, capsys, args):

@@ -112,6 +112,15 @@ def test_rates_examples():
     assert rates_from_chirality(ChiralitySpec(1e308, 1.0)) == (1e308, 0.0)
 
 
+def test_chirality_rejects_a_rate_whose_split_underflows():
+    # 0.5 * 5e-324 is 0: both rates would vanish, so the rate is rejected
+    # for what goes wrong, not as a non-positive rate
+    with pytest.raises(ValueError, match="split into two rates underflows to 0"):
+        ChiralitySpec(5e-324)
+    assert rates_from_chirality(ChiralitySpec(1e-323)) == (5e-324, 5e-324)
+    assert rates_from_chirality(ChiralitySpec(1e-323, 1.0)) == (1e-323, 0.0)
+
+
 @given(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
