@@ -493,6 +493,10 @@ def find_max(
     (phi_points + 1) // 2 phase rows. The grid is not ulp-symmetric, so
     phi_star may then be the mirror of the full scan's and c_max may differ
     from it in the last bits. Any other start or range scans every row.
+
+    The time grid is absolute, so it resolves gamma * t_horizon only up to
+    about 50: at a larger rate scale the scan may step over the peak and
+    report a lower local maximum.
     """
     _times("[0, t_horizon]", (0.0, t_horizon))
     if phi_points < 1:

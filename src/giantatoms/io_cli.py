@@ -26,13 +26,17 @@ A command line is a command, then flags spelled in full: --name value or
 a repeated flag keeps its last value. Each flag is the text of one config
 field, laid over the --config document and checked with it, so it accepts
 exactly what that field accepts; --layout-a/-b win over --preset. A field
-is checked by the model type it builds (gamma, chi and chis a ChiralitySpec,
-time.start the time rule), with its message. chis defaults to
-0,0.25,0.5,0.75,1. --help or -h prints this text. find-max scans t over
-[0, time.stop] (time.start = 0) on a grid of 4001 times; it ignores
-time.count. calibrate searches at the setting of its benchmark maxima
-(gamma = 1, t over [0, 50]) on that same grid; it uses only the output
-format and path, and checks but ignores every other field.
+is checked by the model type it builds (layout a LayoutConfiguration, gamma,
+chi and chis a ChiralitySpec, initial an InitialState, time.start the time
+rule), with its message, and the run keeps what was built. Every command
+but calibrate needs a layout. chis defaults to 0,0.25,0.5,0.75,1. --help or
+-h prints this text. find-max scans t over [0, time.stop] (time.start = 0,
+time.stop > 0) on a grid of 4001 times; it ignores time.count. That grid
+resolves gamma * time.stop only up to about 50: past it the scan may step
+over the peak and report a lower maximum. calibrate searches at the setting
+of its benchmark maxima (gamma = 1, t over [0, 50]) on that same grid; it
+uses only the output format and path, and checks but ignores every other
+field.
 
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
 error, numerical overflow or a grid too large to allocate, 2 I/O error, 3
@@ -69,9 +73,10 @@ from .experiments import (
 )
 from .model import (
     ChiralitySpec,
-    InitialState,
+    INITIAL_EG,
     INITIAL_STATES,
-    Preset,
+    InitialState,
+    LayoutConfiguration,
     make_layout,
     make_preset,
     rates_from_chirality,
@@ -136,45 +141,30 @@ class GridRange:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated description of a run: the JSON config schema, with its defaults."""
+    """Validated description of a run: the model values its config fields
+    build, the grids and the output, with the JSON config's defaults."""
 
-    preset: Preset | None = None
-    positions: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    gamma: float = 1.0
-    chi: float = 0.0
+    layout: LayoutConfiguration | None = None
+    chirality: ChiralitySpec = ChiralitySpec(1.0)
     phi: float | GridRange = GridRange(0.0, TWO_PI, 2001)
     time: GridRange = GridRange(0.0, 50.0, 2001)
-    initial: str | tuple[float, float, float, float] = "eg"
+    initial: InitialState = INITIAL_EG
     chis: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     out: str | None = None
     fmt: str = "csv"
 
-    def layout(self):
-        if self.preset is not None:
-            return make_preset(self.preset)
-        if self.positions is None:
-            raise ConfigValidationError("layout", "required: give a config layout, --preset or --layout-a/--layout-b")
-        return make_layout(*self.positions)
-
-    def chirality(self) -> ChiralitySpec:
-        return ChiralitySpec(self.gamma, self.chi)
-
-    def initial_state(self) -> InitialState:
-        if isinstance(self.initial, str):
-            return INITIAL_STATES[self.initial]
-        return InitialState(complex(*self.initial[:2]), complex(*self.initial[2:]))
-
     def to_document(self) -> dict:
+        """The config document of this run: a layout as its positions, a start
+        as its four numbers, so the document reproduces the run."""
         doc: dict = {}
-        if self.preset is not None:
-            doc["layout"] = self.preset.value
-        elif self.positions is not None:
-            doc["layout"] = {"a": list(self.positions[0]), "b": list(self.positions[1])}
-        doc["gamma"] = self.gamma
-        doc["chi"] = self.chi
+        if self.layout is not None:
+            doc["layout"] = {"a": list(self.layout.positions_a), "b": list(self.layout.positions_b)}
+        doc["gamma"] = self.chirality.gamma_total
+        doc["chi"] = self.chirality.chi
         doc["phi"] = asdict(self.phi) if isinstance(self.phi, GridRange) else self.phi
         doc["time"] = asdict(self.time)
-        doc["initial"] = self.initial if isinstance(self.initial, str) else list(self.initial)
+        c0 = self.initial
+        doc["initial"] = [c0.c_eg.real, c0.c_eg.imag, c0.c_ge.real, c0.c_ge.imag]
         doc["chis"] = list(self.chis)
         if self.out is not None:
             doc["out"] = self.out
@@ -244,24 +234,22 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
     if unknown:
         raise ConfigValidationError(sorted(unknown)[0], "unknown field")
 
-    preset = None
-    positions = None
     layout = doc.get("layout")
     if isinstance(layout, str):
-        preset = _checked("layout", Preset, layout)
+        layout = _checked("layout", make_preset, layout)
     elif isinstance(layout, dict) and set(layout) == {"a", "b"}:
         for key in ("a", "b"):
             pts = layout[key]
             if not isinstance(pts, list) or not all(isinstance(p, int) and not isinstance(p, bool) for p in pts):
                 raise ConfigValidationError(f"layout.{key}", "expected a list of integers")
-        positions = (tuple(sorted(layout["a"])), tuple(sorted(layout["b"])))
-        _checked("layout", make_layout, *positions)
+        layout = _checked("layout", make_layout, sorted(layout["a"]), sorted(layout["b"]))
     elif "layout" in doc:
         raise ConfigValidationError("layout", "expected a preset name or {a: [...], b: [...]}")
 
     defaults = ExperimentSpec()
-    gamma = _checked("gamma", ChiralitySpec, _as_float("gamma", doc.get("gamma", defaults.gamma))).gamma_total
-    chi = _checked("chi", ChiralitySpec, gamma, _as_float("chi", doc.get("chi", defaults.chi))).chi
+    gamma = _as_float("gamma", doc.get("gamma", defaults.chirality.gamma_total))
+    gamma = _checked("gamma", ChiralitySpec, gamma).gamma_total
+    chirality = _checked("chi", ChiralitySpec, gamma, _as_float("chi", doc.get("chi", defaults.chirality.chi)))
 
     phi_doc = doc.get("phi")
     if phi_doc is None:
@@ -277,9 +265,11 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
 
     initial = doc.get("initial", defaults.initial)
     if isinstance(initial, list) and len(initial) == 4:
-        initial = tuple(_as_float("initial", v) for v in initial)
-        _checked("initial", InitialState, complex(*initial[:2]), complex(*initial[2:]))
-    elif not isinstance(initial, str) or initial not in INITIAL_STATES:
+        re_eg, im_eg, re_ge, im_ge = (_as_float("initial", v) for v in initial)
+        initial = _checked("initial", InitialState, complex(re_eg, im_eg), complex(re_ge, im_ge))
+    elif isinstance(initial, str) and initial in INITIAL_STATES:
+        initial = INITIAL_STATES[initial]
+    elif initial is not defaults.initial:
         raise ConfigValidationError("initial", "expected 'eg', 'ge' or [re, im, re, im]")
 
     chis = doc.get("chis", list(defaults.chis))
@@ -294,7 +284,7 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
     if fmt not in ("csv", "ndjson", "svg"):
         raise ConfigValidationError("format", "expected csv, ndjson or svg")
 
-    return ExperimentSpec(preset, positions, gamma, chi, phi, time, initial, chis, out, fmt)
+    return ExperimentSpec(layout, chirality, phi, time, initial, chis, out, fmt)
 
 
 # --- result serialization ---------------------------------------------------
@@ -563,7 +553,7 @@ def _phi_grid(spec: ExperimentSpec) -> np.ndarray:
 
 def _coeffs(spec: ExperimentSpec):
     phis = _phi_grid(spec)
-    columns = (x.tolist() for x in _coefficient_arrays(spec.layout(), phis, *rates_from_chirality(spec.chirality())))
+    columns = (x.tolist() for x in _coefficient_arrays(spec.layout, phis, *rates_from_chirality(spec.chirality)))
     return [(p, CoefficientSet(*c)) for p, *c in zip(phis.tolist(), *columns)]
 
 
@@ -571,22 +561,21 @@ def _find_max(spec: ExperimentSpec):
     phi = spec.phi
     phi_range = (phi.start, phi.stop) if isinstance(phi, GridRange) else (phi, phi)
     phi_points = phi.count if isinstance(phi, GridRange) else 1
-    return find_max(spec.layout(), spec.chirality(), spec.initial_state(), phi_range,
+    return find_max(spec.layout, spec.chirality, spec.initial, phi_range,
                     t_horizon=spec.time.stop, phi_points=phi_points)
 
 
 # Every command, in --help order, and the study it runs on the validated spec
 _COMMANDS = {
     "coeffs": _coeffs,
-    "evolve": lambda spec: trajectory(_heff_at(spec.layout(), spec.chirality(), _scalar_phi(spec)),
-                                      spec.initial_state(), spec.time.linspace()),
-    "sweep": lambda spec: sweep(spec.layout(), spec.chirality(), spec.initial_state(), _phi_grid(spec),
-                                spec.time.linspace()),
+    "evolve": lambda spec: trajectory(_heff_at(spec.layout, spec.chirality, _scalar_phi(spec)),
+                                      spec.initial, spec.time.linspace()),
+    "sweep": lambda spec: sweep(spec.layout, spec.chirality, spec.initial, _phi_grid(spec), spec.time.linspace()),
     "find-max": _find_max,
-    "special-phases": lambda spec: find_special_phases(spec.layout(), spec.chirality(), spec.initial_state()),
-    "chirality-scan": lambda spec: chirality_scan(spec.layout(), _scalar_phi(spec), spec.chis, spec.initial_state(),
-                                                  spec.time.linspace(), gamma_total=spec.gamma),
-    "compare-initial": lambda spec: compare_initial_states(spec.layout(), spec.chirality(), _phi_grid(spec),
+    "special-phases": lambda spec: find_special_phases(spec.layout, spec.chirality, spec.initial),
+    "chirality-scan": lambda spec: chirality_scan(spec.layout, _scalar_phi(spec), spec.chis, spec.initial,
+                                                  spec.time.linspace(), gamma_total=spec.chirality.gamma_total),
+    "compare-initial": lambda spec: compare_initial_states(spec.layout, spec.chirality, _phi_grid(spec),
                                                            spec.time.linspace()),
     "calibrate": lambda spec: calibrate_presets(),
 }
@@ -601,10 +590,14 @@ def _help() -> str:
 
 
 def _run_command(command: str, spec: ExperimentSpec):
-    if command == "find-max" and spec.time.start != 0:
-        raise ConfigValidationError("time.start", "find-max scans t from 0 to time.stop; must be 0")
+    if command == "find-max":
+        if spec.time.start != 0:
+            raise ConfigValidationError("time.start", "find-max scans t from 0 to time.stop; must be 0")
+        _checked("time.stop", _times, "[0, time.stop]", (0.0, spec.time.stop))
     if spec.fmt == "svg" and command != "sweep":
         raise ConfigValidationError("format", "svg output is only available for sweep grids")
+    if spec.layout is None and command != "calibrate":
+        raise ConfigValidationError("layout", "required: give a config layout, --preset or --layout-a/--layout-b")
     return _COMMANDS[command](spec)
 
 

@@ -1264,6 +1264,19 @@ def test_find_max_finds_the_global_maximum():
     assert res.c_max >= evaluate_concurrence(cfg, spec, c0, 2.0941946665273043, 43.34483455485605) - 1e-9
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "find_max scans 4001 times on [0, t_horizon], which resolve gamma * t_horizon only up to about 50"))
+def test_find_max_resolves_a_large_rate():
+    # the dynamics at rate g and time t are those at rate 1 and time g t, and
+    # the horizon at gamma 100 holds the gamma-1 peak, so the maximum there is
+    # at least the gamma-1 maximum; the scan steps past that peak
+    cfg = make_preset("partially_nested")
+    unit = find_max(cfg, ChiralitySpec(1.0, 0.3), INITIAL_EG)
+    fast = find_max(cfg, ChiralitySpec(100.0, 0.3), INITIAL_EG)
+    assert unit.t_star / 100.0 <= 50.0
+    assert fast.c_max >= unit.c_max - 1e-9
+
+
 def test_orderings_enumeration():
     pats = all_orderings()
     assert len(pats) == 20

@@ -34,13 +34,14 @@ from giantatoms.io_cli import (
     ConfigSyntaxError,
     ConfigValidationError,
     ExperimentSpec,
+    _COMMANDS,
     _emit_json,
     _parse_argv,
     _require_finite,
     _spec_from_args,
     _spec_from_document,
 )
-from giantatoms.model import ChiralitySpec, InitialState, make_layout, rates_from_chirality
+from giantatoms.model import ChiralitySpec, InitialState, make_layout, make_preset, rates_from_chirality
 
 TAU = 2 * math.pi
 ZERO_SET = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0j, 0j)
@@ -51,21 +52,26 @@ ZERO_SET = CoefficientSet(0.0, 0.0, 0.0, 0.0, 0j, 0j)
 
 def test_parse_preset_spec():
     spec = parse_experiment_config('{"layout":"fully_braided","chi":1.0,"phi":1.0471975512}')
-    assert spec.preset is Preset.FULLY_BRAIDED
-    assert spec.chi == 1.0
+    assert spec.layout == make_preset(Preset.FULLY_BRAIDED)
+    assert spec.chirality == ChiralitySpec(1.0, 1.0)
     assert spec.phi == pytest.approx(math.pi / 3, abs=1e-9)
-    assert spec.gamma == 1.0
-    assert spec.initial == "eg"
+    assert spec.initial is INITIAL_EG
     assert spec.time == GridRange(0.0, 50.0, 2001)
 
 
 def test_parse_custom_layout_defaults():
     spec = parse_experiment_config('{"layout":{"a":[0,1,3],"b":[2,4,5]}}')
-    assert spec.preset is None
-    assert spec.positions == ((0, 1, 3), (2, 4, 5))
+    assert spec.layout == make_layout((0, 1, 3), (2, 4, 5))
+    assert spec.layout.positions_a == (0, 1, 3)
     assert spec.phi == GridRange(0.0, TAU, 2001)
-    cfg = spec.layout()
-    assert cfg.positions_a == (0, 1, 3)
+
+
+def test_preset_and_its_positions_give_equal_specs():
+    # the spec holds the layout, not the words that named it
+    preset = parse_experiment_config('{"layout":"partially_nested"}')
+    positions = parse_experiment_config('{"layout":{"a":[4,0,1],"b":[2,3,5]}}')
+    assert preset == positions
+    assert serialize_spec(preset) == serialize_spec(positions)
 
 
 def test_parse_rejects_bad_chi():
@@ -118,21 +124,26 @@ def test_emit_json_null_and_unsupported_values():
         _emit_json([1j])
 
 
-def test_parse_rejects_missing_layout(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_parse_rejects_missing_layout(monkeypatch, tmp_path, capsys, command):
     # parse_experiment_config reads a document as --config does: a missing
-    # layout is an error where a study asks for the layout
+    # layout is an error where a study asks for the layout, which every
+    # command but calibrate does
     import giantatoms.io_cli as io_cli
 
-    spec = parse_experiment_config('{"gamma":1.0}')
-    with pytest.raises(ConfigValidationError) as err:
-        spec.layout()
-    assert err.value.field == "layout"
+    assert parse_experiment_config('{"gamma":1.0}').layout is None
     cfg = tmp_path / "run.json"
     cfg.write_text('{"gamma":1.0}')
     monkeypatch.setattr(io_cli, "calibrate_presets", lambda: CalibrationResult({}, {}))
-    assert cli_main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
-    assert cli_main(["coeffs", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == f"validation error: {err.value}\n"
+    out = tmp_path / "x.csv"
+    code = cli_main([command, "--config", str(cfg), "--out", str(out)])
+    if command == "calibrate":
+        assert code == 0
+    else:
+        assert code == 1
+        assert capsys.readouterr().err == ("validation error: invalid field 'layout': "
+                                           "required: give a config layout, --preset or --layout-a/--layout-b\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("field, doc, build", [
@@ -199,6 +210,34 @@ def test_spec_without_layout_round_trips():
 def test_serialize_spec_is_deterministic():
     spec = parse_experiment_config('{"layout":"separated","gamma":0.1}')
     assert serialize_spec(spec) == serialize_spec(spec)
+
+
+def test_serialize_spec_writes_positions_and_four_numbers():
+    doc = json.loads(serialize_spec(parse_experiment_config('{"layout":"separated","initial":"ge"}')))
+    assert doc["layout"] == {"a": [0, 1, 2], "b": [3, 4, 5]}
+    assert doc["initial"] == [0.0, 0.0, 1.0, 0.0]
+
+
+# one run per command but calibrate: a custom layout, a complex start and a
+# rate other than the default
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--phi", "0:6.283185307179586:9"],
+    ["evolve", "--phi", "1.0", "--t", "0:5:11"],
+    ["sweep", "--phi", "0:3.14:5", "--t", "0:5:6", "--format", "ndjson"],
+    ["find-max", "--phi", "0:6.283185307179586:21", "--chi", "0.3", "--t", "0:20:3"],
+    ["special-phases", "--chi", "0.5"],
+    ["chirality-scan", "--phi", "1.0", "--t", "0:5:6", "--chis", "0,0.5,1"],
+    ["compare-initial", "--phi", "-0.0:3.14:5", "--t", "0:5:6"],
+])
+def test_serialized_spec_reproduces_the_run(tmp_path, capsysbinary, argv):
+    argv = argv + ["--layout-a", "4,0,2", "--layout-b", "1,3,5", "--gamma", "2.5", "--initial", "-0.36,0.48,0,-0.8"]
+    _, texts = _parse_argv(argv)
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(serialize_spec(_spec_from_args(texts)))
+    assert cli_main(argv) == 0
+    from_flags = capsysbinary.readouterr().out
+    assert cli_main([argv[0], "--config", str(cfg)]) == 0
+    assert capsysbinary.readouterr().out == from_flags
 
 
 # --- result serialization ---------------------------------------------------
@@ -724,10 +763,10 @@ def test_cli_stdout_output(capsysbinary):
 
 
 def test_experiment_spec_defaults():
-    spec = ExperimentSpec(preset=Preset.SEPARATED)
-    assert spec.gamma == 1.0
-    assert spec.chi == 0.0
-    assert spec.initial == "eg"
+    assert ExperimentSpec().layout is None
+    spec = ExperimentSpec(layout=make_preset(Preset.SEPARATED))
+    assert spec.chirality == ChiralitySpec(1.0, 0.0)
+    assert spec.initial is INITIAL_EG
     assert spec.fmt == "csv"
     assert spec.time == GridRange(0.0, 50.0, 2001)
     assert spec.phi == GridRange(0.0, TAU, 2001)
@@ -792,6 +831,17 @@ def test_cli_find_max_rejects_time_start(capsysbinary, tmp_path):
     assert captured.out == b""
     assert b"invalid field 'time.start'" in captured.err
     assert not out.exists()
+
+
+def test_cli_find_max_rejects_a_zero_time_stop(capsysbinary):
+    # find-max scans [0, time.stop], which must hold more than one time; the
+    # error names the field, not the library's t_horizon
+    with pytest.raises(ValueError) as direct:
+        _times("[0, time.stop]", (0.0, 0.0))
+    assert cli_main(["find-max", "--preset", "separated", "--t", "0:0:5"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == f"validation error: invalid field 'time.stop': {direct.value}\n".encode()
 
 
 @pytest.mark.parametrize("pattern", ["aaabbb", "ababab", "abbbaa", "aabbab"])
