@@ -83,26 +83,24 @@ def eigen_split(m11, m12, m21, m22):
 
     m12 * m21 is formed from real products, which commute, so exchanging m12
     and m21 (the atom label swap) keeps its bits; numpy's complex multiply
-    kernels can round a*b and b*a differently. The products are formed on
-    each row scaled exactly, by its own power of two, to a largest entry in
-    [1/2, 1), so none under- or overflows and no row's bits depend on another."""
+    kernels can round a*b and b*a differently. dd * dd is an np.multiply call,
+    which rounds scalars (dark_modes) as its array loop does; the * of numpy
+    scalars may not. The products are formed on the entries as given: those
+    of a unit-rate matrix, or of one _unit_scaled."""
     mu = 0.5 * (m11 + m22)
     dd = 0.5 * (m11 - m22)
-    k = -np.frexp(np.maximum(np.maximum(np.abs(dd), np.abs(m12)), np.abs(m21)))[1]
-    a = _ldexp(dd, k)
-    br, bi, cr, ci = (np.ldexp(x, k) for x in (m12.real, m12.imag, m21.real, m21.imag))
-    off = np.empty_like(a)
-    off.real = br * cr - bi * ci
-    off.imag = br * ci + bi * cr
-    return mu, dd, _ldexp(np.sqrt(a * a + off), -k)
+    off = np.empty_like(dd)
+    off.real = m12.real * m21.real - m12.imag * m21.imag
+    off.imag = m12.real * m21.imag + m12.imag * m21.real
+    return mu, dd, np.sqrt(np.multiply(dd, dd) + off)
 
 
-def _ldexp(z, k):
-    """z * 2**k for complex z, shaped as k: exact while the result is normal."""
-    out = np.empty(np.shape(k), complex)
-    np.ldexp(z.real, k, out=out.real)
-    np.ldexp(z.imag, k, out=out.imag)
-    return out
+def _unit_scaled(matrix):
+    """(matrix / 2**k, k), a largest entry in [1/2, 1): exact, so products of
+    entries neither under- nor overflow at any rate scale, and evolving it for
+    2**k t keeps every bit of exp(-i m t)."""
+    k = math.frexp(float(np.max(np.abs(matrix))))[1]
+    return np.ldexp(np.ascontiguousarray(matrix, complex).view(float), -k).view(complex), k
 
 
 def spectral_weights(s, c1, c2, d1, d2):
@@ -214,9 +212,9 @@ def _times(name, t):
 
 
 def _amplitude_curves(h: EffectiveHamiltonian, c0, times):
-    """Closed-form amplitudes over a float array of times for one Hamiltonian."""
-    m = h.matrix
-    return _evolve(m[0, 0], m[0, 1], m[1, 0], m[1, 1], c0.c_eg, c0.c_ge, times)
+    """Closed-form amplitudes over a float array of times for one Hamiltonian of any scale."""
+    m, k = _unit_scaled(h.matrix)
+    return _evolve(m[0, 0], m[0, 1], m[1, 0], m[1, 1], c0.c_eg, c0.c_ge, np.ldexp(times, k))
 
 
 def propagate_closed(h: EffectiveHamiltonian, c0: InitialState | AmplitudePair, t: float) -> AmplitudePair:
@@ -325,10 +323,7 @@ def dark_modes(h: EffectiveHamiltonian, c0: InitialState) -> ModeReport:
     state is projected onto it through the left (dual) eigenvector and the
     plateau concurrence follows from the surviving amplitudes.
     """
-    # scaled exactly by a power of two to a largest entry in [1/2, 1), so the
-    # eigenvector products neither underflow nor overflow at any rate scale
-    exp = math.frexp(float(np.max(np.abs(h.matrix))))[1]
-    m = np.ldexp(np.ascontiguousarray(h.matrix, complex).view(float), -exp).view(complex)
+    m, exp = _unit_scaled(h.matrix)
     mu, _, s = eigen_split(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
     lam1, lam2 = mu + s, mu - s
     eigenvalues = tuple(complex(math.ldexp(lam.real, exp), math.ldexp(lam.imag, exp)) for lam in (lam1, lam2))

@@ -25,7 +25,6 @@ import numpy as np
 
 from .coefficients import _coefficient_arrays, coefficients
 from .dynamics import (
-    EffectiveHamiltonian,
     ModeClass,
     AmplitudePair,
     Trajectory,
@@ -39,7 +38,6 @@ from .dynamics import (
     eigen_split,
     heff_entries,
     spectral_weights,
-    trajectory,
 )
 from .model import (
     ChiralitySpec,
@@ -262,7 +260,9 @@ def _scan_widths(bound, rows, incumbent, incumbent_row, n_t, dt):
 def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     """First maximum (row, col, value) of the concurrence over
     phis x (0, dt, 2dt, ...): fast search-grade scan that skips the cells
-    under two decaying bounds, with the full scan's result.
+    under two decaying bounds, with the full scan's result. A row holds the
+    unit-rate matrix of its phase, and the columns step tau = gamma_total t
+    by gamma_total dt: every t below is a tau.
 
     Exploits the uniform time grid: every exponential is a geometric
     sequence, built by cumulative products instead of per-cell exp calls.
@@ -307,9 +307,9 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     lie under their rows' envelopes. No row's value depends on its block
     mates; the spectral rows use the plain expressions' ufuncs, in order.
     """
-    gamma_r, gamma_l = rates_from_chirality(chirality)
-    m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
+    m11, m12, m21, m22 = _m_components(cfg, *rates_from_chirality(ChiralitySpec(1.0, chirality.chi)), phis)
     mu, dd, s = eigen_split(m11, m12, m21, m22)
+    dt = chirality.gamma_total * dt  # the step in tau = gamma t
     d1 = dd * c0.c_eg + m12 * c0.c_ge
     d2 = m21 * c0.c_eg - dd * c0.c_ge
     t_max = (n_t - 1) * dt
@@ -402,22 +402,26 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     return i, int(cols[i]), float(values[i])
 
 
-def _heff_at(cfg, chirality, phi) -> EffectiveHamiltonian:
-    return build_heff(coefficients(cfg, phi, *rates_from_chirality(chirality)))
-
-
 def _point_amplitudes(cfg, chirality, c0, phis):
     """Exact amplitudes (c_eg, c_ge) at the 1-d array of phases phis, as a
     function of a float array of times broadcast against phis (ts[:, None]
     gives a times x phases grid).
 
-    The effective matrix is built once, here; each call of the function is
-    one _evolve call. An element has the bits of the same point evaluated
-    alone (a point is one-element arrays), as every step is elementwise.
+    The matrix is built once, here, at unit total rate; each call of the
+    function is one _evolve call for tau = gamma_total t. An element has the
+    bits of the same point evaluated alone (a point is one-element arrays),
+    as every step is elementwise.
     """
-    gamma_r, gamma_l = rates_from_chirality(chirality)
-    m11, m12, m21, m22 = _m_components(cfg, gamma_r, gamma_l, phis)
-    return lambda ts: _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, ts)
+    m11, m12, m21, m22 = _m_components(cfg, *rates_from_chirality(ChiralitySpec(1.0, chirality.chi)), phis)
+    return lambda ts: _evolve(m11, m12, m21, m22, c0.c_eg, c0.c_ge, np.multiply(chirality.gamma_total, ts))
+
+
+def _trajectory_at(cfg, chirality, c0, phi, t_grid) -> Trajectory:
+    """The trajectory at one phase on a time grid: one _point_amplitudes call."""
+    at_phi = _point_amplitudes(cfg, chirality, c0, [phi])
+    times = _times("t_grid", t_grid)
+    c1, c2 = at_phi(times)
+    return Trajectory(times, np.stack([c1, c2], axis=-1), concurrence_values(c1, c2))
 
 
 def evaluate_concurrence(cfg, chirality, c0, phi, t) -> float:
@@ -547,8 +551,8 @@ class SpecialPhase:
     kind: PhaseKind
 
 
-# find_special_phases: the share of gamma below which the decays vanish (and
-# |g| must not, for a decoherence-free phase) and the largest pair distance d
+# find_special_phases: the decay at unit total rate below which the decays
+# vanish (and |g| must not, for a decoherence-free phase) and the largest pair distance d
 # (its roots are eigenvalues of an 8d x 8d matrix: 2 s at d = 128, 0.3 s at d = 64);
 # _stationary_phases: the distance below which computed roots are one multiple
 # root (a triple root's computed roots lie within about 1e-5 of it; 1e-3 gave
@@ -593,15 +597,14 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
     With z = e^(i phi), m = -i (gamma/2) P(z): P has S_a, S_b on its diagonal and
     (1 + chi) bw + (1 - chi) fw, (1 + chi) fw + (1 - chi) bw off it, no gamma. Candidates
     are the stationary phases of two nonnegative trigonometric polynomials, each root read
-    once through coefficients(). Re(S_a + S_b), of degree d (the largest pair distance, at
-    most _PHASE_MAX_DISTANCE), is zero where no decay is left: a root is decoherence-free
-    when its decays are below _PHASE_COEF_TOL times gamma and |g| is not, decoupled when
-    both are. The resultant -(D - ~D)^2 - (T + ~T)(D ~T + ~D T), T = tr P, D = det P and ~
+    once through coefficients() at unit total rate. Re(S_a + S_b), of degree d (the largest
+    pair distance, at most _PHASE_MAX_DISTANCE), is zero where no decay is left: a root is
+    decoherence-free when its decays are below _PHASE_COEF_TOL and |g| is not, decoupled
+    when both are. The resultant -(D - ~D)^2 - (T + ~T)(D ~T + ~D T), T = tr P, D = det P and ~
     the conjugate on the circle (degree 4d), is zero where m has a real eigenvalue: a root
     with decay is a dark state when dark_modes finds one overlapping the initial state and
     lying on both atoms, its smaller amplitude above _DARK_SHARE_TOL times its larger."""
-    gamma_r, gamma_l = rates_from_chirality(chirality)
-    gamma, chi = chirality.gamma_total, chirality.chi
+    chi = chirality.chi
     degree = int(cfg.distances.max())
     if degree > _PHASE_MAX_DISTANCE:
         raise ValueError(f"special phases take pair distances up to {_PHASE_MAX_DISTANCE}, got {degree}")
@@ -614,18 +617,18 @@ def find_special_phases(cfg, chirality, initial: InitialState = INITIAL_EG) -> l
 
     def at(phis):
         for phi in phis.tolist():
-            c = coefficients(cfg, phi, gamma_r, gamma_l)
+            c = coefficients(cfg, phi, *rates_from_chirality(ChiralitySpec(1.0, chi)))
             yield phi, c, max(abs(c.gamma_a), abs(c.gamma_b), abs(c.gamma_coll))
 
     found: list[SpecialPhase] = []
     for phi, c, decay in at(_stationary_phases(tr + tr[::-1])):
-        if decay / gamma < _PHASE_COEF_TOL:
-            coupled = abs(c.g) >= _PHASE_COEF_TOL * gamma
+        if decay < _PHASE_COEF_TOL:
+            coupled = abs(c.g) >= _PHASE_COEF_TOL
             found.append(SpecialPhase(phi, PhaseKind.DECOHERENCE_FREE if coupled else PhaseKind.DECOUPLED))
     # without decay every eigenvalue is real, so decoupled and decoherence-free
     # phases are roots of the resultant too; a dark state needs decay to stand out
     for phi, c, decay in at(_stationary_phases(resultant)):
-        if decay >= 1e-6 * gamma:
+        if decay >= 1e-6:
             report = dark_modes(build_heff(c), initial)
             if report.classification is ModeClass.STEADY_PLATEAU and report.dark_overlap > 1e-6:
                 low, high = sorted(map(abs, (report.dark_projection.c_eg, report.dark_projection.c_ge)))
@@ -645,11 +648,11 @@ class ChiralityScanResult:
 def chirality_scan(cfg, phi, chi_values, c0, t_grid, gamma_total: float = 1.0) -> ChiralityScanResult:
     """Trajectories at fixed phase for a list of chirality values.
 
-    gamma_total is held fixed across the scan and all times are in units of
-    1/gamma_total; a chi's right-moving rate is gamma_total (1 + chi) / 2.
+    gamma_total is held fixed across the scan; a chi's right-moving rate is
+    gamma_total (1 + chi) / 2. Each trajectory evolves its chi's unit-rate
+    matrix for tau = gamma_total t (_trajectory_at).
     """
-    trajs = tuple(trajectory(_heff_at(cfg, ChiralitySpec(gamma_total, chi), phi), c0, t_grid)
-                  for chi in chi_values)
+    trajs = tuple(_trajectory_at(cfg, ChiralitySpec(gamma_total, chi), c0, phi, t_grid) for chi in chi_values)
     return ChiralityScanResult(tuple(float(c) for c in chi_values), trajs)
 
 

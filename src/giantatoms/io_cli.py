@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet, _coefficient_arrays
-from .dynamics import PhysicalityError, Trajectory, _times, trajectory
+from .dynamics import PhysicalityError, Trajectory, _times
 from .experiments import (
     CalibrationResult,
     ChiralityScanResult,
@@ -63,7 +63,7 @@ from .experiments import (
     SpecialPhase,
     SweepGrid,
     TWO_PI,
-    _heff_at,
+    _trajectory_at,
     calibrate_presets,
     chirality_scan,
     compare_initial_states,
@@ -233,6 +233,9 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
     unknown = set(doc) - _KNOWN_FIELDS
     if unknown:
         raise ConfigValidationError(sorted(unknown)[0], "unknown field")
+    for name in sorted(doc):
+        if doc[name] is None:  # no flag writes null: a field is given or absent
+            raise ConfigValidationError(name, "must not be null; leave the field out for its default")
 
     layout = doc.get("layout")
     if isinstance(layout, str):
@@ -251,16 +254,13 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
     gamma = _checked("gamma", ChiralitySpec, gamma).gamma_total
     chirality = _checked("chi", ChiralitySpec, gamma, _as_float("chi", doc.get("chi", defaults.chirality.chi)))
 
-    phi_doc = doc.get("phi")
-    if phi_doc is None:
-        phi = defaults.phi
-    elif isinstance(phi_doc, dict):
-        phi = _parse_grid("phi", phi_doc)
-    else:
-        phi = _as_float("phi", phi_doc)
+    phi = doc.get("phi", defaults.phi)
+    if isinstance(phi, dict):
+        phi = _parse_grid("phi", phi)
+    elif "phi" in doc:
+        phi = _as_float("phi", phi)
 
-    time_doc = doc.get("time")
-    time = defaults.time if time_doc is None else _parse_grid("time", time_doc)
+    time = _parse_grid("time", doc["time"]) if "time" in doc else defaults.time
     _checked("time.start", _times, "time.start", time.start)
 
     initial = doc.get("initial", defaults.initial)
@@ -568,8 +568,8 @@ def _find_max(spec: ExperimentSpec):
 # Every command, in --help order, and the study it runs on the validated spec
 _COMMANDS = {
     "coeffs": _coeffs,
-    "evolve": lambda spec: trajectory(_heff_at(spec.layout, spec.chirality, _scalar_phi(spec)),
-                                      spec.initial, spec.time.linspace()),
+    "evolve": lambda spec: _trajectory_at(spec.layout, spec.chirality, spec.initial, _scalar_phi(spec),
+                                          spec.time.linspace()),
     "sweep": lambda spec: sweep(spec.layout, spec.chirality, spec.initial, _phi_grid(spec), spec.time.linspace()),
     "find-max": _find_max,
     "special-phases": lambda spec: find_special_phases(spec.layout, spec.chirality, spec.initial),

@@ -254,22 +254,26 @@ def test_long_cascade_trajectory_matches_pointwise_propagation():
 
 
 @pytest.mark.parametrize("exp", [600, -600])
-def test_eigen_split_is_exact_under_power_of_two_scaling(exp):
-    # s of a matrix scaled by 2**exp is the unscaled s times 2**exp, bit for
-    # bit: the products that would over- or underflow at that scale are
-    # formed on entries scaled back to [1/2, 1), each row by its own scale,
-    # so a row alone gives the bits it gives among other rows
+def test_propagation_is_exact_under_power_of_two_scaling(exp):
+    # a matrix scaled by 2**exp, evolved for times scaled by 2**-exp, gives the
+    # bits of the unscaled matrix at the unscaled times: the products that
+    # would over- or underflow at that scale are formed on the matrix scaled
+    # back to a largest entry in [1/2, 1) (dynamics._unit_scaled), whose power
+    # of two goes into the times; a time alone gives the bits of the grid
     rng = np.random.default_rng(5)
     rows = [(p, chi, rng.uniform(0, 2 * math.pi)) for p in all_orderings() for chi in (0.0, rng.uniform(0, 1), 1.0)]
-    m = np.array([_m_components(layout_from_pattern(p), *rates_from_chirality(ChiralitySpec(1.0, chi)),
-                                np.array([phi])) for p, chi, phi in rows])[:, :, 0]  # (R, 4)
-    scaled = np.ldexp(m.view(float), exp).view(complex)
-    s = eigen_split(*m.T)[2]
-    s_scaled = eigen_split(*scaled.T)[2]
-    assert np.all(np.isfinite(s_scaled)) and np.any(s_scaled != 0)
-    assert s_scaled.tobytes() == np.ldexp(s.view(float), exp).view(complex).tobytes()
-    for i in range(len(rows)):
-        assert eigen_split(*scaled[i:i + 1].T)[2].tobytes() == s_scaled[i:i + 1].tobytes()
+    times = np.concatenate([[0.0, 1e-9], np.linspace(0.05, 50.0, 30)])
+    c0 = InitialState(0.6, 0.8j)
+    for p, chi, phi in rows:
+        h = build_heff(coefficients(layout_from_pattern(p), phi, *rates_from_chirality(ChiralitySpec(1.0, chi))))
+        scaled = EffectiveHamiltonian(h.matrix * 2.0**exp)
+        traj, traj_scaled = trajectory(h, c0, times), trajectory(scaled, c0, times * 2.0**-exp)
+        assert np.all(np.isfinite(traj_scaled.amplitudes)) and np.any(traj_scaled.concurrence != 0)
+        assert traj_scaled.amplitudes.tobytes() == traj.amplitudes.tobytes(), (p, chi, phi)
+        assert traj_scaled.concurrence.tobytes() == traj.concurrence.tobytes(), (p, chi, phi)
+        for k in range(0, times.size, 7):
+            single = propagate_closed(scaled, c0, float(times[k]) * 2.0**-exp)
+            assert (single.c_eg, single.c_ge) == tuple(traj.amplitudes[k]), (p, chi, phi, k)
 
 
 @pytest.mark.parametrize("per_row_starts", [True, False])

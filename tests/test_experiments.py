@@ -1045,7 +1045,8 @@ def test_special_phases_at_multiple_roots_are_exact(pos_a, pos_b, chi, counts, n
     assert Counter(p.kind for p in phases) == counts
     assert all(abs(p.phi - step * round(p.phi / step)) < 1e-12 for p in phases), phases
     for k in no_dark_state:
-        assert dark_modes(experiments._heff_at(cfg, spec, k * step), INITIAL_EG).dark_overlap < 1e-12
+        h = build_heff(coefficients(cfg, k * step, *rates_from_chirality(spec)))
+        assert dark_modes(h, INITIAL_EG).dark_overlap < 1e-12
 
 
 # layouts where one atom decouples by itself at 2pi/3 and 4pi/3: its decay, the
@@ -1072,7 +1073,7 @@ def test_dark_state_lies_on_both_atoms(monkeypatch, pos_a, pos_b, chi, reported)
     assert [(round(p.phi / step), p.kind) for p in phases] == [(k, PhaseKind.DARK_STATE) for k in reported]
 
     def dark_mode(phi):
-        report = dark_modes(experiments._heff_at(cfg, spec, phi), INITIAL_EG)
+        report = dark_modes(build_heff(coefficients(cfg, phi, *rates_from_chirality(spec))), INITIAL_EG)
         assert report.classification is ModeClass.STEADY_PLATEAU
         amplitudes = sorted(map(abs, (report.dark_projection.c_eg, report.dark_projection.c_ge)))
         return amplitudes[0] / amplitudes[1], report.predicted_c_ss
@@ -1262,6 +1263,32 @@ def test_find_max_finds_the_global_maximum():
     c0 = InitialState(0.3485351275070701 + 0.6206217717157976j, -0.005356172642051363 + 0.7023696980797246j)
     res = find_max(cfg, spec, c0, phi_points=2001)
     assert res.c_max >= evaluate_concurrence(cfg, spec, c0, 2.0941946665273043, 43.34483455485605) - 1e-9
+
+
+@pytest.mark.parametrize("gamma", [0.25, 4.0, 2.0**-500, 2.0**500], ids=["0.25", "4", "2**-500", "2**500"])
+def test_the_rate_is_a_time_unit_of_sweep(gamma):
+    # the effective matrix is gamma times the unit-rate one, so the sweep at
+    # rate gamma and time t is the sweep at rate 1 and time gamma t; at a
+    # power of two gamma t is exact, and so is every bit
+    cfg, c0 = make_preset("partially_nested"), InitialState(0.36 + 0.48j, 0.48 + 0.64j)
+    phis, ts = np.linspace(0.0, 2 * math.pi, 21), np.linspace(0.0, 50.0 / gamma, 101)
+    grid = sweep(cfg, ChiralitySpec(gamma, 0.3), c0, phis, ts)
+    unit = sweep(cfg, ChiralitySpec(1.0, 0.3), c0, phis, gamma * ts)
+    assert np.any(grid.c_matrix > 0.5)
+    assert grid.c_matrix.tobytes() == unit.c_matrix.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.25, 4.0])
+@pytest.mark.parametrize("c0", [INITIAL_EG, InitialState(0.36 + 0.48j, 0.48 + 0.64j)], ids=["eg", "complex"])
+def test_the_rate_is_a_time_unit_of_find_max(gamma, c0):
+    # the search at rate gamma over [0, T] is the one at rate 1 over
+    # [0, gamma T], up to where its golden-section brackets stop: at a width
+    # of _MAX_REFINE_TOL in t, so gamma times that in tau
+    cfg = make_preset("partially_nested")
+    unit = find_max(cfg, ChiralitySpec(1.0, 0.3), c0, phi_points=101)
+    res = find_max(cfg, ChiralitySpec(gamma, 0.3), c0, t_horizon=50.0 / gamma, phi_points=101)
+    assert res.c_max == pytest.approx(unit.c_max, abs=1e-8)
+    assert gamma * res.t_star == pytest.approx(unit.t_star, abs=1e-5)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -35,6 +35,7 @@ from giantatoms.io_cli import (
     ConfigValidationError,
     ExperimentSpec,
     _COMMANDS,
+    _KNOWN_FIELDS,
     _emit_json,
     _parse_argv,
     _require_finite,
@@ -115,6 +116,15 @@ def test_cli_rejects_steady_state_window(tmp_path, capsys):
 def test_parse_rejects_malformed_documents(text, field):
     with pytest.raises(ConfigValidationError) as err:
         parse_experiment_config(text)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("field", sorted(_KNOWN_FIELDS))
+def test_parse_rejects_null_in_every_field(field):
+    # no flag writes null, so no document field takes it either: a field is
+    # given or left out for its default
+    with pytest.raises(ConfigValidationError, match=f"^invalid field '{field}': must not be null") as err:
+        parse_experiment_config(json.dumps({"layout": "separated", field: None}))
     assert err.value.field == field
 
 
@@ -518,12 +528,15 @@ def test_cli_evolve_decoupled(tmp_path):
         assert abs(conc) < 1e-12
 
 
-@pytest.mark.parametrize("preset", ["partially_braided", "fully_nested"])
-def test_cli_sweep_prints_the_concurrence_evolve_prints(capsysbinary, preset):
+@pytest.mark.parametrize("preset, gamma", [("partially_braided", "1"), ("fully_nested", "1"), ("fully_nested", "2.5")],
+                         ids=["partially_braided", "fully_nested", "fully_nested-gamma2.5"])
+def test_cli_sweep_prints_the_concurrence_evolve_prints(capsysbinary, preset, gamma):
     # a one-phase sweep is a block of one row; each of its cells must print
     # the bits evolve prints at that phase, here from a start whose four
-    # parts are all nonzero, so that no complex product is exact
-    args = ["--preset", preset, "--chi", "0.37", "--phi", "1.3", "--t", "0:50:2001", "--initial=0.36,0.48,0.48,0.64"]
+    # parts are all nonzero, so that no complex product is exact, and at a
+    # rate whose products with the times are rounded
+    args = ["--preset", preset, "--chi", "0.37", "--phi", "1.3", "--t", "0:50:2001", "--initial=0.36,0.48,0.48,0.64",
+            "--gamma", gamma]
     columns = []
     for command in ("sweep", "evolve"):
         assert cli_main([command, *args]) == 0
@@ -545,7 +558,7 @@ def test_cli_svg_only_for_sweeps(monkeypatch, tmp_path, capsys):
     import giantatoms.io_cli as io_cli
 
     out = tmp_path / "x.svg"
-    for command, study in [("evolve", "trajectory"), ("calibrate", "calibrate_presets"),
+    for command, study in [("evolve", "_trajectory_at"), ("calibrate", "calibrate_presets"),
                            ("compare-initial", "compare_initial_states")]:
         monkeypatch.setattr(io_cli, study, lambda *args, study=study, **kwargs: pytest.fail(f"{study} ran"))
         code = cli_main([command, "--preset", "separated", "--phi", "1.0", "--format", "svg", "--out", str(out)])
