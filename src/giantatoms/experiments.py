@@ -76,7 +76,10 @@ def _golden_step(bracket, left):
 
 def _golden_max(f, a, b):
     """Golden-section maximization of f on [a, b]: the midpoint of the final
-    bracket, of width at most _MAX_REFINE_TOL; needs a < b.
+    bracket; needs a < b. The chain stops once the bracket is at most
+    _MAX_REFINE_TOL wide, or once a step leaves it no narrower, as it does
+    where the spacing of floats exceeds that width (far from 0), so it
+    always stops.
 
     f maps a float array of points to their values, one for one, and is
     pointwise: a point's value does not depend on the points it is evaluated
@@ -112,7 +115,9 @@ def _golden_max(f, a, b):
 
     bracket = (a, b, b - _GOLDEN_INV * (b - a), a + _GOLDEN_INV * (b - a))
     fc, fd = fetch(list(bracket[2:]), bracket)
-    while bracket[1] - bracket[0] > _MAX_REFINE_TOL:
+    width = math.inf
+    while width > bracket[1] - bracket[0] > _MAX_REFINE_TOL:
+        width = bracket[1] - bracket[0]
         left = fc > fd
         bracket, x = _golden_step(bracket, left)
         (fx,) = fetch([x], bracket)
@@ -260,9 +265,9 @@ def _scan_widths(bound, rows, incumbent, incumbent_row, n_t, dt):
 def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     """First maximum (row, col, value) of the concurrence over
     phis x (0, dt, 2dt, ...): fast search-grade scan that skips the cells
-    under two decaying bounds, with the full scan's result. A row holds the
-    unit-rate matrix of its phase, and the columns step tau = gamma_total t
-    by gamma_total dt: every t below is a tau.
+    under two decaying bounds, with the full scan's result. The scan is
+    rate-free: a row holds the unit-rate matrix of its phase at chirality.chi,
+    and the columns step tau = gamma_total t by dt, so every t below is a tau.
 
     Exploits the uniform time grid: every exponential is a geometric
     sequence, built by cumulative products instead of per-cell exp calls.
@@ -309,7 +314,6 @@ def _concurrence_scan_uniform(cfg, chirality, c0, phis, n_t, dt):
     """
     m11, m12, m21, m22 = _m_components(cfg, *rates_from_chirality(ChiralitySpec(1.0, chirality.chi)), phis)
     mu, dd, s = eigen_split(m11, m12, m21, m22)
-    dt = chirality.gamma_total * dt  # the step in tau = gamma t
     d1 = dd * c0.c_eg + m12 * c0.c_ge
     d2 = m21 * c0.c_eg - dd * c0.c_ge
     t_max = (n_t - 1) * dt
@@ -448,8 +452,8 @@ def sweep(cfg, chirality, c0, phi_grid, t_grid) -> SweepGrid:
     return SweepGrid(phis, ts, _concurrence_matrix(cfg, chirality, c0, phis, ts))
 
 
-_SEARCH_T_POINTS = 4001  # find_max: the times of its one search grid on [0, t_horizon]
-_MAX_REFINE_TOL = 1e-6  # find_max: golden-section bracket width in t and phi
+_SEARCH_T_POINTS = 4001  # find_max: the times of its one search grid on [0, gamma_total * t_horizon] in tau
+_MAX_REFINE_TOL = 1e-6  # find_max: golden-section bracket width in tau = gamma_total t and in phi
 
 
 @dataclass(frozen=True)
@@ -472,8 +476,16 @@ def find_max(
 ) -> MaxResult:
     """Maximum concurrence over phi_range x [0, t_horizon].
 
+    The search runs the unit-rate problem in tau = gamma_total t: its scan and
+    refinements take the rates of ChiralitySpec(1, chi) on [0, gamma_total *
+    t_horizon], and only the cell it reports is evaluated at the caller's rate,
+    at t_star = tau_star / gamma_total, so c_max is evaluate_concurrence's
+    value at (phi_star, t_star). The result depends on gamma_total and
+    t_horizon only through their product: at a power-of-two rate bit for bit,
+    at any other the product and tau_star / gamma_total are each rounded once.
+
     Coarse grid scan, phi_points phases by _SEARCH_T_POINTS times, followed by
-    alternating golden-section refinement in t and phi inside the bracketing
+    alternating golden-section refinement in tau and phi inside the bracketing
     grid cells, each down to a bracket of _MAX_REFINE_TOL; the result never
     falls below the best coarse-grid sample. The scan skips the cells whose row
     bounds, a decaying envelope and on spectral rows the state norm, lie below
@@ -484,11 +496,11 @@ def find_max(
     (_concurrence_scan_uniform); its result is the full scan's, so the output
     is unchanged. Each golden-section chain fetches its values in batches
     (_golden_max, _LOOK_AHEAD steps ahead), each batch one array evaluation: a
-    t-chain builds the effective matrix at its phase once and evolves each
+    tau-chain builds the effective matrix at its phase once and evolves each
     batch of times, a phi-chain builds and evolves each batch of phases. Every
     point has the bits of its one-point evaluation, so the chains visit and
     compare what the one-point-at-a-time search would. A search over more than
-    one phase runs three rounds, a t-chain and then a phi-chain each.
+    one phase runs three rounds, a tau-chain and then a phi-chain each.
 
     The effective matrix obeys m(2pi - phi) = -conj(m(phi)), so C is
     symmetric under phi -> 2pi - phi when c0 is real up to a global phase
@@ -498,43 +510,45 @@ def find_max(
     phi_star may then be the mirror of the full scan's and c_max may differ
     from it in the last bits. Any other start or range scans every row.
 
-    The time grid is absolute, so it resolves gamma * t_horizon only up to
-    about 50: at a larger rate scale the scan may step over the peak and
-    report a lower local maximum.
+    The grid's density is fixed by its point count, so it resolves a tau
+    horizon gamma_total * t_horizon only up to about 50: over a longer one the
+    scan may step over the peak and report a lower local maximum.
     """
-    _times("[0, t_horizon]", (0.0, t_horizon))
+    tau_h = float(_times("[0, gamma_total * t_horizon]", (0.0, chirality.gamma_total * t_horizon))[1])
     if phi_points < 1:
         raise ValueError(f"phi_points must be at least 1, got {phi_points}")
     phi_lo, phi_hi = phi_range
     if not (-math.inf < phi_lo <= phi_hi < math.inf):
         raise ValueError(f"phi_range must be finite and not reversed, got ({phi_lo}, {phi_hi})")
     phis = np.linspace(phi_lo, phi_hi, phi_points) if phi_hi > phi_lo else np.asarray([phi_lo])
-    ts = np.linspace(0.0, t_horizon, _SEARCH_T_POINTS)
+    unit = ChiralitySpec(1.0, chirality.chi)
+    taus = np.linspace(0.0, tau_h, _SEARCH_T_POINTS)
     mirrored = (c0.c_eg * c0.c_ge.conjugate()).imag == 0 and phi_lo + phi_hi == TWO_PI
     scanned = phis[: (phis.size + 1) // 2] if mirrored else phis
-    i, j, grid_best = _concurrence_scan_uniform(cfg, chirality, c0, scanned, ts.size, t_horizon / (ts.size - 1))
+    i, j, grid_best = _concurrence_scan_uniform(cfg, unit, c0, scanned, taus.size, tau_h / (taus.size - 1))
 
     def cell(phi, t):
         c1, c2 = _point_amplitudes(cfg, chirality, c0, [phi])(np.asarray([t]))
         return MaxResult(float(concurrence_values(c1, c2)[0]), phi, t, AmplitudePair(complex(c1[0]), complex(c2[0])))
 
-    phi_star, t_star = float(phis[i]), float(ts[j])
-    t_lo = float(ts[max(j - 1, 0)])
-    t_hi = float(ts[min(j + 1, ts.size - 1)])
+    phi_star, tau_star = float(phis[i]), float(taus[j])
+    tau_lo = float(taus[max(j - 1, 0)])
+    tau_hi = float(taus[min(j + 1, taus.size - 1)])
     p_lo = float(phis[max(i - 1, 0)])
     p_hi = float(phis[min(i + 1, phis.size - 1)])
     # with one phase there is nothing to alternate with: more rounds would
-    # repeat the same t search
+    # repeat the same tau search
     for _ in range(3 if p_hi > p_lo else 1):
-        at_phi = _point_amplitudes(cfg, chirality, c0, [phi_star])
-        t_star = _golden_max(lambda t_batch: concurrence_values(*at_phi(t_batch)), t_lo, t_hi)
+        at_phi = _point_amplitudes(cfg, unit, c0, [phi_star])
+        tau_star = _golden_max(lambda tau_batch: concurrence_values(*at_phi(tau_batch)), tau_lo, tau_hi)
         if p_hi > p_lo:
-            at_t = np.asarray([t_star])
+            at_tau = np.asarray([tau_star])
             phi_star = _golden_max(lambda phi_batch: concurrence_values(
-                *_point_amplitudes(cfg, chirality, c0, phi_batch)(at_t)), p_lo, p_hi)
+                *_point_amplitudes(cfg, unit, c0, phi_batch)(at_tau)), p_lo, p_hi)
 
-    best = cell(phi_star, t_star)
-    return cell(float(phis[i]), float(ts[j])) if best.c_max < grid_best else best
+    # the reported cell is the one at the caller's rate and t = tau / gamma_total
+    best = cell(phi_star, tau_star / chirality.gamma_total)
+    return cell(float(phis[i]), float(taus[j]) / chirality.gamma_total) if best.c_max < grid_best else best
 
 
 class PhaseKind(Enum):

@@ -30,13 +30,15 @@ is checked by the model type it builds (layout a LayoutConfiguration, gamma,
 chi and chis a ChiralitySpec, initial an InitialState, time.start the time
 rule), with its message, and the run keeps what was built. Every command
 but calibrate needs a layout. chis defaults to 0,0.25,0.5,0.75,1. --help or
--h prints this text. find-max scans t over [0, time.stop] (time.start = 0,
-time.stop > 0) on a grid of 4001 times; it ignores time.count. That grid
-resolves gamma * time.stop only up to about 50: past it the scan may step
-over the peak and report a lower maximum. calibrate searches at the setting
-of its benchmark maxima (gamma = 1, t over [0, 50]) on that same grid; it
-uses only the output format and path, and checks but ignores every other
-field.
+-h prints this text. find-max searches t over [0, time.stop] (time.start =
+0, time.stop > 0) in tau = gamma t: it scans tau over [0, gamma * time.stop],
+which must be finite and positive, on a grid of 4001 times, and reports t* =
+tau* / gamma; it ignores time.count. Its result depends on gamma and
+time.stop only through their product. That grid resolves a tau horizon only
+up to about 50: past it the scan may step over the peak and report a lower
+maximum. calibrate searches at the setting of its benchmark maxima (gamma =
+1, t over [0, 50]) on that same grid; it uses only the output format and
+path, and checks but ignores every other field.
 
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
 error, numerical overflow or a grid too large to allocate, 2 I/O error, 3
@@ -593,7 +595,7 @@ def _run_command(command: str, spec: ExperimentSpec):
     if command == "find-max":
         if spec.time.start != 0:
             raise ConfigValidationError("time.start", "find-max scans t from 0 to time.stop; must be 0")
-        _checked("time.stop", _times, "[0, time.stop]", (0.0, spec.time.stop))
+        _checked("time.stop", _times, "[0, gamma * time.stop]", (0.0, spec.chirality.gamma_total * spec.time.stop))
     if spec.fmt == "svg" and command != "sweep":
         raise ConfigValidationError("format", "svg output is only available for sweep grids")
     if spec.layout is None and command != "calibrate":

@@ -1,8 +1,10 @@
 import cmath
+import contextlib
 import dataclasses
 import inspect
 import math
 import re
+import signal
 import tracemalloc
 from collections import Counter
 
@@ -73,6 +75,22 @@ def unit_peaks(c):
     return int(np.count_nonzero(inner))
 
 
+@contextlib.contextmanager
+def _returns_within(seconds):
+    """Fail the block with TimeoutError, rather than hang the suite, if it
+    runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_golden_max_finds_peak():
     def f(u):
         return -(u - 0.3) ** 2
@@ -83,12 +101,15 @@ def test_golden_max_finds_peak():
 
 
 def _golden_reference(f, a, b):
-    """The plain golden-section search: one point at a time, f of a float."""
+    """The plain golden-section search: one point at a time, f of a float;
+    it stops at a width of tol, or once a step leaves the bracket no narrower."""
     inv, tol = (math.sqrt(5.0) - 1.0) / 2.0, experiments._MAX_REFINE_TOL
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    width = math.inf
+    while width > (b - a) > tol:
+        width = b - a
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
@@ -150,6 +171,18 @@ def test_look_ahead_search_matches_the_sequential_search(name, monkeypatch):
             assert len(batches[0]) <= 2**look_ahead and all(len(xs) < 2**look_ahead for xs in batches[1:])
             if look_ahead == 1:
                 assert evaluated == asked
+
+
+@pytest.mark.parametrize("a, b", [(1e11, 1e11 + 1.0), (1e11, 2e11)])
+def test_golden_max_stops_where_floats_are_coarser_than_its_tolerance(a, b):
+    # floats near 1e11 lie 1.5e-5 apart, so no bracket there narrows to
+    # _MAX_REFINE_TOL = 1e-6: the chain stops once a step leaves it no
+    # narrower, as the one-point-at-a-time search does, next to the peak
+    peak = 1e11 + 0.3
+    with _returns_within(10):
+        x = _golden_max(lambda xs: -(xs - peak) ** 2, a, b)
+        assert x == _golden_reference(lambda u: -(u - peak) ** 2, a, b)
+    assert abs(x - peak) <= 2.0**-15
 
 
 def test_sweep_decoupled_row_is_zero():
@@ -1244,14 +1277,17 @@ def test_find_max_results_keep_their_bits(pattern, chi, c0, kwargs, expected):
     assert tuple(float(x).hex() for x in got) == expected
 
 
-@pytest.mark.parametrize("pattern, chi, c0", [
-    ("ababab", 0.0, INITIAL_EG),
-    ("aaabbb", 1.0, INITIAL_EG),
-    ("abbaab", 0.6, InitialState(0.6, 0.8j)),
-])
-def test_find_max_reports_its_cell_value(pattern, chi, c0):
-    cfg, spec = layout_from_pattern(pattern), ChiralitySpec(1.0, chi)
-    res = find_max(cfg, spec, c0, phi_points=201)
+@pytest.mark.parametrize("pattern, chi, c0, gamma", [
+    ("ababab", 0.0, INITIAL_EG, 1.0),
+    ("aaabbb", 1.0, INITIAL_EG, 1.0),
+    ("abbaab", 0.6, InitialState(0.6, 0.8j), 1.0),
+    ("abbaab", 0.3, InitialState(0.6, 0.8j), 2.5),
+], ids=["ababab-0.0-c00", "aaabbb-1.0-c01", "abbaab-0.6-c02", "abbaab-0.3-gamma2.5"])
+def test_find_max_reports_its_cell_value(pattern, chi, c0, gamma):
+    # the search runs at unit rate in tau; the cell it reports is the one at
+    # the caller's rate and t_star = tau_star / gamma
+    cfg, spec = layout_from_pattern(pattern), ChiralitySpec(gamma, chi)
+    res = find_max(cfg, spec, c0, t_horizon=50.0 / gamma, phi_points=201)
     assert res.c_max == evaluate_concurrence(cfg, spec, c0, res.phi_star, res.t_star)
     assert res.c_max == sweep(cfg, spec, c0, [res.phi_star], [res.t_star]).c_matrix[0, 0]
 
@@ -1278,21 +1314,22 @@ def test_the_rate_is_a_time_unit_of_sweep(gamma):
     assert grid.c_matrix.tobytes() == unit.c_matrix.tobytes()
 
 
-@pytest.mark.parametrize("gamma", [0.25, 4.0])
+@pytest.mark.parametrize("gamma", [0.25, 4.0, 2.0**-500, 2.0**500], ids=["0.25", "4.0", "2**-500", "2**500"])
 @pytest.mark.parametrize("c0", [INITIAL_EG, InitialState(0.36 + 0.48j, 0.48 + 0.64j)], ids=["eg", "complex"])
 def test_the_rate_is_a_time_unit_of_find_max(gamma, c0):
     # the search at rate gamma over [0, T] is the one at rate 1 over
-    # [0, gamma T], up to where its golden-section brackets stop: at a width
-    # of _MAX_REFINE_TOL in t, so gamma times that in tau
+    # [0, gamma T]; at a power of two gamma T and t_star = tau_star / gamma
+    # are exact, and so is every bit
     cfg = make_preset("partially_nested")
     unit = find_max(cfg, ChiralitySpec(1.0, 0.3), c0, phi_points=101)
-    res = find_max(cfg, ChiralitySpec(gamma, 0.3), c0, t_horizon=50.0 / gamma, phi_points=101)
-    assert res.c_max == pytest.approx(unit.c_max, abs=1e-8)
-    assert gamma * res.t_star == pytest.approx(unit.t_star, abs=1e-5)
+    with _returns_within(30):
+        res = find_max(cfg, ChiralitySpec(gamma, 0.3), c0, t_horizon=50.0 / gamma, phi_points=101)
+    assert (res.c_max, res.phi_star, res.amplitudes_at_max) == (unit.c_max, unit.phi_star, unit.amplitudes_at_max)
+    assert gamma * res.t_star == unit.t_star
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "find_max scans 4001 times on [0, t_horizon], which resolve gamma * t_horizon only up to about 50"))
+    "find_max scans 4001 times on a tau horizon of gamma * t_horizon, which they resolve only up to about 50"))
 def test_find_max_resolves_a_large_rate():
     # the dynamics at rate g and time t are those at rate 1 and time g t, and
     # the horizon at gamma 100 holds the gamma-1 peak, so the maximum there is

@@ -847,14 +847,25 @@ def test_cli_find_max_rejects_time_start(capsysbinary, tmp_path):
 
 
 def test_cli_find_max_rejects_a_zero_time_stop(capsysbinary):
-    # find-max scans [0, time.stop], which must hold more than one time; the
-    # error names the field, not the library's t_horizon
+    # find-max scans tau over [0, gamma * time.stop], which must hold more
+    # than one time; the error names the field, not the library's t_horizon
     with pytest.raises(ValueError) as direct:
-        _times("[0, time.stop]", (0.0, 0.0))
+        _times("[0, gamma * time.stop]", (0.0, 0.0))
     assert cli_main(["find-max", "--preset", "separated", "--t", "0:0:5"]) == 1
     captured = capsysbinary.readouterr()
     assert captured.out == b""
     assert captured.err == f"validation error: invalid field 'time.stop': {direct.value}\n".encode()
+
+
+def test_cli_find_max_rejects_a_tau_horizon_that_overflows(capsysbinary):
+    # gamma * time.stop is checked where the spec is built, before the search
+    # forms any time: past the float range it is a field error, not an
+    # overflow in the middle of the scan
+    assert cli_main(["find-max", "--preset", "partially_nested", "--gamma", "1e300", "--t", "0:1e10:2"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == (b"validation error: invalid field 'time.stop': [0, gamma * time.stop] must be finite, "
+                            b">= 0 and strictly increasing, got inf at index 1\n")
 
 
 @pytest.mark.parametrize("pattern", ["aaabbb", "ababab", "abbbaa", "aabbab"])
