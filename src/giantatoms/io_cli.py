@@ -27,18 +27,22 @@ a repeated flag keeps its last value. Each flag is the text of one config
 field, laid over the --config document and checked with it, so it accepts
 exactly what that field accepts; --layout-a/-b win over --preset. A field
 is checked by the model type it builds (layout a LayoutConfiguration, gamma,
-chi and chis a ChiralitySpec, initial an InitialState, time.start the time
-rule), with its message, and the run keeps what was built. Every command
-but calibrate needs a layout. chis defaults to 0,0.25,0.5,0.75,1. --help or
--h prints this text. find-max searches t over [0, time.stop] (time.start =
-0, time.stop > 0) in tau = gamma t: it scans tau over [0, gamma * time.stop],
-which must be finite and positive, on a grid of 4001 times, and reports t* =
-tau* / gamma; it ignores time.count. Its result depends on gamma and
-time.stop only through their product. That grid resolves a tau horizon only
-up to about 50: past it the scan may step over the peak and report a lower
-maximum. calibrate searches at the setting of its benchmark maxima (gamma =
-1, t over [0, 50]) on that same grid; it uses only the output format and
-path, and checks but ignores every other field.
+chi and chis a ChiralitySpec, initial an InitialState, time.start and the
+tau horizon gamma * time.stop the time rule: finite and >= 0), with its
+message, and the run keeps what was built; every command checks them all.
+A grid start:stop:count needs stop >= start, and stop > start when its
+count exceeds 1. Every command but calibrate needs a layout. chis defaults
+to 0,0.25,0.5,0.75,1. --help or -h prints this text. gamma is only a time
+scale: coeffs prints gamma times the coefficients at unit total rate, and
+the studies run at unit rate in tau = gamma t. find-max searches t over
+[0, time.stop] (time.start = 0, time.stop > 0) in tau: it scans tau over
+[0, gamma * time.stop], which must be positive, on a grid of 4001 times,
+and reports t* = tau* / gamma; it ignores time.count. Its result depends on
+gamma and time.stop only through their product. That grid resolves a tau
+horizon only up to about 50: past it the scan may step over the peak and
+report a lower maximum. calibrate searches at the setting of its benchmark
+maxima (gamma = 1, t over [0, 50]) on that same grid; it uses only the
+output format and path, and checks but ignores every other field.
 
 Exit codes: 0 success (every emitted number finite), 1 validation/usage
 error, numerical overflow or a grid too large to allocate, 2 I/O error, 3
@@ -210,6 +214,8 @@ def _parse_grid(field: str, v) -> GridRange:
         raise ConfigValidationError(field + ".count", f"must be at most {np.iinfo(np.intp).max}")
     if stop < start:
         raise ConfigValidationError(field, "stop must be >= start")
+    if v["count"] > 1 and stop == start:
+        raise ConfigValidationError(field, "stop must be > start for a count above 1")
     return GridRange(start, stop, v["count"])
 
 
@@ -264,6 +270,7 @@ def _spec_from_document(doc: dict) -> ExperimentSpec:
 
     time = _parse_grid("time", doc["time"]) if "time" in doc else defaults.time
     _checked("time.start", _times, "time.start", time.start)
+    _checked("time.stop", _times, "gamma * time.stop", chirality.gamma_total * time.stop)
 
     initial = doc.get("initial", defaults.initial)
     if isinstance(initial, list) and len(initial) == 4:
@@ -555,7 +562,9 @@ def _phi_grid(spec: ExperimentSpec) -> np.ndarray:
 
 def _coeffs(spec: ExperimentSpec):
     phis = _phi_grid(spec)
-    columns = (x.tolist() for x in _coefficient_arrays(spec.layout, phis, *rates_from_chirality(spec.chirality)))
+    unit = _coefficient_arrays(spec.layout, phis, *rates_from_chirality(ChiralitySpec(1.0, spec.chirality.chi)))
+    # gamma times each real and imaginary part, so a signed zero keeps its sign
+    columns = (np.multiply(spec.chirality.gamma_total, x.view(float)).view(x.dtype).tolist() for x in unit)
     return [(p, CoefficientSet(*c)) for p, *c in zip(phis.tolist(), *columns)]
 
 

@@ -121,14 +121,16 @@ class ChiralitySpec:
     def __post_init__(self):
         if not (0 < self.gamma_total < math.inf):
             raise ValueError(f"gamma_total must be positive and finite, got {self.gamma_total}")
-        if 0.5 * self.gamma_total == 0:  # rates_from_chirality's first product
-            raise ValueError(f"gamma_total {self.gamma_total} is too small: its split into two rates underflows to 0")
         if not (0.0 <= self.chi <= 1.0):
             raise ValueError(f"chi must lie in [0, 1], got {self.chi}")
 
 
 def rates_from_chirality(spec: ChiralitySpec) -> tuple[float, float]:
-    """Split gamma_total into (gamma_right, gamma_left) for the given chi."""
+    """Split gamma_total into (gamma_right, gamma_left) for the given chi.
+
+    The studies and the command line split only gamma_total = 1 and carry
+    gamma as a time scale. Below about 1e-323 both rates underflow to 0,
+    which ``coefficients()`` rejects with its own rate message."""
     # halved first, so no product overflows for any finite gamma_total
     gamma_r = 0.5 * spec.gamma_total * (1.0 + spec.chi)
     gamma_l = 0.5 * spec.gamma_total * (1.0 - spec.chi)

@@ -158,7 +158,7 @@ def test_parse_rejects_missing_layout(monkeypatch, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("field, doc, build", [
     ("gamma", {"gamma": -1}, lambda: ChiralitySpec(-1.0)),
-    ("gamma", {"gamma": 5e-324}, lambda: ChiralitySpec(5e-324)),  # its split into two rates underflows
+    ("gamma", {"gamma": 0}, lambda: ChiralitySpec(0.0)),
     ("chi", {"chi": 1.5}, lambda: ChiralitySpec(1.0, 1.5)),
     ("chis", {"chis": [0, 2]}, lambda: ChiralitySpec(1.0, 2.0)),
     ("time.start", {"time": {"start": -1, "stop": 5, "count": 3}}, lambda: _times("time.start", -1.0)),
@@ -851,7 +851,7 @@ def test_cli_find_max_rejects_a_zero_time_stop(capsysbinary):
     # than one time; the error names the field, not the library's t_horizon
     with pytest.raises(ValueError) as direct:
         _times("[0, gamma * time.stop]", (0.0, 0.0))
-    assert cli_main(["find-max", "--preset", "separated", "--t", "0:0:5"]) == 1
+    assert cli_main(["find-max", "--preset", "separated", "--t", "0:0:1"]) == 1
     captured = capsysbinary.readouterr()
     assert captured.out == b""
     assert captured.err == f"validation error: invalid field 'time.stop': {direct.value}\n".encode()
@@ -864,8 +864,93 @@ def test_cli_find_max_rejects_a_tau_horizon_that_overflows(capsysbinary):
     assert cli_main(["find-max", "--preset", "partially_nested", "--gamma", "1e300", "--t", "0:1e10:2"]) == 1
     captured = capsysbinary.readouterr()
     assert captured.out == b""
-    assert captured.err == (b"validation error: invalid field 'time.stop': [0, gamma * time.stop] must be finite, "
-                            b">= 0 and strictly increasing, got inf at index 1\n")
+    assert captured.err == (b"validation error: invalid field 'time.stop': gamma * time.stop must be finite "
+                            b"and >= 0, got inf\n")
+
+
+def _phi_for(command):
+    """A --phi that the command takes: a number where it needs one phase."""
+    return "1.0" if command in ("evolve", "chirality-scan") else "0:1:3"
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_cli_every_command_checks_the_tau_horizon(monkeypatch, capsysbinary, command):
+    # every command checks gamma * time.stop where the spec is built, so a
+    # horizon past the float range is a field error before any study runs,
+    # never an overflow in the middle of one, whether or not it reads the times
+    import giantatoms.io_cli as io_cli
+
+    monkeypatch.setattr(io_cli, "calibrate_presets", lambda: CalibrationResult({}, {}))
+    args = [command, "--preset", "partially_nested", "--gamma", "1e300", "--phi", _phi_for(command), "--t", "0:1e10:3"]
+    assert cli_main(args) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == (b"validation error: invalid field 'time.stop': gamma * time.stop must be finite "
+                            b"and >= 0, got inf\n")
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_cli_every_command_runs_at_the_smallest_rate(monkeypatch, capsysbinary, command):
+    # gamma is only a time scale and no command splits it into two rates, so
+    # the smallest positive double is a valid rate for every command; the
+    # special phases never see gamma
+    import giantatoms.io_cli as io_cli
+
+    monkeypatch.setattr(io_cli, "calibrate_presets", lambda: CalibrationResult({}, {}))
+    args = [command, "--preset", "fully_braided", "--chi", "0.3", "--phi", _phi_for(command), "--t", "0:1:3"]
+    assert cli_main(args + ["--gamma", "5e-324"]) == 0
+    out = capsysbinary.readouterr().out
+    cells = [cell for row in out.decode().splitlines()[1:] for cell in row.split(",")]
+    numbers = [float(cell) for cell in cells if cell not in ("dark_state", "decoupled", "decoherence_free")]
+    assert np.isfinite(numbers).all()
+    if command == "special-phases":
+        assert cli_main(args + ["--gamma", "1"]) == 0
+        assert capsysbinary.readouterr().out == out
+
+
+@pytest.mark.parametrize("k", [-500, -2, 2, 500])
+def test_cli_coeffs_is_gamma_times_the_unit_table(capsysbinary, k):
+    # coeffs evaluates the table at unit total rate and multiplies it by
+    # gamma; at a power of two that product is exact, signed zeros included
+    args = ["coeffs", "--preset", "partially_nested", "--chi", "0.3", "--phi", f"0:{TAU!r}:201"]
+    assert cli_main(args + ["--gamma", "1"]) == 0
+    header, *rows = capsysbinary.readouterr().out.decode().splitlines()
+    expected = [header] + [",".join([phi] + ["%.17g" % (2.0**k * float(v)) for v in values])
+                           for phi, *values in (row.split(",") for row in rows)]
+    assert cli_main(args + ["--gamma", repr(2.0**k)]) == 0
+    assert capsysbinary.readouterr().out.decode().splitlines() == expected
+
+
+@pytest.mark.parametrize("command, flag, grid", [
+    ("sweep", "--phi", "1:1:3"),
+    ("evolve", "--t", "0:0:3"),
+    ("find-max", "--phi", "1:1:5"),
+])
+def test_a_grid_of_several_points_needs_stop_above_start(tmp_path, capsys, command, flag, grid):
+    # a grid with count > 1 and stop == start repeats one value; it is the
+    # grid field's error, from a flag and from a config document alike
+    field = {"--phi": "phi", "--t": "time"}[flag]
+    start, stop, count = grid.split(":")
+    fixed = [] if field == "phi" else ["--phi", "1.0"]
+    assert cli_main([command, "--preset", "separated", *fixed, flag, grid]) == 1
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"layout": "separated", "phi": 1.0,
+                               field: {"start": float(start), "stop": float(stop), "count": int(count)}}))
+    assert cli_main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == from_flag == (
+        f"validation error: invalid field '{field}': stop must be > start for a count above 1\n")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the decay matrix is a Gram matrix, PSD for every layout, but its pair-distance sums drift below zero "
+    "in proportion to the layout's span, past the PSD check's tolerance at a span of 774"))
+def test_cli_does_not_call_a_psd_decay_matrix_unphysical(capsys):
+    # exit 3 is for a genuine PSD failure only
+    code = cli_main(["evolve", "--layout-a", "491,559,626", "--layout-b", "75,794,849", "--chi", "1",
+                     "--phi", "5.761680926683681", "--t", "0:1:2"])
+    capsys.readouterr()
+    assert code != 3
 
 
 @pytest.mark.parametrize("pattern", ["aaabbb", "ababab", "abbbaa", "aabbab"])

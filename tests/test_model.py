@@ -110,15 +110,10 @@ def test_rates_examples():
     assert rates_from_chirality(ChiralitySpec(2.0, 0.5)) == (1.5, 0.5)
     # the largest rates stay finite: gamma is halved before the (1 + chi) product
     assert rates_from_chirality(ChiralitySpec(1e308, 1.0)) == (1e308, 0.0)
-
-
-def test_chirality_rejects_a_rate_whose_split_underflows():
-    # 0.5 * 5e-324 is 0: both rates would vanish, so the rate is rejected
-    # for what goes wrong, not as a non-positive rate
-    with pytest.raises(ValueError, match="split into two rates underflows to 0"):
-        ChiralitySpec(5e-324)
+    # and the smallest ones underflow: below about 1e-323 both rates are 0
     assert rates_from_chirality(ChiralitySpec(1e-323)) == (5e-324, 5e-324)
     assert rates_from_chirality(ChiralitySpec(1e-323, 1.0)) == (1e-323, 0.0)
+    assert rates_from_chirality(ChiralitySpec(5e-324)) == (0.0, 0.0)
 
 
 @given(
